@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
@@ -14,6 +15,25 @@ namespace {
 constexpr std::uint32_t kLayerTag = make_tag("LAYR");
 
 std::atomic<SparseForward> g_sparse_forward{SparseForward::kAuto};
+
+/// "6x2x3" (or "empty") — shape spelling for the backward cache diagnostics.
+std::string shape_str(const Tensor& t) {
+  std::string s;
+  for (std::size_t i = 0; i < t.rank(); ++i) {
+    if (i > 0) s += 'x';
+    s += std::to_string(t.dim(i));
+  }
+  return s.empty() ? "empty" : s;
+}
+
+/// A backward pass reads cache cubes as (T × B × N) with raw pointers, so a
+/// cache from another batch size or width must fail here, not read past it.
+void check_cache_cube(const Tensor& t, const char* name, std::size_t T, std::size_t B,
+                      std::size_t N) {
+  R4NCL_CHECK(t.rank() == 3 && t.dim(0) == T && t.dim(1) == B && t.dim(2) == N,
+              "cache " << name << " is " << shape_str(t) << ", this pass is " << T << "x" << B
+                       << "x" << N);
+}
 }  // namespace
 
 void set_sparse_forward(SparseForward mode) noexcept {
@@ -361,79 +381,92 @@ Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
 void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out,
                                  Tensor* d_in, SpikeOpStats* stats) {
   R4NCL_CHECK(x.rank() == 3 && d_out.rank() == 3, "x and d_out must be 3-D");
-  const std::size_t T = x.dim(0), B = x.dim(1);
-  R4NCL_CHECK(d_out.dim(0) == T && d_out.dim(1) == B && d_out.dim(2) == n_out_,
+  const std::size_t T = x.dim(0), B = x.dim(1), N = n_out_;
+  R4NCL_CHECK(x.dim(2) == n_in_, "backward input feature dim " << x.dim(2) << " != " << n_in_);
+  R4NCL_CHECK(d_out.dim(0) == T && d_out.dim(1) == B && d_out.dim(2) == N,
               "d_out shape mismatch");
-  R4NCL_CHECK(cache.membrane.dim(0) == T, "cache does not match this pass");
+  check_cache_cube(cache.membrane, "membrane", T, B, N);
+  check_cache_cube(cache.spikes, "spikes", T, B, N);
+  R4NCL_CHECK(cache.theta.size() == T,
+              "cache theta has " << cache.theta.size() << " steps, this pass has " << T);
   if (d_in != nullptr) {
     R4NCL_CHECK(d_in->same_shape(x), "d_in shape mismatch");
   }
 
-  Tensor d_v(B, n_out_);       // ∂L/∂V(t+1), carried across iterations
-  Tensor d_s_rec(B, n_out_);   // recurrent + reset contribution to ∂L/∂S(t)
-  Tensor d_s_total(B, n_out_); // scratch
-  std::uint64_t bwd_ops = 0;
+  // ∂L/∂V(t) for every step: the recurrence writes it, the hoisted weight-
+  // and input-gradient passes read it.
+  Tensor d_v(T, B, N);
+  Tensor d_s_rec(B, N);  // per row: recurrent + reset contribution to ∂L/∂S(t−1)
+  const bool recurrent = lif_.recurrent;
+  Tensor w_rec_t(recurrent ? N : 0, recurrent ? N : 0);  // W_recᵀ, for i-k-j dV·W_recᵀ
+  if (recurrent) kernels::transpose(w_rec_.raw(), N, N, w_rec_t.raw());
 
-  for (std::size_t ti = T; ti-- > 0;) {
-    // ∂L/∂S(t) = upstream + contributions propagated from step t+1, then
-    // ∂L/∂V(t) = ∂L/∂S(t)·Θ′(u) + β·∂L/∂V(t+1).  Both are elementwise, so
-    // batch rows write disjoint slices — bit-identical at any thread count.
-    const float* up = d_out.slab(ti).data();
-    const float* rec = d_s_rec.raw();
-    float* ds = d_s_total.raw();
-    const float* vcache = cache.membrane.slab(ti).data();
-    const float theta_t = cache.theta[ti];
-    float* dv = d_v.raw();
-    parallel_for(
-        0, B,
-        [&](std::size_t b) {
-          const std::size_t lo = b * n_out_, hi = lo + n_out_;
-          for (std::size_t i = lo; i < hi; ++i) ds[i] = up[i] + rec[i];
-          for (std::size_t i = lo; i < hi; ++i) {
-            const float u = vcache[i] - theta_t;
-            dv[i] = ds[i] * surrogate_grad(u, surrogate_) + lif_.beta * dv[i];
+  // The BPTT recurrence, row-parallel: θ(t) comes from the cache, so batch
+  // rows are independent under fixed and adaptive thresholds alike, and each
+  // row walks all T steps on one thread.  Per element the FP ops are the
+  // per-timestep loop's, in its order:
+  //   ∂L/∂S(t) = upstream + d_s_rec;  ∂L/∂V(t) = ∂L/∂S(t)·Θ′(u) + β·∂L/∂V(t+1)
+  //   d_s_rec  = ∂L/∂V(t)·W_recᵀ (k ascending) [− θ(t−1)·∂L/∂V(t) unless detached]
+  // Locals keep member loads out of the inner loops.
+  const float beta = lif_.beta;
+  const bool detach_reset = lif_.detach_reset;
+  const SurrogateParams surrogate = surrogate_;
+  const float* up = d_out.raw();
+  const float* vmem = cache.membrane.raw();
+  const float* theta = cache.theta.data();
+  const float* wrec_t = w_rec_t.raw();
+  float* dvp = d_v.raw();
+  float* recp = d_s_rec.raw();
+  const std::vector<float> zero_row(N, 0.0f);  // ∂L/∂V(T)
+  parallel_for(
+      0, B,
+      [&](std::size_t b) {
+        float* rec = recp + b * N;
+        for (std::size_t t = T; t-- > 0;) {
+          const std::size_t row = (t * B + b) * N;
+          float* dv = dvp + row;
+          const float* dv_next = t + 1 < T ? dv + B * N : zero_row.data();
+          const float theta_t = theta[t];
+          for (std::size_t j = 0; j < N; ++j) {
+            const float ds = up[row + j] + rec[j];
+            dv[j] = ds * surrogate_grad(vmem[row + j] - theta_t, surrogate) + beta * dv_next[j];
           }
-        },
-        n_out_ * 2);
+          if (t == 0) break;
+          std::fill(rec, rec + N, 0.0f);
+          if (recurrent) kernels::matmul_row(dv, N, wrec_t, N, rec);
+          if (!detach_reset) {
+            // V(t) contains −θ(t−1)·S(t−1).
+            const float theta_prev = theta[t - 1];
+            for (std::size_t j = 0; j < N; ++j) rec[j] -= theta_prev * dv[j];
+          }
+        }
+      },
+      T * N * (recurrent ? N : 4));
 
-    // Weight gradients: dW_ff += X(t)ᵀ·dV(t); dW_rec += S(t−1)ᵀ·dV(t).
-    kernels::matmul_at_b_accum(x.slab(ti).data(), B, n_in_, dv, n_out_, d_w_ff_.raw());
-    bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_out_;
-    if (lif_.recurrent && ti > 0) {
-      kernels::matmul_at_b_accum(cache.spikes.slab(ti - 1).data(), B, n_out_, dv, n_out_,
-                                 d_w_rec_.raw());
-      bwd_ops += static_cast<std::uint64_t>(B) * n_out_ * n_out_;
-    }
-
-    // Input gradient: dX(t) = dV(t)·W_ffᵀ.
-    if (d_in != nullptr) {
-      kernels::matmul_a_bt(dv, B, n_out_, w_ff_.raw(), n_in_, d_in->slab(ti).data(), false);
-      bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_out_;
-    }
-
-    // Contribution to ∂L/∂S(t−1): through W_rec and (optionally) the reset.
-    if (ti > 0) {
-      if (lif_.recurrent) {
-        kernels::matmul_a_bt(dv, B, n_out_, w_rec_.raw(), n_out_, d_s_rec.raw(), false);
-        bwd_ops += static_cast<std::uint64_t>(B) * n_out_ * n_out_;
-      } else {
-        d_s_rec.zero();
-      }
-      if (!lif_.detach_reset) {
-        // V(t) contains −θ(t−1)·S(t−1).
-        const float theta_prev = cache.theta[ti - 1];
-        float* dsr = d_s_rec.raw();
-        parallel_for(
-            0, B,
-            [&](std::size_t b) {
-              const std::size_t lo = b * n_out_, hi = lo + n_out_;
-              for (std::size_t i = lo; i < hi; ++i) dsr[i] -= theta_prev * dv[i];
-            },
-            n_out_);
-      }
-    }
+  // Weight gradients, hoisted out of the T loop as one pass each over all
+  // T·B rows in the per-timestep order (t descending, rows ascending):
+  // dW_ff += Σ_t X(t)ᵀ·dV(t);  dW_rec += Σ_{t≥1} S(t−1)ᵀ·dV(t), i.e. spike
+  // block i against dV block i+1.
+  kernels::matmul_at_b_accum(x.raw(), dvp, T, B, n_in_, N, d_w_ff_.raw());
+  if (recurrent && T > 1) {
+    kernels::matmul_at_b_accum(cache.spikes.raw(), dvp + B * N, T - 1, B, N, N,
+                               d_w_rec_.raw());
   }
-  if (stats != nullptr) stats->backward_synops += bwd_ops;
+
+  // Input gradient dX = dV·W_ffᵀ over all T·B rows against the transposed copy.
+  if (d_in != nullptr) {
+    Tensor w_ff_t(N, n_in_);
+    kernels::transpose(w_ff_.raw(), n_in_, N, w_ff_t.raw());
+    kernels::matmul(dvp, T * B, N, w_ff_t.raw(), n_in_, d_in->raw(), false);
+  }
+
+  if (stats != nullptr && T > 0) {
+    // dW_ff (+ dX) charge B·n_in·n_out per step; dW_rec and the dS_rec
+    // product charge B·n_out² per step t ≥ 1.
+    const std::uint64_t ff = static_cast<std::uint64_t>(T) * B * n_in_ * N;
+    const std::uint64_t rec = recurrent ? static_cast<std::uint64_t>(T - 1) * B * N * N : 0;
+    stats->backward_synops += (d_in != nullptr ? 2 : 1) * ff + 2 * rec;
+  }
 }
 
 void RecurrentLifLayer::zero_grad() {

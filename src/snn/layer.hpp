@@ -22,6 +22,17 @@
 // batch-parallel over B rows (disjoint writes, per-row spike counts reduced
 // in fixed row order — threads=N ≡ threads=1), and synop stats fall out of
 // the event list instead of a per-timestep count_nonzero rescan.
+// Backward hot path: the BPTT recurrence (∂L/∂S, ∂L/∂V, the dV·W_recᵀ and
+// reset terms) runs row-parallel — θ(t) comes from LayerCache::theta, so
+// rows are independent under fixed and adaptive thresholds and each row
+// walks all T steps on one thread — and dW_ff, dW_rec and dX leave the T
+// loop as one pass each over all T·B rows (kernels::matmul_at_b_accum, and
+// kernels::matmul against a transposed W_ff).  Every output element keeps
+// the per-timestep loop's FP op order (weight gradients: t descending, then
+// rows ascending; Wᵀ products: k ascending), so a pass is bit-identical to
+// it at any thread count with 4 parallel dispatches instead of up to 5 per
+// timestep (pinned against the per-timestep reference in
+// tests/test_bptt_reference.cpp).
 #pragma once
 
 #include <cstdint>
@@ -125,7 +136,8 @@ class RecurrentLifLayer {
 
   /// BPTT backward.  `x` must be the exact tensor passed to forward, `d_out`
   /// is ∂L/∂S (T × B × n_out).  Accumulates weight gradients internally and,
-  /// when `d_in` is non-null, writes ∂L/∂X (same shape as x).
+  /// when `d_in` is non-null, writes ∂L/∂X (same shape as x).  Throws when
+  /// x, d_out or the cache (membrane, spikes, θ) disagree on T, B or width.
   void backward(const Tensor& x, const LayerCache& cache, const Tensor& d_out, Tensor* d_in,
                 SpikeOpStats* stats);
 

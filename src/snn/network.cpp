@@ -74,24 +74,27 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
                                   AdamOptimizer& optimizer, float lr, SpikeMode mode,
                                   SpikeOpStats* stats,
                                   std::vector<std::uint8_t>* row_correct) {
+  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × C)");
   R4NCL_CHECK(from <= num_hidden(), "insertion layer out of range");
   const std::size_t trained = num_hidden() - from;
   const std::size_t B = x.dim(1);
   R4NCL_CHECK(labels.size() == B, "labels/batch mismatch");
 
-  // Forward through the learning layers, caching for BPTT.  activations[k]
-  // is the input of hidden layer from+k; activations[trained] feeds the
-  // readout.
-  std::vector<Tensor> activations;
-  activations.reserve(trained + 1);
+  // Forward through the learning layers, caching for BPTT.  outputs[k] is
+  // the output of hidden layer from+k; input_of(k) is what layer from+k
+  // reads (x itself for k = 0 — the input cube is never copied), and
+  // input_of(trained) feeds the readout.
+  std::vector<Tensor> outputs;
+  outputs.reserve(trained);
   std::vector<LayerCache> caches(trained);
-  activations.push_back(x.rank() == 3 ? Tensor(x) : Tensor());
-  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × C)");
+  const auto input_of = [&](std::size_t k) -> const Tensor& {
+    return k == 0 ? x : outputs[k - 1];
+  };
   for (std::size_t k = 0; k < trained; ++k) {
-    activations.push_back(
-        hidden_[from + k].forward(activations[k], mode, policy, &caches[k], stats));
+    outputs.push_back(hidden_[from + k].forward(input_of(k), mode, policy, &caches[k], stats));
   }
-  Tensor logits = readout_.forward(activations[trained], stats);
+  const Tensor& readout_in = input_of(trained);
+  Tensor logits = readout_.forward(readout_in, stats);
 
   // Loss and logits gradient.
   Tensor d_logits(logits.rows(), logits.cols());
@@ -110,17 +113,18 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
   readout_.zero_grad();
   for (std::size_t k = 0; k < trained; ++k) hidden_[from + k].zero_grad();
 
-  Tensor d_act(activations[trained].dim(0), activations[trained].dim(1),
-               activations[trained].dim(2));
-  readout_.backward(activations[trained], d_logits, trained > 0 ? &d_act : nullptr, stats);
+  Tensor d_act;
+  if (trained > 0) d_act = Tensor(readout_in.dim(0), readout_in.dim(1), readout_in.dim(2));
+  readout_.backward(readout_in, d_logits, trained > 0 ? &d_act : nullptr, stats);
   for (std::size_t k = trained; k-- > 0;) {
     RecurrentLifLayer& layer = hidden_[from + k];
+    const Tensor& in = input_of(k);
     if (k > 0) {
-      Tensor d_prev(activations[k].dim(0), activations[k].dim(1), activations[k].dim(2));
-      layer.backward(activations[k], caches[k], d_act, &d_prev, stats);
+      Tensor d_prev(in.dim(0), in.dim(1), in.dim(2));
+      layer.backward(in, caches[k], d_act, &d_prev, stats);
       d_act = std::move(d_prev);
     } else {
-      layer.backward(activations[k], caches[k], d_act, nullptr, stats);
+      layer.backward(in, caches[k], d_act, nullptr, stats);
     }
   }
 

@@ -1,6 +1,7 @@
 #include "snn/readout.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
@@ -22,25 +23,28 @@ LeakyReadout::LeakyReadout(std::size_t n_in, std::size_t n_classes, float beta, 
 Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
   R4NCL_CHECK(x.rank() == 3 && x.dim(2) == n_in_, "readout input shape mismatch");
   const std::size_t T = x.dim(0), B = x.dim(1);
-  Tensor logits(B, n_classes_);
-  Tensor v(B, n_classes_);
-  Tensor current(B, n_classes_);
   const std::size_t bc = B * n_classes_;
+  // I(t) = X(t)·W for every t in one matmul over all T·B rows (each row's
+  // op order is the per-timestep kernel's), then the leaky integration
+  // walks t per element.
+  Tensor current(T, B, n_classes_);
+  kernels::matmul(x.raw(), T * B, n_in_, w_.raw(), n_classes_, current.raw(), false);
+  Tensor logits(B, n_classes_);
+  std::vector<float> v(bc, 0.0f);
+  const float beta = beta_;
+  float* lp = logits.raw();
   for (std::size_t t = 0; t < T; ++t) {
-    kernels::matmul(x.slab(t).data(), B, n_in_, w_.raw(), n_classes_, current.raw(), false);
-    float* vp = v.raw();
-    const float* ip = current.raw();
-    float* lp = logits.raw();
+    const float* ip = current.raw() + t * bc;
     for (std::size_t i = 0; i < bc; ++i) {
-      vp[i] = beta_ * vp[i] + ip[i];
-      lp[i] += vp[i];
+      v[i] = beta * v[i] + ip[i];
+      lp[i] += v[i];
     }
-    if (stats != nullptr) {
-      const std::size_t events = kernels::count_nonzero(x.slab(t).data(), B * n_in_);
-      stats->synops += static_cast<std::uint64_t>(events) * n_classes_;
-      stats->neuron_updates += bc;
-      stats->timestep_slots += B;
-    }
+  }
+  if (stats != nullptr) {
+    const std::size_t events = kernels::count_nonzero(x.raw(), x.size());
+    stats->synops += static_cast<std::uint64_t>(events) * n_classes_;
+    stats->neuron_updates += static_cast<std::uint64_t>(T) * bc;
+    stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
   }
   // Time-mean normalisation (see header): keeps the softmax temperature
   // independent of T.
@@ -60,21 +64,28 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
   }
   // logits = (1/T)·Σ_t V(t) with V(t) = β V(t−1) + I(t)  ⇒
   // ∂L/∂I(t) = (1/T)·Σ_{t'≥t} β^{t'−t} ∂L/∂logits ≡ c(t), built backward:
-  // c(T−1) = d_logits/T; c(t) = d_logits/T + β·c(t+1).
-  Tensor c(B, n_classes_);
+  // c(T−1) = d_logits/T; c(t) = d_logits/T + β·c(t+1).  c is kept for every
+  // t so dW and dX run after the recurrence, one pass each over all T·B rows.
   const std::size_t bc = B * n_classes_;
+  Tensor c(T, B, n_classes_);
   const float inv_t = 1.0f / static_cast<float>(T);
-  std::uint64_t bwd_ops = 0;
+  const float beta = beta_;
+  const float* gp = d_logits.raw();
+  const std::vector<float> zero(bc, 0.0f);  // c(T)
   for (std::size_t ti = T; ti-- > 0;) {
-    float* cp = c.raw();
-    const float* gp = d_logits.raw();
-    for (std::size_t i = 0; i < bc; ++i) cp[i] = gp[i] * inv_t + beta_ * cp[i];
-    kernels::matmul_at_b_accum(x.slab(ti).data(), B, n_in_, cp, n_classes_, d_w_.raw());
-    bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_classes_;
-    if (d_in != nullptr) {
-      kernels::matmul_a_bt(cp, B, n_classes_, w_.raw(), n_in_, d_in->slab(ti).data(), false);
-      bwd_ops += static_cast<std::uint64_t>(B) * n_in_ * n_classes_;
-    }
+    float* cp = c.raw() + ti * bc;
+    const float* next = ti + 1 < T ? cp + bc : zero.data();
+    for (std::size_t i = 0; i < bc; ++i) cp[i] = gp[i] * inv_t + beta * next[i];
+  }
+  // dW += Σ_t X(t)ᵀ·c(t), t descending — the per-timestep accumulation order.
+  kernels::matmul_at_b_accum(x.raw(), c.raw(), T, B, n_in_, n_classes_, d_w_.raw());
+  std::uint64_t bwd_ops = static_cast<std::uint64_t>(T) * B * n_in_ * n_classes_;
+  if (d_in != nullptr) {
+    // dX = c·Wᵀ against the transposed copy, i-k-j.
+    Tensor w_t(n_classes_, n_in_);
+    kernels::transpose(w_.raw(), n_in_, n_classes_, w_t.raw());
+    kernels::matmul(c.raw(), T * B, n_classes_, w_t.raw(), n_in_, d_in->raw(), false);
+    bwd_ops *= 2;
   }
   if (stats != nullptr) stats->backward_synops += bwd_ops;
 }

@@ -25,6 +25,7 @@ class LeakyReadout {
 
   [[nodiscard]] std::size_t n_in() const noexcept { return n_in_; }
   [[nodiscard]] std::size_t n_classes() const noexcept { return n_classes_; }
+  [[nodiscard]] float beta() const noexcept { return beta_; }
 
   /// Forward over a (T × B × n_in) spike cube → (B × classes) logits.
   Tensor forward(const Tensor& x, SpikeOpStats* stats) const;

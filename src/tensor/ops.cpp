@@ -9,57 +9,61 @@ namespace r4ncl {
 
 namespace kernels {
 
+void matmul_row(const float* arow, std::size_t k, const float* b, std::size_t n,
+                float* crow) noexcept {
+  // i-k-j order: unit stride on B and C lets the compiler vectorise the
+  // inner loop; zero A entries (no spike event) are skipped entirely.
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    if (av == 0.0f) continue;
+    const float* brow = b + kk * n;
+    for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+  }
+}
+
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
             float* c, bool accumulate) {
   parallel_for(
       0, m,
       [&](std::size_t i) {
-        const float* arow = a + i * k;
         float* crow = c + i * n;
         if (!accumulate) std::fill(crow, crow + n, 0.0f);
-        // i-k-j order: unit stride on B and C lets the compiler vectorise the
-        // inner loop; zero A entries (no spike event) are skipped entirely.
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + kk * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
+        matmul_row(a + i * k, k, b, n, crow);
       },
       k * n);
 }
 
-void matmul_at_b_accum(const float* a, std::size_t m, std::size_t k, const float* b,
-                       std::size_t n, float* c) {
+void matmul_at_b_accum(const float* a, const float* b, std::size_t blocks, std::size_t m,
+                       std::size_t k, std::size_t n, float* c) {
+  // Threads own tiles of kTile output rows.  A tile reads its slice of each
+  // a row contiguously and reuses each b row across the tile, while every
+  // output element still takes its terms last block first, rows ascending.
+  constexpr std::size_t kTile = 8;
+  const std::size_t tiles = (k + kTile - 1) / kTile;
   parallel_for(
-      0, k,
-      [&](std::size_t kk) {
-        float* crow = c + kk * n;
-        for (std::size_t i = 0; i < m; ++i) {
-          const float av = a[i * k + kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + i * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      0, tiles,
+      [&](std::size_t tile) {
+        const std::size_t k0 = tile * kTile, k1 = std::min(k, k0 + kTile);
+        for (std::size_t blk = blocks; blk-- > 0;) {
+          for (std::size_t i = blk * m, end = i + m; i < end; ++i) {
+            const float* arow = a + i * k;
+            const float* brow = b + i * n;
+            for (std::size_t kk = k0; kk < k1; ++kk) {
+              const float av = arow[kk];
+              if (av == 0.0f) continue;
+              float* crow = c + kk * n;
+              for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+            }
+          }
         }
       },
-      m * n);
+      kTile * blocks * m * n);
 }
 
-void matmul_a_bt(const float* a, std::size_t m, std::size_t n, const float* b, std::size_t k,
-                 float* c, bool accumulate) {
-  parallel_for(
-      0, m,
-      [&](std::size_t i) {
-        const float* arow = a + i * n;
-        float* crow = c + i * k;
-        for (std::size_t j = 0; j < k; ++j) {
-          const float* brow = b + j * n;
-          float acc = 0.0f;
-          for (std::size_t t = 0; t < n; ++t) acc += arow[t] * brow[t];
-          crow[j] = accumulate ? crow[j] + acc : acc;
-        }
-      },
-      n * k);
+void transpose(const float* in, std::size_t rows, std::size_t cols, float* out) noexcept {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t col = 0; col < cols; ++col) out[col * rows + r] = in[r * cols + col];
+  }
 }
 
 std::size_t count_nonzero(const float* v, std::size_t n) noexcept {
@@ -85,26 +89,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
               "inner dims: a is " << m << "x" << k << ", b has " << b.rows() << " rows");
   R4NCL_CHECK(c.rows() == m && c.cols() == n, "c shape mismatch");
   kernels::matmul(a.raw(), m, k, b.raw(), n, c.raw(), accumulate);
-}
-
-void matmul_at_b_accum(const Tensor& a, const Tensor& b, Tensor& c) {
-  check_2d(a, "a");
-  check_2d(b, "b");
-  check_2d(c, "c");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  R4NCL_CHECK(b.rows() == m, "a and b must share rows");
-  R4NCL_CHECK(c.rows() == k && c.cols() == n, "c shape mismatch");
-  kernels::matmul_at_b_accum(a.raw(), m, k, b.raw(), n, c.raw());
-}
-
-void matmul_a_bt(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
-  check_2d(a, "a");
-  check_2d(b, "b");
-  check_2d(c, "c");
-  const std::size_t m = a.rows(), n = a.cols(), k = b.rows();
-  R4NCL_CHECK(b.cols() == n, "a and b must share cols");
-  R4NCL_CHECK(c.rows() == m && c.cols() == k, "c shape mismatch");
-  kernels::matmul_a_bt(a.raw(), m, n, b.raw(), k, c.raw(), accumulate);
 }
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {

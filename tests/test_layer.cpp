@@ -1,6 +1,8 @@
 // LIF layer forward dynamics: integration, threshold crossing, reset, decay,
-// recurrence, stats accounting.
+// recurrence, stats accounting; backward shape checks.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "snn/layer.hpp"
 #include "util/rng.hpp"
@@ -145,6 +147,78 @@ TEST(LifLayer, RejectsWrongInputWidth) {
   EXPECT_THROW(
       (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), nullptr, nullptr),
       Error);
+}
+
+/// A backward pass fed a cache or input from another batch size or width
+/// must throw its pinned message instead of reading out of bounds.
+class BackwardShapeChecks : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kT = 5, kB = 3, kIn = 4, kOut = 6;
+
+  BackwardShapeChecks()
+      : rng(14),
+        layer(kIn, kOut, LifParams{}, SurrogateParams{}, rng),
+        x(kT, kB, kIn),
+        d_out(kT, kB, kOut) {
+    x.fill(1.0f);
+    d_out.fill(0.5f);
+    (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), &cache, nullptr);
+  }
+
+  /// Runs backward and returns the thrown message ("" if nothing threw).
+  std::string backward_error(const Tensor& input, const Tensor& grad) {
+    try {
+      layer.backward(input, cache, grad, nullptr, nullptr);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+  Rng rng;
+  RecurrentLifLayer layer;
+  Tensor x;
+  Tensor d_out;
+  LayerCache cache;
+};
+
+TEST_F(BackwardShapeChecks, MatchingShapesPass) { EXPECT_EQ(backward_error(x, d_out), ""); }
+
+TEST_F(BackwardShapeChecks, RejectsInputWidth) {
+  EXPECT_NE(backward_error(Tensor(kT, kB, kIn + 1), d_out)
+                .find("backward input feature dim 5 != 4"),
+            std::string::npos);
+}
+
+TEST_F(BackwardShapeChecks, RejectsMembraneBatch) {
+  // x and d_out from a 2-row batch against a cache recorded for 3 rows.
+  EXPECT_NE(backward_error(Tensor(kT, 2, kIn), Tensor(kT, 2, kOut))
+                .find("cache membrane is 5x3x6, this pass is 5x2x6"),
+            std::string::npos);
+}
+
+TEST_F(BackwardShapeChecks, RejectsMembraneWidth) {
+  cache.membrane = Tensor(kT, kB, kOut - 1);
+  EXPECT_NE(backward_error(x, d_out).find("cache membrane is 5x3x5, this pass is 5x3x6"),
+            std::string::npos);
+}
+
+TEST_F(BackwardShapeChecks, RejectsSpikesBatch) {
+  cache.spikes = Tensor(kT, kB + 1, kOut);
+  EXPECT_NE(backward_error(x, d_out).find("cache spikes is 5x4x6, this pass is 5x3x6"),
+            std::string::npos);
+}
+
+TEST_F(BackwardShapeChecks, RejectsSpikesWidth) {
+  cache.spikes = Tensor(kT, kB, kOut + 2);
+  EXPECT_NE(backward_error(x, d_out).find("cache spikes is 5x3x8, this pass is 5x3x6"),
+            std::string::npos);
+}
+
+TEST_F(BackwardShapeChecks, RejectsThetaLength) {
+  cache.theta.pop_back();
+  EXPECT_NE(backward_error(x, d_out).find("cache theta has 4 steps, this pass has 5"),
+            std::string::npos);
 }
 
 TEST(LifLayer, SaveLoadRoundTrip) {

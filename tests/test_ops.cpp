@@ -1,5 +1,7 @@
-// Matmul kernels against a naive reference, plus softmax/CE properties.
+// Matmul and BPTT gradient kernels against naive references, plus softmax/CE
+// properties.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -66,33 +68,71 @@ TEST_P(MatmulSweep, AccumulateAddsOnTop) {
   expect_tensor_near(c, expected);
 }
 
-TEST_P(MatmulSweep, TransposeAAccumulate) {
-  const auto [m, k, n, sparsity] = GetParam();
-  Rng rng(m * 31 + k * 17 + n);
-  const Tensor a = random_tensor(m, k, rng, sparsity);  // (m×k): treated as Aᵀ·B
-  const Tensor b = random_tensor(m, n, rng);
-  Tensor c(k, n);
-  matmul_at_b_accum(a, b, c);
-  // Reference: Aᵀ (k×m) · B (m×n).
-  Tensor at(k, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < k; ++j) at(j, i) = a(i, j);
-  }
-  expect_tensor_near(c, naive_matmul(at, b));
+Tensor transposed(const Tensor& t) {
+  Tensor out(t.cols(), t.rows());
+  kernels::transpose(t.raw(), t.rows(), t.cols(), out.raw());
+  return out;
 }
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+/// The BPTT weight-gradient kernel over several blocks of m rows (one per
+/// timestep): the sum matches Σ_blk a_blkᵀ·b_blk, and one call is bitwise
+/// equal to per-block calls made last block first.
+TEST_P(MatmulSweep, TransposeAAccumulate) {
+  const auto [m, k, n, sparsity] = GetParam();
+  constexpr std::size_t kBlocks = 3;
+  Rng rng(m * 31 + k * 17 + n);
+  const Tensor a = random_tensor(kBlocks * m, k, rng, sparsity);
+  const Tensor b = random_tensor(kBlocks * m, n, rng);
+  Tensor c(k, n);
+  c.fill(1.5f);  // the kernel accumulates onto existing gradients
+  kernels::matmul_at_b_accum(a.raw(), b.raw(), kBlocks, m, k, n, c.raw());
+  Tensor expected = naive_matmul(transposed(a), b);
+  for (auto& v : expected.values()) v += 1.5f;
+  expect_tensor_near(c, expected, 1e-3f);
+
+  Tensor per_block(k, n);
+  per_block.fill(1.5f);
+  for (std::size_t blk = kBlocks; blk-- > 0;) {
+    kernels::matmul_at_b_accum(a.raw() + blk * m * k, b.raw() + blk * m * n, 1, m, k, n,
+                               per_block.raw());
+  }
+  EXPECT_TRUE(same_bits(c, per_block));
+}
+
+/// dY·Wᵀ as the backward pass computes it — matmul against transpose(W) —
+/// matches the naive product and, bit for bit, the k-ascending scalar dot
+/// product of each row of a with each row of b.
 TEST_P(MatmulSweep, TransposeB) {
   const auto [m, k, n, sparsity] = GetParam();
   Rng rng(m * 13 + k * 7 + n * 3);
   const Tensor a = random_tensor(m, n, rng, sparsity);
   const Tensor b = random_tensor(k, n, rng);
+  const Tensor bt = transposed(b);
   Tensor c(m, k);
-  matmul_a_bt(a, b, c);
-  Tensor bt(n, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < n; ++j) bt(j, i) = b(i, j);
-  }
+  c.fill(9.0f);  // overwritten, not accumulated
+  matmul(a, bt, c);
   expect_tensor_near(c, naive_matmul(a, bt));
+
+  Tensor dots(m, k);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < n; ++t) acc += a(i, t) * b(j, t);
+      dots(i, j) = acc;
+    }
+  }
+  EXPECT_TRUE(same_bits(c, dots));
+
+  // matmul_row is matmul's serial row body.
+  Tensor rows(m, k);
+  for (std::size_t i = 0; i < m; ++i) {
+    kernels::matmul_row(a.row_ptr(i), n, bt.raw(), k, rows.row_ptr(i));
+  }
+  EXPECT_TRUE(same_bits(c, rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(
