@@ -1,6 +1,6 @@
 #include "core/continual_trainer.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "core/checkpoint.hpp"
 #include "core/latent_source.hpp"
@@ -14,32 +14,6 @@
 #include "util/stopwatch.hpp"
 
 namespace r4ncl::core {
-
-namespace {
-
-/// Runs the frozen prefix [0, insertion) over a dataset and returns the
-/// latent dataset at the insertion point.  Identity when insertion == 0.
-data::Dataset frozen_inference(const snn::SnnNetwork& net, const data::Dataset& dataset,
-                               std::size_t insertion, const snn::ThresholdPolicy& policy,
-                               std::size_t batch_size, snn::SpikeOpStats* stats) {
-  if (insertion == 0 || dataset.empty()) return dataset;
-  data::Dataset out;
-  out.reserve(dataset.size());
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_size) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_size);
-    const std::span<const std::size_t> idx(indices.data() + lo, hi - lo);
-    const Tensor x = data::make_batch(dataset, idx);
-    const Tensor latent = net.run_hidden(x, 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      out.push_back({data::batch_to_raster(latent, b), dataset[idx[b]].label});
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 double ClRunResult::total_latency_ms() const noexcept {
   double total = prep_latency_ms;
@@ -122,10 +96,13 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   } else if (method.use_replay) {
     const data::Dataset replay_rescaled =
         data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
-    const data::Dataset latents =
-        frozen_inference(net, replay_rescaled, config.insertion_layer, policy,
-                         method.batch_size, &result.prep_stats);
-    for (const auto& s : latents) buffer.add(s.raster, s.label);
+    PackedLatentSet latents(net, replay_rescaled, config.insertion_layer, policy,
+                            method.batch_size);
+    result.prep_stats.add(latents.prefix_stats());
+    for (std::size_t i = 0; i < latents.size(); ++i) {
+      const data::Sample& s = latents.fetch(i);
+      buffer.add(s.raster, s.label);
+    }
     result.latent_memory_bytes = buffer.memory_bytes();
   }
   if (!ckpt.resuming()) {
@@ -133,16 +110,23 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     result.prep_energy_uj = energy_model.energy_uj(result.prep_stats);
   }
 
-  // New-task training data in the method's time base.
+  // The frozen-prefix memos of this run: A_new = inference(net_f, TS_cl)
+  // (Alg. 1 line 23) at the training blocking, and both test sets in the
+  // deployment configuration (Sec. IV: the method's own timestep and
+  // threshold behaviour) at the evaluation blocking.  The sets borrow their
+  // datasets at insertion 0, so the rescaled datasets live as long.
+  const metrics::EvalSettings eval{.timesteps = method.cl_timesteps,
+                                   .rescale = method.rescale,
+                                   .policy = policy};
   const data::Dataset new_train_rescaled =
       data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale);
-
-  // Deployment-configuration evaluation settings (Sec. IV: accuracy is
-  // measured with the method's own timestep and threshold behaviour).
-  metrics::EvalSettings eval_settings;
-  eval_settings.timesteps = method.cl_timesteps;
-  eval_settings.rescale = method.rescale;
-  eval_settings.policy = policy;
+  const data::Dataset old_test =
+      data::time_rescale(tasks.pretrain_test, eval.timesteps, eval.rescale);
+  const data::Dataset new_test = data::time_rescale(tasks.new_test, eval.timesteps, eval.rescale);
+  PackedLatentSet new_latents(net, new_train_rescaled, config.insertion_layer, policy,
+                              method.batch_size);
+  PackedLatentSet old_eval(net, old_test, config.insertion_layer, eval.policy, eval.batch_size);
+  PackedLatentSet new_eval(net, new_test, config.insertion_layer, eval.policy, eval.batch_size);
 
   // ---- Phase 2: NCL training (Alg. 1 lines 21–33) ------------------------
   result.rows.reserve(config.epochs);
@@ -154,9 +138,10 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     ClEpochRow row;
     row.epoch = epoch;
 
-    // Train the learning layers on A_new ∪ A_LR (Alg. 1 line 31); A_new =
-    // inference(net_f, TS_cl) (line 23, recomputed per epoch) inside each
-    // branch.
+    // Train the learning layers on A_new ∪ A_LR (Alg. 1 line 31).  The
+    // device reruns the prefix for A_new every epoch (line 23), so every
+    // epoch is charged the memo's prefix pass.
+    row.stats.add(new_latents.prefix_stats());
     snn::TrainOptions opts;
     opts.epochs = 1;
     opts.batch_size = method.batch_size;
@@ -165,60 +150,36 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     opts.policy = policy;
     opts.shuffle_seed = epoch_rng();
     opts.prefetch = method.prefetch ? 1 : 0;
-    std::vector<snn::EpochRecord> history;
+    // A_LR from the buffer (decompression charged to this epoch).  A
+    // streaming cursor makes the same draw from the same Rng as sample_into
+    // (bit-identical entry sets and training batches), but decodes each
+    // drawn raster only when the shuffled batch assembly reaches it.  When
+    // the method caps its per-epoch replay appetite, or feeds outcomes back,
+    // only the drawn entries are decompressed — the budgeted-stream hot path.
+    const std::size_t new_count = new_latents.size();
+    const std::size_t draw = method.replay_samples_per_epoch > 0
+                                 ? method.replay_samples_per_epoch
+                                 : buffer.size();
+    std::optional<ReplayStream> stream;
+    data::Dataset replay;
+    std::vector<std::size_t> drawn;
     if (method.use_replay && method.replay_stream) {
-      // A_LR as a streaming cursor: the same draw from the same Rng as the
-      // materialized path below (bit-identical entry sets and training
-      // batches), but each drawn raster decodes into a scratch slot only
-      // when the shuffled batch assembly reaches it.  A_new streams the same
-      // way: PackedLatentSet stores each latent raster AER- or bit-packed
-      // and decodes on demand, so neither half is ever dense.
-      PackedLatentSet latents(net, new_train_rescaled, config.insertion_layer, policy,
-                              method.batch_size, &row.stats);
-      const std::size_t new_count = latents.size();
-      const std::size_t draw = method.replay_samples_per_epoch > 0
-                                   ? method.replay_samples_per_epoch
-                                   : buffer.size();
-      ReplayStream stream =
-          buffer.stream(draw, replay_rng, method.batch_size, &row.stats);
-      snn::SampleSource source;
-      source.size = latents.size() + stream.size();
-      source.fetch = [&latents, &stream,
-                      n = latents.size()](std::size_t i) -> const data::Sample& {
-        return i < n ? latents.fetch(i) : stream.fetch(i - n);
-      };
-      if (importance_feedback) {
-        opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
-      }
-      history = snn::train_supervised(net, source, optimizer, opts);
-    } else {
-      data::Dataset mixed =
-          frozen_inference(net, new_train_rescaled, config.insertion_layer, policy,
-                           method.batch_size, &row.stats);
-      const std::size_t new_count = mixed.size();
-      // A_LR from the buffer (decompression charged to this epoch).  When
-      // the method caps its per-epoch replay appetite, only the drawn
-      // entries are decompressed — the budgeted-stream hot path.
-      std::vector<std::size_t> drawn;
-      if (method.use_replay && importance_feedback) {
-        // sample_into() is sample() plus the drawn logical indices, so the
-        // per-sample outcome hook can route each replay row's error back to
-        // its buffer entry (identical rng consumption and charging).
-        const std::size_t draw = method.replay_samples_per_epoch > 0
-                                     ? method.replay_samples_per_epoch
-                                     : buffer.size();
-        drawn = buffer.sample_into(draw, replay_rng, mixed, &row.stats);
-        opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
-      } else if (method.use_replay) {
-        data::Dataset replay =
-            method.replay_samples_per_epoch > 0
-                ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &row.stats)
-                : buffer.materialize(&row.stats);
-        mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
-                     std::make_move_iterator(replay.end()));
-      }
-      history = snn::train_supervised(net, mixed, optimizer, opts);
+      stream.emplace(buffer.stream(draw, replay_rng, method.batch_size, &row.stats));
+      drawn = stream->drawn();
+    } else if (importance_feedback || (method.use_replay && method.replay_samples_per_epoch > 0)) {
+      drawn = buffer.sample_into(draw, replay_rng, replay, &row.stats);
+    } else if (method.use_replay) {
+      replay = buffer.materialize(&row.stats);
     }
+    if (importance_feedback) opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
+    snn::SampleSource source;
+    source.size = new_count + (stream ? stream->size() : replay.size());
+    source.fetch = [&](std::size_t i) -> const data::Sample& {
+      if (i < new_count) return new_latents.fetch(i);
+      return stream ? stream->fetch(i - new_count) : replay[i - new_count];
+    };
+    const std::vector<snn::EpochRecord> history =
+        snn::train_supervised(net, source, optimizer, opts);
     row.loss = history.front().loss;
     row.stats.add(history.front().stats);
 
@@ -228,11 +189,12 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     const bool evaluate_now =
         (epoch % config.eval_every == 0) || (epoch + 1 == config.epochs);
     if (evaluate_now) {
-      const metrics::TaskAccuracy acc = metrics::evaluate_tasks(net, tasks, eval_settings);
-      row.acc_old = acc.old_tasks;
-      row.acc_new = acc.new_task;
-      result.final_acc_old = acc.old_tasks;
-      result.final_acc_new = acc.new_task;
+      row.acc_old = snn::evaluate(net, old_eval.source(), config.insertion_layer, eval.policy,
+                                  eval.batch_size);
+      row.acc_new = snn::evaluate(net, new_eval.source(), config.insertion_layer, eval.policy,
+                                  eval.batch_size);
+      result.final_acc_old = row.acc_old;
+      result.final_acc_new = row.acc_new;
     }
     row.wall_seconds = epoch_watch.elapsed_seconds();
     if (config.verbose) {

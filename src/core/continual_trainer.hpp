@@ -5,13 +5,14 @@
 //      insertion layer; run the frozen prefix over TS_replay (under the
 //      method's threshold policy and timestep setting) and store the
 //      resulting latent activations, codec-compressed, in the replay buffer.
-//   2. NCL training — per epoch: regenerate A_new = frozen-prefix inference
-//      of TS_cl (line 23), decompress A_LR from the buffer, and train the
-//      learning layers on the shuffled union A_new ∪ A_LR with the method's
-//      η_cl and threshold policy (lines 24–32).
+//   2. NCL training — per epoch: A_new = frozen-prefix inference of TS_cl
+//      (line 23), decompress A_LR from the buffer, and train the learning
+//      layers on the shuffled union A_new ∪ A_LR with the method's η_cl and
+//      threshold policy (lines 24–32).  The host computes A_new once per run
+//      (core::PackedLatentSet) and charges that inference to every epoch.
 //
-// All modelled latency/energy is charged from the actual event counts of the
-// work performed (frozen inference, decompression, forward/backward of the
+// All modelled latency/energy is charged from the event counts of the work
+// Alg. 1 performs (frozen inference, decompression, forward/backward of the
 // learning layers); evaluation passes are never charged.
 #pragma once
 

@@ -1,23 +1,29 @@
-// Packed streaming source of new-task latents.
+// Frozen-prefix memo: the latents of a dataset at the insertion layer.
 //
-// The run engines recompute the new-task latent activations every CL epoch
-// (Alg. 1 line 23).  The materialized path stores them as a dense
-// data::Dataset — size × (T × C) bytes held for the whole epoch.
-// PackedLatentSet runs the same frozen-prefix inference over the same
-// contiguous batch_size blocks (bit-identical latents — the adaptive
-// threshold couples each sample's latent to its block, so the blocking must
-// match to_latents exactly), but stores every raster compressed: per sample
-// the smaller of AER and 1-bit packing (compress::aer_is_smaller), the same
-// crossover the replay buffer's format analysis exposes.  fetch(i) decodes
-// into a single scratch slot, so the SNN trainer's streaming batch assembly
-// never materializes the set densely.
+// Latent replay freezes every hidden layer below the insertion layer, so the
+// latent of an input never changes during a run.  PackedLatentSet is the one
+// place the run engines run that prefix, and each engine builds a set once
+// per run-engine call: TS_replay at preparation, TS_cl once per CL phase (once
+// per task in run_sequential), each rescaled test set once per run, and the
+// just-learned-class recordings.  Every CL epoch then fetches A_new from its
+// set, and every evaluation runs only the learning layers over a source().
+//
+// The prefix runs over contiguous batch_size blocks in dataset order.  The
+// adaptive threshold couples each latent to its block, so each consumer
+// builds its set at its own blocking (training: the method's batch size;
+// evaluation: 32).  Every raster is stored compressed: per sample the smaller
+// of AER and 1-bit packing (compress::aer_is_smaller).  fetch(i) decodes into
+// a single scratch slot, so batch assembly never holds the set densely.
 //
 // When insertion == 0 the "latents" are the raw input samples; the set
-// borrows the dataset and fetch is a zero-copy passthrough.
+// borrows the dataset and fetch is a zero-copy passthrough.  The dataset must
+// then outlive the set, so a temporary is rejected at compile time.
 //
-// Decoding charges nothing to SpikeOpStats, matching the materialized path
-// (to_latents charges only the run_hidden inference, which this constructor
-// charges identically).
+// The modelled device has no memory to cache latents in, so the engines
+// charge prefix_stats() (the work of the set's one prefix pass) wherever
+// Alg. 1 runs the prefix: once per CL epoch for A_new.  Decoding charges
+// nothing.  Armed runs time each pass (core.prefix_seconds) and count its
+// samples (core.prefix_samples).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +33,7 @@
 #include "compress/bitpack.hpp"
 #include "data/spike_data.hpp"
 #include "snn/network.hpp"
+#include "snn/trainer.hpp"
 
 namespace r4ncl::core {
 
@@ -34,25 +41,26 @@ class PackedLatentSet {
  public:
   /// Runs the frozen prefix [0, insertion) over `dataset` in contiguous
   /// batch_size blocks, packing each latent raster as it is produced.
-  /// `stats` receives the inference work (exactly what to_latents charges).
   /// With insertion == 0, borrows `dataset` (which must outlive the set).
   PackedLatentSet(const snn::SnnNetwork& net, const data::Dataset& dataset,
                   std::size_t insertion, const snn::ThresholdPolicy& policy,
-                  std::size_t batch_size, snn::SpikeOpStats* stats);
+                  std::size_t batch_size);
+  /// A set may borrow its dataset, so it cannot be built from a temporary.
+  PackedLatentSet(const snn::SnnNetwork& net, data::Dataset&& dataset, std::size_t insertion,
+                  const snn::ThresholdPolicy& policy, std::size_t batch_size) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept {
     return passthrough_ != nullptr ? passthrough_->size() : entries_.size();
   }
-  [[nodiscard]] std::int32_t label(std::size_t i) const;
-
   /// Sample `i`, decoded into an internal scratch slot — valid until the
   /// next fetch() (the snn::SampleSource streaming contract).
   const data::Sample& fetch(std::size_t i);
 
-  /// Compressed payload bytes held (0 in passthrough mode).
-  [[nodiscard]] std::size_t packed_bytes() const noexcept { return packed_bytes_; }
-  /// Entries for which AER beat bit-packing.
-  [[nodiscard]] std::size_t aer_entries() const noexcept { return aer_entries_; }
+  /// This set as a snn::SampleSource; it borrows the set.
+  [[nodiscard]] snn::SampleSource source();
+
+  /// Work of the set's one prefix pass (zero in passthrough mode).
+  [[nodiscard]] const snn::SpikeOpStats& prefix_stats() const noexcept { return prefix_stats_; }
 
  private:
   struct Entry {
@@ -65,8 +73,7 @@ class PackedLatentSet {
   const data::Dataset* passthrough_ = nullptr;
   std::vector<Entry> entries_;
   data::Sample scratch_;
-  std::size_t packed_bytes_ = 0;
-  std::size_t aer_entries_ = 0;
+  snn::SpikeOpStats prefix_stats_;
 };
 
 }  // namespace r4ncl::core

@@ -1,6 +1,6 @@
 #include "core/sequential.hpp"
 
-#include <algorithm>
+#include <optional>
 
 #include "core/checkpoint.hpp"
 #include "core/latent_source.hpp"
@@ -13,38 +13,6 @@
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
-
-namespace {
-
-/// Frozen-prefix inference of a dataset (identity when insertion == 0).
-data::Dataset to_latents(const snn::SnnNetwork& net, const data::Dataset& dataset,
-                         std::size_t insertion, const snn::ThresholdPolicy& policy,
-                         std::size_t batch_size, snn::SpikeOpStats* stats) {
-  if (insertion == 0 || dataset.empty()) return dataset;
-  data::Dataset out;
-  out.reserve(dataset.size());
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  for (std::size_t lo = 0; lo < indices.size(); lo += batch_size) {
-    const std::size_t hi = std::min(indices.size(), lo + batch_size);
-    const std::span<const std::size_t> idx(indices.data() + lo, hi - lo);
-    const Tensor x = data::make_batch(dataset, idx);
-    const Tensor latent = net.run_hidden(x, 0, insertion, policy, stats);
-    for (std::size_t b = 0; b < idx.size(); ++b) {
-      out.push_back({data::batch_to_raster(latent, b), dataset[idx[b]].label});
-    }
-  }
-  return out;
-}
-
-double accuracy_at(const snn::SnnNetwork& net, const data::Dataset& test,
-                   const NclMethodConfig& method) {
-  const data::Dataset rescaled =
-      data::time_rescale(test, method.cl_timesteps, method.rescale);
-  return snn::evaluate(net, rescaled, 0, method.policy());
-}
-
-}  // namespace
 
 SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
                                    const SequentialRunConfig& config) {
@@ -103,16 +71,40 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     replay_rng.restore(loaded.replay_rng);
     first_task = static_cast<std::size_t>(loaded.meta.next_unit);
   } else {
-    snn::SpikeOpStats prep_stats;
     const data::Dataset rescaled =
         data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
-    for (const auto& s : to_latents(net, rescaled, config.insertion_layer, policy,
-                                    method.batch_size, &prep_stats)) {
+    PackedLatentSet latents(net, rescaled, config.insertion_layer, policy, method.batch_size);
+    for (std::size_t i = 0; i < latents.size(); ++i) {
+      const data::Sample& s = latents.fetch(i);
       buffer.add(s.raster, s.label);
     }
-    result.total_latency_ms += latency_model.latency_ms(prep_stats);
-    result.total_energy_uj += energy_model.energy_uj(prep_stats);
+    result.total_latency_ms += latency_model.latency_ms(latents.prefix_stats());
+    result.total_energy_uj += energy_model.energy_uj(latents.prefix_stats());
   }
+
+  // Evaluation memos: the base test set and every task's test set, each in
+  // the deployment configuration (Sec. IV) and at the evaluation blocking.
+  // The prefix stays frozen for the whole stream, so one pass per set serves
+  // every task's evaluation.  The sets borrow their datasets at insertion 0,
+  // so the rescaled datasets live as long.
+  const metrics::EvalSettings eval{.timesteps = method.cl_timesteps,
+                                   .rescale = method.rescale,
+                                   .policy = policy};
+  std::vector<data::Dataset> tests;
+  tests.reserve(1 + tasks.task_test.size());
+  tests.push_back(data::time_rescale(tasks.pretrain_test, eval.timesteps, eval.rescale));
+  for (const data::Dataset& test : tasks.task_test) {
+    tests.push_back(data::time_rescale(test, eval.timesteps, eval.rescale));
+  }
+  std::vector<PackedLatentSet> test_latents;
+  test_latents.reserve(tests.size());
+  for (const data::Dataset& test : tests) {
+    test_latents.emplace_back(net, test, config.insertion_layer, eval.policy, eval.batch_size);
+  }
+  const auto accuracy = [&](PackedLatentSet& test) {
+    return snn::evaluate(net, test.source(), config.insertion_layer, eval.policy,
+                         eval.batch_size);
+  };
 
   const bool importance_feedback =
       method.importance_feedback && is_importance_policy(method.replay_budget.policy);
@@ -136,10 +128,14 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
 
     const data::Dataset new_rescaled = data::time_rescale(
         tasks.task_train[task], method.cl_timesteps, method.rescale);
+    PackedLatentSet new_latents(net, new_rescaled, config.insertion_layer, policy,
+                                method.batch_size);
 
     // CL phase for this task (Alg. 1 lines 21–33 against the current buffer).
     snn::AdamOptimizer optimizer;
     for (std::size_t epoch = 0; epoch < config.epochs_per_task; ++epoch) {
+      // The device reruns the prefix for A_new every epoch (line 23).
+      task_stats.add(new_latents.prefix_stats());
       snn::TrainOptions opts;
       opts.epochs = 1;
       opts.batch_size = method.batch_size;
@@ -148,65 +144,42 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
       opts.policy = policy;
       opts.shuffle_seed = seed_rng();
       opts.prefetch = method.prefetch ? 1 : 0;
-      std::vector<snn::EpochRecord> history;
+      // A_LR: the same draw (same Rng stream) streamed one batch at a time,
+      // or decoded up front; see run_continual_learning.
+      const std::size_t new_count = new_latents.size();
+      const std::size_t draw = method.replay_samples_per_epoch > 0
+                                   ? method.replay_samples_per_epoch
+                                   : buffer.size();
+      std::optional<ReplayStream> stream;
+      data::Dataset replay;
+      std::vector<std::size_t> drawn;
       if (method.replay_stream) {
-        // Streamed replay: same draw (same Rng stream) and same training
-        // batches as the materialized branch, decoded one batch at a time.
-        // New-task latents stream too: PackedLatentSet stores each latent
-        // raster AER- or bit-packed and decodes into a scratch slot on
-        // demand, so epoch assembly never holds either half densely.
-        PackedLatentSet latents(net, new_rescaled, config.insertion_layer, policy,
-                                method.batch_size, &task_stats);
-        const std::size_t new_count = latents.size();
-        const std::size_t draw = method.replay_samples_per_epoch > 0
-                                     ? method.replay_samples_per_epoch
-                                     : buffer.size();
-        ReplayStream stream =
-            buffer.stream(draw, replay_rng, method.batch_size, &task_stats);
-        snn::SampleSource source;
-        source.size = latents.size() + stream.size();
-        source.fetch = [&latents, &stream,
-                        n = latents.size()](std::size_t i) -> const data::Sample& {
-          return i < n ? latents.fetch(i) : stream.fetch(i - n);
-        };
-        if (importance_feedback) {
-          opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
-        }
-        history = snn::train_supervised(net, source, optimizer, opts);
+        stream.emplace(buffer.stream(draw, replay_rng, method.batch_size, &task_stats));
+        drawn = stream->drawn();
+      } else if (importance_feedback || method.replay_samples_per_epoch > 0) {
+        drawn = buffer.sample_into(draw, replay_rng, replay, &task_stats);
       } else {
-        data::Dataset mixed = to_latents(net, new_rescaled, config.insertion_layer, policy,
-                                         method.batch_size, &task_stats);
-        const std::size_t new_count = mixed.size();
-        std::vector<std::size_t> drawn;
-        if (importance_feedback) {
-          // sample_into() is sample() plus the drawn logical indices, so the
-          // outcome hook can route each replay row's top-1 error back to its
-          // buffer entry (identical rng consumption and charging).
-          const std::size_t draw = method.replay_samples_per_epoch > 0
-                                       ? method.replay_samples_per_epoch
-                                       : buffer.size();
-          drawn = buffer.sample_into(draw, replay_rng, mixed, &task_stats);
-          opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
-        } else {
-          data::Dataset replay =
-              method.replay_samples_per_epoch > 0
-                  ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &task_stats)
-                  : buffer.materialize(&task_stats);
-          mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
-                       std::make_move_iterator(replay.end()));
-        }
-        history = snn::train_supervised(net, mixed, optimizer, opts);
+        replay = buffer.materialize(&task_stats);
       }
-      task_stats.add(history.front().stats);
+      if (importance_feedback) opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
+      snn::SampleSource source;
+      source.size = new_count + (stream ? stream->size() : replay.size());
+      source.fetch = [&](std::size_t i) -> const data::Sample& {
+        if (i < new_count) return new_latents.fetch(i);
+        return stream ? stream->fetch(i - new_count) : replay[i - new_count];
+      };
+      task_stats.add(snn::train_supervised(net, source, optimizer, opts).front().stats);
     }
 
     // Record the just-learned class into the buffer (on-device latents).
     {
-      data::Dataset keep = data::take_per_class(
+      const data::Dataset keep = data::take_per_class(
           new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
           config.replay_per_new_class);
-      for (const auto& s : to_latents(net, keep, config.insertion_layer, policy,
-                                      method.batch_size, &task_stats)) {
+      PackedLatentSet latents(net, keep, config.insertion_layer, policy, method.batch_size);
+      task_stats.add(latents.prefix_stats());
+      for (std::size_t i = 0; i < latents.size(); ++i) {
+        const data::Sample& s = latents.fetch(i);
         buffer.add(s.raster, s.label);
       }
     }
@@ -220,10 +193,10 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     result.total_energy_uj += row.energy_uj;
 
     // Evaluation: base classes + every task seen so far.
-    row.acc_base = accuracy_at(net, tasks.pretrain_test, method);
+    row.acc_base = accuracy(test_latents.front());
     double learned_sum = 0.0;
     for (std::size_t seen = 0; seen <= task; ++seen) {
-      const double acc = accuracy_at(net, tasks.task_test[seen], method);
+      const double acc = accuracy(test_latents[1 + seen]);
       learned_sum += acc;
       if (seen == task) row.acc_current = acc;
     }

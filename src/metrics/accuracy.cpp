@@ -2,19 +2,6 @@
 
 namespace r4ncl::metrics {
 
-TaskAccuracy evaluate_tasks(const snn::SnnNetwork& net,
-                            const data::ClassIncrementalTasks& tasks,
-                            const EvalSettings& settings) {
-  TaskAccuracy acc;
-  const data::Dataset old_test =
-      data::time_rescale(tasks.pretrain_test, settings.timesteps, settings.rescale);
-  const data::Dataset new_test =
-      data::time_rescale(tasks.new_test, settings.timesteps, settings.rescale);
-  acc.old_tasks = snn::evaluate(net, old_test, 0, settings.policy, settings.batch_size);
-  acc.new_task = snn::evaluate(net, new_test, 0, settings.policy, settings.batch_size);
-  return acc;
-}
-
 double ForgettingTracker::update(double old_task_accuracy) noexcept {
   if (old_task_accuracy > best_) best_ = old_task_accuracy;
   forgetting_ = best_ - old_task_accuracy;

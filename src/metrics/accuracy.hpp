@@ -1,30 +1,22 @@
-// Task-level accuracy bookkeeping for the class-incremental scenario.
+// Evaluation conditions and forgetting bookkeeping for the class-incremental
+// scenario.
 #pragma once
 
-#include "data/tasks.hpp"
-#include "snn/trainer.hpp"
+#include "data/spike_data.hpp"
+#include "snn/threshold.hpp"
 
 namespace r4ncl::metrics {
 
-/// Old-task / new-task Top-1 accuracies at one evaluation point.
-struct TaskAccuracy {
-  double old_tasks = 0.0;
-  double new_task = 0.0;
-};
-
 /// Evaluation conditions: the deployed configuration of a method (its
 /// timestep setting and threshold policy) must also be used at test time.
+/// batch_size is the evaluation blocking; the adaptive threshold couples the
+/// samples of a batch, so scores depend on it.
 struct EvalSettings {
   std::size_t timesteps = 100;  // test rasters are rescaled to this
   data::TimeRescaleMethod rescale = data::TimeRescaleMethod::kGroupOr;
   snn::ThresholdPolicy policy = snn::ThresholdPolicy::fixed(1.0f);
   std::size_t batch_size = 32;
 };
-
-/// Evaluates the network on both task test sets under the given settings.
-TaskAccuracy evaluate_tasks(const snn::SnnNetwork& net,
-                            const data::ClassIncrementalTasks& tasks,
-                            const EvalSettings& settings);
 
 /// Forgetting = best old-task accuracy seen so far − current old-task
 /// accuracy (the standard continual-learning forgetting measure).
