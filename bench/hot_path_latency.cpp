@@ -55,8 +55,8 @@
 
 #include "common.hpp"
 #include "compress/aer.hpp"
-#include "core/latent_buffer.hpp"
 #include "core/replay_stream.hpp"
+#include "core/sharded_engine.hpp"
 #include "data/spike_data.hpp"
 #include "snn/layer.hpp"
 #include "snn/network.hpp"
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
     ncfg.num_classes = 5;
     ncfg.seed = 33;
     const snn::SnnNetwork base(ncfg);
-    core::LatentReplayBuffer buffer({.ratio = 2, .latent_bits = 2}, pT);
+    core::ShardedReplayEngine buffer({.ratio = 2, .latent_bits = 2}, pT);
     for (std::size_t i = 0; i < entries; ++i) {
       buffer.add(random_raster(pT, pC, 0.1, 7000 + i), static_cast<std::int32_t>(i % 5));
     }

@@ -1,10 +1,11 @@
 // Streaming replay assembly: wall-clock and peak memory of the per-epoch
-// replay draw, full materialization (LatentReplayBuffer::sample) vs the
+// replay draw, full materialization (ShardedReplayEngine::sample_into) vs the
 // ReplayStream minibatch cursor, across codec × latent_bits × minibatch.
 //
 // Latent replay's real-time cost is not just storage: assembling the replay
-// set each epoch decompresses every drawn entry, and sample() holds all k
-// decoded (T × C) rasters at once before training sees the first batch
+// set each epoch decompresses every drawn entry, and a draw decoded up front
+// holds all k decoded (T × C) rasters at once before training sees the first
+// batch
 // (Pellegrini et al.; Ravaglia et al.).  The streaming path decodes at most
 // one minibatch at a time into a scratch pool — this bench records what that
 // buys (peak replay-assembly bytes) and what it costs (wall-clock), plus raw
@@ -12,8 +13,8 @@
 // against the legacy binary path directly.
 //
 // Row modes:
-//   sample  — full materialization via buffer.sample(k, rng): peak bytes is
-//             the whole decoded draw.
+//   sample  — full materialization via store.sample_into(k, rng, out): peak
+//             bytes is the whole decoded draw.
 //   stream  — ReplayStream cursor at the given minibatch: identical entry
 //             set (same Rng), peak bytes is the scratch pool high-water.
 //             The bench asserts the spike checksum matches `sample` per
@@ -33,8 +34,8 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/latent_buffer.hpp"
 #include "core/replay_stream.hpp"
+#include "core/sharded_engine.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
@@ -122,14 +123,15 @@ int main(int argc, char** argv) {
 
   bool checksum_mismatch = false;
   for (const CodecCase& cc : cases) {
-    core::LatentReplayBuffer buffer(cc.codec, T);
+    // The run engines' store: a single-shard engine.
+    core::ShardedReplayEngine buffer(cc.codec, T);
     for (std::size_t i = 0; i < entries; ++i) {
       buffer.add(random_raster(T, C, 0.15, 1000 + i), static_cast<std::int32_t>(i % 10));
     }
 
-    // -- sample(): the full-materialization reference ----------------------
-    // sample() caps the draw at the resident entry count, so that is also
-    // the number of rasters the materialized path holds at peak.
+    // -- sample_into(): the full-materialization reference -----------------
+    // The draw is capped at the resident entry count, so that is also the
+    // number of rasters the materialized path holds at peak.
     const std::size_t materialized = std::min(draws, buffer.size());
     const std::size_t full_bytes = materialized * T * C;
     std::uint64_t sample_checksum = 0;
@@ -140,7 +142,8 @@ int main(int argc, char** argv) {
       sample_stats = {};
       sample_checksum = 0;
       Stopwatch watch;
-      const data::Dataset ds = buffer.sample(draws, rng, &sample_stats);
+      data::Dataset ds;
+      (void)buffer.sample_into(draws, rng, ds, &sample_stats);
       for (const auto& s : ds) sample_checksum += s.raster.spike_count();
       sample_walls.push_back(watch.elapsed_ms());
     }

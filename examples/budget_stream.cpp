@@ -13,10 +13,9 @@
 //       ./budget_stream tasks=8 policy=fifo
 //       ./budget_stream budget=4096 policy=class_balanced epochs=4
 //       ./budget_stream latent_bits=2 tasks=8       (sub-byte quantized latents)
-//       ./budget_stream replay_stream=1 replay_samples=8   (streamed replay:
-//           the per-epoch draw decodes one training batch at a time instead
-//           of materializing every raster up front — same entries, same
-//           accuracy, bounded replay-assembly memory)
+//       ./budget_stream replay_samples=8   (a capped per-epoch draw; every
+//           draw streams, decoding one training batch at a time, so
+//           replay-assembly memory stays bounded)
 //       ./budget_stream policy=low_importance tasks=8      (importance-aware
 //           eviction: spike density at insert, overridden by the trainer's
 //           per-sample error feedback)
@@ -103,11 +102,6 @@ int run_main(int argc, char** argv) {
   if (run.method.budget_schedule.active()) {
     std::printf("budget schedule: %s (re-applied at every task boundary)\n",
                 run.method.budget_schedule.spec().c_str());
-  }
-  if (run.method.replay_stream) {
-    std::printf("replay draw: streamed (ReplayStream fused into batch assembly, "
-                "%zu samples/epoch, batches of %zu)\n",
-                run.method.replay_samples_per_epoch, run.method.batch_size);
   }
   if (run.method.storage_codec.quantized()) {
     std::printf("replay budget: %zu bytes, policy %s, latents quantized to %d bits\n\n",

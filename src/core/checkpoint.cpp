@@ -15,7 +15,7 @@ constexpr std::uint32_t kOptimTag = make_tag("OPTM");
 constexpr std::uint32_t kRngsTag = make_tag("RNGS");
 constexpr std::uint32_t kProgTag = make_tag("PROG");
 constexpr std::uint32_t kEndTag = make_tag("KEND");
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 void write_rng_state(BinaryWriter& out, const Rng::State& s) {
   out.write_u64(s.state);
@@ -66,7 +66,6 @@ void write_meta(BinaryWriter& out, const CheckpointMeta& m) {
   out.write_u64(m.cl_timesteps);
   out.write_u64(m.shards);
   out.write_string(m.shard_by);
-  out.write_u32(m.replay_stream ? 1u : 0u);
   out.write_u64(m.replay_samples);
   out.write_u32(m.importance_feedback ? 1u : 0u);
   out.write_u64(m.batch_size);
@@ -92,9 +91,6 @@ CheckpointMeta read_meta(BinaryReader& in) {
   m.cl_timesteps = in.read_u64();
   m.shards = in.read_u64();
   m.shard_by = in.read_string();
-  const std::uint32_t stream = in.read_u32();
-  R4NCL_CHECK(stream <= 1, "corrupt checkpoint: replay_stream flag is " << stream);
-  m.replay_stream = stream != 0;
   m.replay_samples = in.read_u64();
   const std::uint32_t feedback = in.read_u32();
   R4NCL_CHECK(feedback <= 1, "corrupt checkpoint: importance_feedback flag is " << feedback);
@@ -132,7 +128,6 @@ void verify_meta(const CheckpointMeta& stored, const CheckpointMeta& expected) {
   R4NCL_META_MATCH(cl_timesteps);
   R4NCL_META_MATCH(shards);
   R4NCL_META_MATCH(shard_by);
-  R4NCL_META_MATCH(replay_stream);
   R4NCL_META_MATCH(replay_samples);
   R4NCL_META_MATCH(importance_feedback);
   R4NCL_META_MATCH(batch_size);
@@ -255,7 +250,6 @@ CheckpointMeta make_checkpoint_meta(CheckpointKind kind, const NclMethodConfig& 
   m.cl_timesteps = method.cl_timesteps;
   m.shards = method.replay_sharding.shards;
   m.shard_by = std::string(to_string(method.replay_sharding.shard_by));
-  m.replay_stream = method.replay_stream;
   m.replay_samples = method.replay_samples_per_epoch;
   m.importance_feedback = method.importance_feedback;
   m.batch_size = method.batch_size;

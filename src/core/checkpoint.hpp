@@ -13,10 +13,12 @@
 //   * every Rng stream (SplitMix64 state plus the Box–Muller spare-normal
 //     flag/value — dropping the spare would shift all subsequent draws).
 // A run killed at any task/epoch boundary therefore resumes and finishes
-// bit-identical to an uninterrupted run, across every eviction policy, shard
-// count, and replay_stream setting (pinned in tests/test_checkpoint.cpp).
+// bit-identical to an uninterrupted run, across every eviction policy and
+// shard count (pinned in tests/test_checkpoint.cpp).
 //
-// Format: util/serialize tagged sections — "R4CK" + version, "META"
+// Format: util/serialize tagged sections — "R4CK" + version (2: the META
+// without the retired replay_stream flag; version-1 files are rejected with
+// the pinned "unsupported checkpoint version" error), "META"
 // (config fingerprint, verified field-by-field with pinned mismatch errors
 // before any state is touched), network ("SNET"/"ARCH"), "OPTM" (optional
 // Adam moments), engine ("SRLE" + per-shard "LRBF"), "RNGS", "PROG"
@@ -47,8 +49,8 @@ enum class CheckpointKind : std::uint32_t {
 
 /// Configuration fingerprint stored in (and verified against) a checkpoint.
 /// Every field that changes the run's future behaviour is pinned: resuming
-/// under a different policy, codec, shard layout, seed, or stream setting is
-/// a configuration error the loader rejects up front with a pinned
+/// under a different policy, codec, shard layout, seed, or draw size is a
+/// configuration error the loader rejects up front with a pinned
 /// "checkpoint mismatch" Error, not a silently diverging run.
 struct CheckpointMeta {
   CheckpointKind kind = CheckpointKind::kSequential;
@@ -62,7 +64,6 @@ struct CheckpointMeta {
   std::uint64_t cl_timesteps = 0;
   std::uint64_t shards = 1;
   std::string shard_by;
-  bool replay_stream = false;
   std::uint64_t replay_samples = 0;
   bool importance_feedback = false;
   std::uint64_t batch_size = 0;

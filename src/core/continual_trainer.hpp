@@ -6,10 +6,14 @@
 //      method's threshold policy and timestep setting) and store the
 //      resulting latent activations, codec-compressed, in the replay buffer.
 //   2. NCL training — per epoch: A_new = frozen-prefix inference of TS_cl
-//      (line 23), decompress A_LR from the buffer, and train the learning
-//      layers on the shuffled union A_new ∪ A_LR with the method's η_cl and
-//      threshold policy (lines 24–32).  The host computes A_new once per run
+//      (line 23), draw A_LR from the replay store and stream it into batch
+//      assembly (core::ReplayStream), and train the learning layers on the
+//      shuffled union A_new ∪ A_LR with the method's η_cl and threshold
+//      policy (lines 24–32).  The host computes A_new once per run
 //      (core::PackedLatentSet) and charges that inference to every epoch.
+//
+// run_sequential (core/sequential.hpp) shares this engine's preparation,
+// epoch and checkpoint steps; both are defined in continual_trainer.cpp.
 //
 // All modelled latency/energy is charged from the event counts of the work
 // Alg. 1 performs (frozen inference, decompression, forward/backward of the

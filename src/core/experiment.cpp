@@ -118,7 +118,7 @@ void apply_replay_samples(NclMethodConfig& method, const Config& cfg) {
       "replay_samples", static_cast<long long>(method.replay_samples_per_epoch));
   R4NCL_CHECK(samples >= 0, "replay_samples=" << samples
                                               << " must be a non-negative entry count "
-                                                 "(0 = full materialize)");
+                                                 "(0 = the whole store, streamed)");
   method.replay_samples_per_epoch = static_cast<std::size_t>(samples);
 }
 
@@ -133,10 +133,6 @@ void apply_replay_seed(NclMethodConfig& method, const Config& cfg) {
                                << " must be a non-negative eviction seed");
     method.replay_budget.seed = seed;
   }
-}
-
-void apply_replay_stream(NclMethodConfig& method, const Config& cfg) {
-  method.replay_stream = cfg.get_bool("replay_stream", method.replay_stream);
 }
 
 void apply_shard_by(NclMethodConfig& method, const Config& cfg) {
@@ -188,11 +184,9 @@ constexpr CliKnob kStandardKnobs[] = {
     {"prefetch", "decode the next minibatch on a background thread (bit-identical)",
      apply_prefetch},
     {"pretrain_epochs", "pre-training epoch count (default 8)", nullptr},
-    {"replay_samples", "per-epoch sample(k) draw (0 = full materialize)",
+    {"replay_samples", "replay entries drawn per epoch (0 = the whole store, streamed)",
      apply_replay_samples},
     {"replay_seed", "the buffer's private eviction-stream seed", apply_replay_seed},
-    {"replay_stream", "stream the per-epoch draw through a ReplayStream (0|1)",
-     apply_replay_stream},
     {"resume", "restore a prior checkpoint from this path before any unit runs", nullptr},
     {"scale", "dataset sample-count scale (1.0 = paper-faithful counts)", nullptr},
     {"shard_by", "shard routing key for adds: class | hash", apply_shard_by},

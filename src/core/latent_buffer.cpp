@@ -122,24 +122,6 @@ BudgetSchedule parse_budget_schedule(std::string_view spec) {
   return schedule;
 }
 
-std::vector<std::size_t> draw_replay_indices(std::size_t population, std::size_t k,
-                                             Rng& rng) {
-  std::vector<std::size_t> indices(population);
-  for (std::size_t i = 0; i < population; ++i) indices[i] = i;
-  // Whole-population draws keep storage order and consume no rng draws — the
-  // materialize() fallback of sample(), preserved so streamed and
-  // materialized paths stay bit-identical run-for-run.
-  if (k >= population) return indices;
-  // Partial Fisher–Yates: the first k slots become a uniform draw without
-  // replacement, consuming exactly k rng draws in sample()'s order.
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(population - i));
-    std::swap(indices[i], indices[j]);
-  }
-  indices.resize(k);
-  return indices;
-}
-
 LatentReplayBuffer::LatentReplayBuffer(const compress::CodecConfig& codec,
                                        std::size_t activation_timesteps,
                                        const ReplayBufferConfig& budget)
@@ -427,12 +409,6 @@ void LatentReplayBuffer::charge_decompress(const Entry& e, snn::SpikeOpStats* st
   }
 }
 
-data::Sample LatentReplayBuffer::decompress_entry(const Entry& e,
-                                                  snn::SpikeOpStats* stats) const {
-  charge_decompress(e, stats);
-  return {compress::decompress_packed(e.packed, activation_timesteps_, codec_), e.label};
-}
-
 std::int32_t LatentReplayBuffer::label_at(std::size_t index) const {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
   return entry_at(index).label;
@@ -471,34 +447,8 @@ void LatentReplayBuffer::decompress_into(std::size_t index, data::Sample& out,
 }
 
 data::Dataset LatentReplayBuffer::materialize(snn::SpikeOpStats* stats) const {
-  data::Dataset out;
-  const std::size_t n = size();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(decompress_entry(entry_at(i), stats));
-  return out;
-}
-
-std::vector<std::size_t> LatentReplayBuffer::draw_indices(std::size_t k, Rng& rng) const {
-  return draw_replay_indices(size(), k, rng);
-}
-
-std::vector<std::size_t> LatentReplayBuffer::sample_into(std::size_t k, Rng& rng,
-                                                         data::Dataset& out,
-                                                         snn::SpikeOpStats* stats) const {
-  std::vector<std::size_t> drawn = draw_indices(k, rng);
-  out.reserve(out.size() + drawn.size());
-  for (const std::size_t index : drawn) {
-    data::Sample s;
-    decompress_into(index, s, stats);
-    out.push_back(std::move(s));
-  }
-  return drawn;
-}
-
-data::Dataset LatentReplayBuffer::sample(std::size_t k, Rng& rng,
-                                         snn::SpikeOpStats* stats) const {
-  data::Dataset out;
-  (void)sample_into(k, rng, out, stats);
+  data::Dataset out(size());
+  for (std::size_t i = 0; i < out.size(); ++i) decompress_into(i, out[i], stats);
   return out;
 }
 

@@ -40,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -58,8 +57,6 @@ class Counter;
 }  // namespace r4ncl::obs
 
 namespace r4ncl::core {
-
-class ReplayStream;
 
 /// Which stored entry gives way when an add() would exceed the byte budget.
 enum class ReplayPolicy : std::uint8_t {
@@ -147,10 +144,9 @@ struct ReplayBufferConfig {
   }
 };
 
-/// Salt deriving the per-run replay-draw Rng (LatentReplayBuffer::sample())
-/// from the run seed.  Shared by both run engines; the default
-/// full-materialize path never consumes from that stream, so legacy runs
-/// stay bit-identical.
+/// Salt deriving the per-run replay-draw Rng (ShardedReplayEngine::stream())
+/// from the run seed.  Shared by both run engines; a whole-store draw never
+/// consumes from that stream, so legacy runs stay bit-identical.
 inline constexpr std::uint64_t kReplayDrawSeedSalt = 0xA11CE5EEDBEEFULL;
 
 /// Smoothing factor of the report_outcome() running score: each report moves
@@ -158,38 +154,7 @@ inline constexpr std::uint64_t kReplayDrawSeedSalt = 0xA11CE5EEDBEEFULL;
 /// bad epoch cannot un-pin an entry the trainer consistently gets wrong.
 inline constexpr float kOutcomeEma = 0.25f;
 
-/// Uniform draw without replacement over [0, population) — the shared index
-/// draw behind LatentReplayBuffer::draw_indices and the sharded engine's
-/// global (cross-shard) draw.  k >= population returns the identity
-/// permutation and consumes no rng draws (the materialize() fallback);
-/// otherwise a partial Fisher–Yates consumes exactly k draws.
-[[nodiscard]] std::vector<std::size_t> draw_replay_indices(std::size_t population,
-                                                           std::size_t k, Rng& rng);
-
-/// Read-side interface over a store of replayable latent entries addressed by
-/// logical index.  ReplayStream drives its decode through this, so one
-/// streaming cursor implementation serves both a single LatentReplayBuffer
-/// and the ShardedReplayEngine's concatenated (cross-shard) index space.
-class ReplayEntrySource {
- public:
-  virtual ~ReplayEntrySource() = default;
-
-  /// Live entries addressable as logical indices [0, size()).
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  /// Timestep length of the rasters decompress_into() produces.
-  [[nodiscard]] virtual std::size_t activation_timesteps() const noexcept = 0;
-  /// Channel width of the stored activations (0 while empty).
-  [[nodiscard]] virtual std::size_t channels() const noexcept = 0;
-  /// Label of the entry at logical `index` (no decode).
-  [[nodiscard]] virtual std::int32_t label_at(std::size_t index) const = 0;
-  /// Decompresses the entry at logical `index` into `out`, reusing its
-  /// allocations (and `levels_scratch` for quantized payload codes).
-  virtual void decompress_into(std::size_t index, data::Sample& out,
-                               snn::SpikeOpStats* stats,
-                               std::vector<std::uint8_t>* levels_scratch) const = 0;
-};
-
-class LatentReplayBuffer : public ReplayEntrySource {
+class LatentReplayBuffer {
  public:
   /// `activation_timesteps` is the timestep length of the rasters handed to
   /// add() (and returned by materialize()); the codec may store fewer.
@@ -205,11 +170,11 @@ class LatentReplayBuffer : public ReplayEntrySource {
   bool add(const data::SpikeRaster& raster, std::int32_t label);
 
   /// Channel width of the stored activations (0 while empty).
-  [[nodiscard]] std::size_t channels() const noexcept override { return channels_; }
+  [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
 
-  [[nodiscard]] std::size_t size() const noexcept override { return order_.size() - head_; }
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size() - head_; }
   [[nodiscard]] bool empty() const noexcept { return order_.size() == head_; }
-  [[nodiscard]] std::size_t activation_timesteps() const noexcept override {
+  [[nodiscard]] std::size_t activation_timesteps() const noexcept {
     return activation_timesteps_;
   }
   [[nodiscard]] const compress::CodecConfig& codec() const noexcept { return codec_; }
@@ -244,45 +209,15 @@ class LatentReplayBuffer : public ReplayEntrySource {
   /// `replay_engine.shard<i>.occupancy_bytes` gauges in the obs registry.
   [[nodiscard]] std::size_t memory_bytes() const noexcept { return memory_bytes_; }
 
-  /// Decompresses the whole buffer into a replay dataset (A_LR in Alg. 1).
-  /// When `stats` is non-null the codec work is charged as decompress_bits
-  /// (zero when the codec ratio is 1, i.e. raw storage).
+  /// Decompresses every entry in logical order: the state dump that
+  /// ShardedReplayEngine::materialize() composes.  The run engines read A_LR
+  /// through a ReplayStream instead.  When `stats` is non-null the codec
+  /// work is charged as decompress_bits (zero when the codec ratio is 1,
+  /// i.e. raw storage).
   [[nodiscard]] data::Dataset materialize(snn::SpikeOpStats* stats = nullptr) const;
 
-  /// Uniformly draws min(k, size()) distinct entries and decompresses only
-  /// those — the per-epoch hot path when the buffer is larger than one
-  /// epoch's replay appetite.  decompress_bits is charged for the drawn
-  /// entries only, proportional to what is actually decompressed.
-  [[nodiscard]] data::Dataset sample(std::size_t k, Rng& rng,
-                                     snn::SpikeOpStats* stats = nullptr) const;
-
-  /// The index draw behind sample(), without the decode: min(k, size())
-  /// distinct logical indices, uniform without replacement (partial
-  /// Fisher–Yates).  k >= size() returns the whole buffer in storage order
-  /// and consumes no rng draws — exactly sample()'s materialize fallback —
-  /// so for the same Rng the returned set is bit-identical to what sample()
-  /// would decompress.
-  [[nodiscard]] std::vector<std::size_t> draw_indices(std::size_t k, Rng& rng) const;
-
-  /// sample() that also tells the caller *which* entries it drew: appends
-  /// the decoded entries to `out` (same rng consumption, bytes and
-  /// decompress_bits charging as sample()/materialize()) and returns the
-  /// drawn logical indices — the importance-feedback replay assembly both
-  /// run engines share, so the per-sample outcome hook can route each
-  /// replayed row's error back to its entry via report_outcome().
-  std::vector<std::size_t> sample_into(std::size_t k, Rng& rng, data::Dataset& out,
-                                       snn::SpikeOpStats* stats = nullptr) const;
-
-  /// Opens a streaming minibatch cursor over a draw (see ReplayStream):
-  /// the same entry set as sample(k, rng) for the same Rng, but decoded at
-  /// most `minibatch` rasters at a time into a reusable scratch pool, with
-  /// decompress_bits charged incrementally per decoded entry.  The buffer
-  /// must outlive the stream and not be mutated while it is open.
-  [[nodiscard]] ReplayStream stream(std::size_t k, Rng& rng, std::size_t minibatch = 16,
-                                    snn::SpikeOpStats* stats = nullptr) const;
-
   /// Label of the entry at logical index `index` (no decode).
-  [[nodiscard]] std::int32_t label_at(std::size_t index) const override;
+  [[nodiscard]] std::int32_t label_at(std::size_t index) const;
 
   /// Spike density of the entry at logical `index`, recorded at add() time
   /// (spikes / (timesteps × channels) of the *source* raster) — the static
@@ -303,25 +238,13 @@ class LatentReplayBuffer : public ReplayEntrySource {
   /// maintained but only the importance policies read them).
   void report_outcome(std::size_t index, float score);
 
-  /// Builds the snn::TrainOptions::sample_outcome callback both run engines
-  /// install: training-set indices >= `new_count` are replay rows whose
-  /// logical buffer index is `drawn[i - new_count]`; their errors route to
-  /// report_outcome().  `drawn` is borrowed (a sample_into() result or
-  /// ReplayStream::drawn()) and must outlive the returned hook.
-  [[nodiscard]] std::function<void(std::size_t, float)> outcome_hook(
-      const std::vector<std::size_t>& drawn, std::size_t new_count) {
-    return [this, &drawn, new_count](std::size_t i, float error) {
-      if (i >= new_count) report_outcome(drawn[i - new_count], error);
-    };
-  }
-
   /// Decompresses the entry at logical `index` into `out`, reusing its
   /// allocations (and `levels_scratch`, when given, for quantized payload
   /// codes) — the ReplayStream decode path.  Charges decompress_bits exactly
-  /// as sample()/materialize() do.
+  /// as materialize() does.
   void decompress_into(std::size_t index, data::Sample& out,
                        snn::SpikeOpStats* stats = nullptr,
-                       std::vector<std::uint8_t>* levels_scratch = nullptr) const override;
+                       std::vector<std::uint8_t>* levels_scratch = nullptr) const;
 
   /// Stored bits per payload element (0 = legacy binary storage).
   [[nodiscard]] std::uint8_t latent_bits() const noexcept { return codec_.latent_bits; }
@@ -330,7 +253,7 @@ class LatentReplayBuffer : public ReplayEntrySource {
   /// stream/eviction counters, and every live entry in logical order with its
   /// quantized payload byte-copied as-is (no decode).  Together with the
   /// restored rng this makes a loaded buffer behave bit-identically to the
-  /// saved one for every subsequent add/evict/sample.
+  /// saved one for every subsequent add/evict/draw.
   void save(BinaryWriter& out) const;
 
   /// Replaces this buffer's contents with a saved snapshot.  The buffer must
@@ -378,8 +301,6 @@ class LatentReplayBuffer : public ReplayEntrySource {
     return slots_[order_[head_ + index]];
   }
   [[nodiscard]] std::size_t entry_bytes(const Entry& e) const noexcept;
-  [[nodiscard]] data::Sample decompress_entry(const Entry& e,
-                                              snn::SpikeOpStats* stats) const;
   /// Charges the codec's decompression work for one entry (no-op for raw
   /// storage or when stats is null).
   void charge_decompress(const Entry& e, snn::SpikeOpStats* stats) const;

@@ -62,21 +62,20 @@ struct NclMethodConfig {
   /// budget_schedule=const|linear:<start>:<end>|step:<task>:<bytes>.
   BudgetSchedule budget_schedule{};
   /// Feed per-sample replay outcomes (top-1 error) back into the buffer's
-  /// importance scores after each draw (LatentReplayBuffer::report_outcome).
+  /// importance scores after each draw (ShardedReplayEngine::report_outcome).
   /// Only consulted when replay_budget.policy is importance-aware; off, the
   /// importance policies rank purely on insert-time spike density.  CLI
   /// knob: importance_feedback=0|1.
   bool importance_feedback = true;
-  /// Replay entries decompressed per CL epoch via LatentReplayBuffer::
-  /// sample(); 0 = materialize() the whole buffer every epoch.  Sampling
-  /// bounds the per-epoch decompression + training cost when the buffer is
-  /// large (the budgeted-stream hot path).
+  /// Replay entries each CL epoch draws from the store and streams into
+  /// training-batch assembly (ReplayStream); 0 = the whole store, streamed.
+  /// A smaller draw bounds the per-epoch decompression + training cost when
+  /// the store is large (the budgeted-stream hot path).
   std::size_t replay_samples_per_epoch = 0;
-  /// Stream the per-epoch replay draw through a ReplayStream fused into
-  /// training-batch assembly instead of materializing every drawn raster up
-  /// front: same Rng stream, bit-identical entry sets and accuracies, but
-  /// peak replay-assembly memory drops from draw-size × raster bytes to one
-  /// batch of rasters.  CLI knob: replay_stream=1.
+  /// Retired: the run engines always stream the per-epoch draw, and no
+  /// library code reads this field.  It stays only because perfbench/ncl.cpp
+  /// still assigns it; a benchmark change drops that assignment, and then
+  /// the field goes.
   bool replay_stream = false;
   /// Replay-store sharding (ShardedReplayEngine): shards=1 (the default)
   /// keeps every run bit-identical to the single LatentReplayBuffer era;

@@ -6,33 +6,28 @@
 
 namespace r4ncl::core {
 
-ReplayStream LatentReplayBuffer::stream(std::size_t k, Rng& rng, std::size_t minibatch,
-                                        snn::SpikeOpStats* stats) const {
-  return ReplayStream(*this, draw_indices(k, rng), minibatch, stats);
-}
-
-ReplayStream::ReplayStream(const ReplayEntrySource& source, std::vector<std::size_t> drawn,
+ReplayStream::ReplayStream(const ShardedReplayEngine& engine, std::vector<std::size_t> drawn,
                            std::size_t minibatch, snn::SpikeOpStats* stats)
-    : source_(&source), drawn_(std::move(drawn)), minibatch_(minibatch), stats_(stats) {
+    : engine_(&engine), drawn_(std::move(drawn)), minibatch_(minibatch), stats_(stats) {
   R4NCL_CHECK(minibatch_ > 0, "minibatch must be positive");
   pool_.resize(std::min(minibatch_, std::max<std::size_t>(drawn_.size(), 1)));
 }
 
 std::int32_t ReplayStream::label(std::size_t i) const {
   R4NCL_CHECK(i < drawn_.size(), "draw ordinal " << i << " out of " << drawn_.size());
-  return source_->label_at(drawn_[i]);
+  return engine_->label_at(drawn_[i]);
 }
 
 void ReplayStream::decode_to_slot(std::size_t slot, std::size_t ordinal) {
-  source_->decompress_into(drawn_[ordinal], pool_[slot], stats_, &levels_scratch_);
+  engine_->decompress_into(drawn_[ordinal], pool_[slot], stats_, &levels_scratch_);
   ++decoded_;
 }
 
 void ReplayStream::note_assembly_bytes(std::size_t live_slots) noexcept {
-  // All rasters in a source share one geometry, so the scratch footprint is
+  // All rasters in an engine share one geometry, so the scratch footprint is
   // live slots × (T × C) decoded bytes plus the sub-byte level scratch.
   const std::size_t raster_bytes =
-      source_->activation_timesteps() * source_->channels();
+      engine_->activation_timesteps() * engine_->channels();
   const std::size_t bytes = live_slots * raster_bytes + levels_scratch_.capacity();
   peak_bytes_ = std::max(peak_bytes_, bytes);
 }

@@ -1,49 +1,48 @@
-// Streaming minibatch cursor over a latent-replay draw.
+// Streaming minibatch cursor over a latent-replay draw: the one way the run
+// engines read A_LR.
 //
-// LatentReplayBuffer::sample() materializes every drawn raster up front, so a
-// k-entry draw holds k full (T × C) rasters before the first training batch
-// is even assembled — the replay-assembly memory spike Pellegrini et al. and
-// Ravaglia et al. identify as the real-time bottleneck of latent replay.
-// ReplayStream performs the *same draw* (bit-identical entry set for the same
-// Rng, identical decompress_bits charging) but fuses decompression into batch
-// assembly: entries decode at most one minibatch at a time into a reusable
+// Decoding a k-entry draw up front holds k full (T × C) rasters before the
+// first training batch is even assembled — the replay-assembly memory spike
+// Pellegrini et al. and Ravaglia et al. identify as the real-time bottleneck
+// of latent replay.  ReplayStream fuses decompression into batch assembly
+// instead: entries decode at most one minibatch at a time into a reusable
 // scratch pool, so peak replay-assembly memory is minibatch × raster bytes
-// instead of k × raster bytes.
+// instead of k × raster bytes.  The draw itself is the engine's
+// (ShardedReplayEngine::stream); the same Rng gives the same entries as
+// ShardedReplayEngine::sample_into, and a whole-store draw reads the store
+// in materialize() order.
 //
 // Two consumption modes share one cursor object:
 //   * next()   — sequential minibatch spans (bench / direct consumers);
 //   * fetch(i) — random access for trainers that shuffle the virtual
 //                dataset: decodes drawn entry i into a single scratch slot,
 //                valid until the next fetch()/next().
-// Both charge decompress_bits per decoded entry, exactly as sample() does.
+// Both charge decompress_bits per decoded entry, exactly as a decode up front
+// does.
 //
-// The stream reads through the ReplayEntrySource interface, so one cursor
-// implementation serves a single LatentReplayBuffer and the sharded engine's
-// concatenated cross-shard index space alike.  It borrows the source: it must
-// outlive the stream and must not be mutated (add/evict) while the stream is
-// open.
+// The stream borrows the engine: it must outlive the stream and must not be
+// mutated (add/evict) while the stream is open.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/latent_buffer.hpp"
+#include "core/sharded_engine.hpp"
 
 namespace r4ncl::core {
 
 class ReplayStream {
  public:
-  /// Use LatentReplayBuffer::stream() / ShardedReplayEngine::stream() instead
-  /// of constructing directly.
-  ReplayStream(const ReplayEntrySource& source, std::vector<std::size_t> drawn,
+  /// Use ShardedReplayEngine::stream() instead of constructing directly.
+  ReplayStream(const ShardedReplayEngine& engine, std::vector<std::size_t> drawn,
                std::size_t minibatch, snn::SpikeOpStats* stats);
 
   /// Entries in the draw.
   [[nodiscard]] std::size_t size() const noexcept { return drawn_.size(); }
   [[nodiscard]] bool empty() const noexcept { return drawn_.empty(); }
   [[nodiscard]] std::size_t minibatch() const noexcept { return minibatch_; }
-  /// Logical buffer indices of the draw, in sample() order.
+  /// Global engine indices of the draw, in draw order.
   [[nodiscard]] const std::vector<std::size_t>& drawn() const noexcept { return drawn_; }
   /// Label of drawn entry `i` without decoding it.
   [[nodiscard]] std::int32_t label(std::size_t i) const;
@@ -73,7 +72,7 @@ class ReplayStream {
   void decode_to_slot(std::size_t slot, std::size_t ordinal);
   void note_assembly_bytes(std::size_t live_slots) noexcept;
 
-  const ReplayEntrySource* source_;
+  const ShardedReplayEngine* engine_;
   std::vector<std::size_t> drawn_;
   std::size_t minibatch_;
   snn::SpikeOpStats* stats_;

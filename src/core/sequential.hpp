@@ -7,7 +7,8 @@
 // latent activations of the *just-learned* class through the frozen prefix
 // and adds them to the buffer (on-device self-recording: the raw samples are
 // discarded, only compressed latents persist — exactly what the latent-
-// replay memory is for).
+// replay memory is for).  A method without replay (use_replay off, e.g.
+// NclMethodConfig::naive_baseline()) stores and records nothing.
 #pragma once
 
 #include <vector>

@@ -10,6 +10,26 @@
 
 namespace r4ncl::core {
 
+namespace {
+
+/// Uniform draw of min(k, population) distinct indices from [0, population).
+/// k >= population returns the identity order and consumes no rng draws, so
+/// a whole-store draw reads the store in storage order; otherwise a partial
+/// Fisher–Yates consumes exactly k draws.
+std::vector<std::size_t> draw_replay_indices(std::size_t population, std::size_t k, Rng& rng) {
+  std::vector<std::size_t> indices(population);
+  for (std::size_t i = 0; i < population; ++i) indices[i] = i;
+  if (k >= population) return indices;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.uniform_index(population - i));
+    std::swap(indices[i], indices[j]);
+  }
+  indices.resize(k);
+  return indices;
+}
+
+}  // namespace
+
 std::string_view to_string(ShardKey key) noexcept {
   switch (key) {
     case ShardKey::kClass: return "class";
@@ -256,14 +276,10 @@ std::vector<std::pair<std::int32_t, std::size_t>> ShardedReplayEngine::class_occ
   return {merged.begin(), merged.end()};
 }
 
-std::vector<std::size_t> ShardedReplayEngine::draw_indices(std::size_t k, Rng& rng) const {
-  return draw_replay_indices(size(), k, rng);
-}
-
 std::vector<std::size_t> ShardedReplayEngine::sample_into(std::size_t k, Rng& rng,
                                                           data::Dataset& out,
                                                           snn::SpikeOpStats* stats) const {
-  std::vector<std::size_t> drawn = draw_indices(k, rng);
+  std::vector<std::size_t> drawn = draw_replay_indices(size(), k, rng);
   out.reserve(out.size() + drawn.size());
   for (const std::size_t index : drawn) {
     data::Sample s;
@@ -271,18 +287,10 @@ std::vector<std::size_t> ShardedReplayEngine::sample_into(std::size_t k, Rng& rn
       b.decompress_into(local, s, stats);
     });
     // Entries displaced between draw and decode (concurrent writers) are
-    // skipped; a single-threaded engine decodes every drawn entry, exactly
-    // like LatentReplayBuffer::sample_into.
+    // skipped; a single-threaded engine decodes every drawn entry.
     if (found) out.push_back(std::move(s));
   }
   return drawn;
-}
-
-data::Dataset ShardedReplayEngine::sample(std::size_t k, Rng& rng,
-                                          snn::SpikeOpStats* stats) const {
-  data::Dataset out;
-  (void)sample_into(k, rng, out, stats);
-  return out;
 }
 
 data::Dataset ShardedReplayEngine::materialize(snn::SpikeOpStats* stats) const {
@@ -298,7 +306,7 @@ data::Dataset ShardedReplayEngine::materialize(snn::SpikeOpStats* stats) const {
 
 ReplayStream ShardedReplayEngine::stream(std::size_t k, Rng& rng, std::size_t minibatch,
                                          snn::SpikeOpStats* stats) const {
-  return ReplayStream(*this, draw_indices(k, rng), minibatch, stats);
+  return ReplayStream(*this, draw_replay_indices(size(), k, rng), minibatch, stats);
 }
 
 namespace {

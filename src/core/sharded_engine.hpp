@@ -16,15 +16,16 @@
 //
 // Determinism contract: shards=1 is *bit-identical* to a bare
 // LatentReplayBuffer under the same config — the single shard keeps the
-// unmixed seed, the full byte budget, and every add routes to it, while the
-// engine's read side (sample/sample_into/materialize/stream/draw) reuses the
-// exact draw_replay_indices code path the buffer uses.  The pinned PR 2–5
-// replay contracts (ReplayStream draws, budget-schedule re-eviction,
-// importance feedback) therefore hold verbatim at shards=1; tests pin this
-// across all five eviction policies.  Under shards>1 each shard's eviction
-// stream is still deterministic per (seed, shard, arrival order) — a fixed
+// unmixed seed, the full byte budget, and every add routes to it, so the
+// shard's state (materialize()) matches the buffer's; tests pin this across
+// all five eviction policies.  Under shards>1 each shard's eviction stream
+// is still deterministic per (seed, shard, arrival order) — a fixed
 // interleaving reproduces bit-for-bit — but different interleavings commit
 // different global states, exactly like any sharded service.
+//
+// The engine is the one place replay entries are drawn: stream() and
+// sample_into() make the same uniform draw from the caller's Rng, and the run
+// engines read every epoch's A_LR through stream().
 //
 // The global logical index space is the concatenation of the shards' logical
 // orders (shard 0's entries first).  Per-entry reads lock only the owning
@@ -56,6 +57,8 @@ class Histogram;
 
 namespace r4ncl::core {
 
+class ReplayStream;
+
 /// How adds are routed to shards.
 enum class ShardKey : std::uint8_t {
   kClass,  // uint32(label) % shards
@@ -81,7 +84,7 @@ struct ShardedEngineConfig {
 [[nodiscard]] std::uint64_t raster_route_hash(const data::SpikeRaster& raster,
                                               std::int32_t label) noexcept;
 
-class ShardedReplayEngine : public ReplayEntrySource {
+class ShardedReplayEngine {
  public:
   /// `budget.capacity_bytes` is the *total* byte budget: shard i receives
   /// total/shards plus one spare byte for i < total%shards (0 stays
@@ -118,16 +121,23 @@ class ShardedReplayEngine : public ReplayEntrySource {
   [[nodiscard]] const LatentReplayBuffer& shard(std::size_t i) const
       R4NCL_NO_THREAD_SAFETY_ANALYSIS;
 
-  // --- ReplayEntrySource (global concatenated index space) ---
-  [[nodiscard]] std::size_t size() const noexcept override;
-  [[nodiscard]] std::size_t activation_timesteps() const noexcept override {
+  // --- per-entry reads (global concatenated index space) ---
+  /// Live entries, addressable as global indices [0, size()).
+  [[nodiscard]] std::size_t size() const noexcept;
+  /// Timestep length of the rasters decompress_into() produces.
+  [[nodiscard]] std::size_t activation_timesteps() const noexcept {
     return activation_timesteps_;
   }
-  [[nodiscard]] std::size_t channels() const noexcept override;
-  [[nodiscard]] std::int32_t label_at(std::size_t index) const override;
+  /// Channel width of the stored activations (0 while empty).
+  [[nodiscard]] std::size_t channels() const noexcept;
+  /// Label of the entry at global `index` (no decode).
+  [[nodiscard]] std::int32_t label_at(std::size_t index) const;
+  /// Decompresses the entry at global `index` into `out`, reusing its
+  /// allocations (and `levels_scratch` for quantized payload codes) — the
+  /// ReplayStream decode path.
   void decompress_into(std::size_t index, data::Sample& out,
                        snn::SpikeOpStats* stats = nullptr,
-                       std::vector<std::uint8_t>* levels_scratch = nullptr) const override;
+                       std::vector<std::uint8_t>* levels_scratch = nullptr) const;
 
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
@@ -159,28 +169,22 @@ class ShardedReplayEngine : public ReplayEntrySource {
   /// comment); in-range routing matches the buffer's EMA exactly.
   void report_outcome(std::size_t index, float score);
 
-  /// snn::TrainOptions::sample_outcome callback, identical in shape to
-  /// LatentReplayBuffer::outcome_hook — `drawn` holds global indices.
-  [[nodiscard]] std::function<void(std::size_t, float)> outcome_hook(
-      const std::vector<std::size_t>& drawn, std::size_t new_count) {
-    return [this, &drawn, new_count](std::size_t i, float error) {
-      if (i >= new_count) report_outcome(drawn[i - new_count], error);
-    };
-  }
-
-  /// Global-index analogues of the LatentReplayBuffer read side — same
-  /// draw_replay_indices stream consumption, same decompress_bits charging,
-  /// so shards=1 is bit-identical to the buffer methods.
-  [[nodiscard]] std::vector<std::size_t> draw_indices(std::size_t k, Rng& rng) const;
-  std::vector<std::size_t> sample_into(std::size_t k, Rng& rng, data::Dataset& out,
-                                       snn::SpikeOpStats* stats = nullptr) const;
-  [[nodiscard]] data::Dataset sample(std::size_t k, Rng& rng,
-                                     snn::SpikeOpStats* stats = nullptr) const;
-  [[nodiscard]] data::Dataset materialize(snn::SpikeOpStats* stats = nullptr) const;
-  /// Streaming minibatch cursor over a global draw (see ReplayStream).  The
-  /// engine must outlive the stream and must not be mutated while it is open.
+  /// Streaming minibatch cursor over a uniform draw of min(k, size())
+  /// distinct global indices (see ReplayStream): a partial Fisher–Yates that
+  /// consumes exactly k rng draws, or, for k >= size(), the whole store in
+  /// storage order with no rng consumed.  Decompression is charged to
+  /// `stats` per decoded entry.  The engine must outlive the stream and must
+  /// not be mutated while it is open.
   [[nodiscard]] ReplayStream stream(std::size_t k, Rng& rng, std::size_t minibatch = 16,
                                     snn::SpikeOpStats* stats = nullptr) const;
+  /// stream()'s draw decoded up front: appends the drawn entries to `out`
+  /// and returns their global indices.  Entries displaced between the draw
+  /// and their decode (concurrent writers) are skipped.
+  std::vector<std::size_t> sample_into(std::size_t k, Rng& rng, data::Dataset& out,
+                                       snn::SpikeOpStats* stats = nullptr) const;
+  /// Every shard's LatentReplayBuffer::materialize() in shard order — the
+  /// engine's state dump (shards=1 equals the bare buffer's).
+  [[nodiscard]] data::Dataset materialize(snn::SpikeOpStats* stats = nullptr) const;
 
   /// Serializes the engine: shard count, routing key, total capacity, then
   /// every shard's buffer snapshot in shard order (each under its lock).

@@ -10,7 +10,7 @@
 // Contracts, pinned by tests/test_obs.cpp:
 //  - Observation-only: metrics never feed back into any computation, so a
 //    metrics-enabled run is bit-identical to a disabled one (checked across
-//    policy × shards × replay_stream).
+//    policy × shards × engine read: stream() or sample_into()).
 //  - Counter values are deterministic across identical runs.  Timer-fed
 //    histograms/gauges carry wall-clock and are exempt — their *counts* are
 //    still deterministic, only sums vary.

@@ -1,5 +1,5 @@
 // Full-state checkpoint & warm resume: the bit-identity contract across
-// every eviction policy, shard count, and replay_stream setting, plus the
+// every eviction policy and shard count, the format version, plus the
 // loader-hardening contract — corrupt or truncated checkpoints raise the
 // pinned r4ncl::Error with no crash, no silent partial load, and no
 // allocation blow-up.
@@ -15,6 +15,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/pretrain.hpp"
+#include "core/replay_stream.hpp"
 #include "core/sequential.hpp"
 #include "core/sharded_engine.hpp"
 #include "util/serialize.hpp"
@@ -98,14 +99,13 @@ const snn::SnnNetwork& seq_base_net() {
   return net;
 }
 
-SequentialRunConfig seq_run(ReplayPolicy policy, std::size_t shards, bool stream) {
+SequentialRunConfig seq_run(ReplayPolicy policy, std::size_t shards) {
   SequentialRunConfig cfg;
   cfg.method = NclMethodConfig::replay4ncl(10);
   cfg.method.lr_cl = 5e-4f;
   cfg.method.batch_size = 8;
   cfg.method.replay_budget.policy = policy;
   cfg.method.replay_sharding.shards = shards;
-  cfg.method.replay_stream = stream;
   cfg.method.replay_samples_per_epoch = 4;  // exercise the replay-draw rng
   cfg.method.importance_feedback = true;    // live feedback for the *_importance policies
   cfg.insertion_layer = 1;
@@ -118,7 +118,7 @@ SequentialRunConfig seq_run(ReplayPolicy policy, std::size_t shards, bool stream
 /// from one real entry so it tracks geometry/codec changes.
 std::size_t seq_budget() {
   static const std::size_t budget = [] {
-    const SequentialRunConfig run = seq_run(ReplayPolicy::kFifo, 1, false);
+    const SequentialRunConfig run = seq_run(ReplayPolicy::kFifo, 1);
     LatentReplayBuffer probe(run.method.storage_codec, run.method.cl_timesteps);
     const data::Dataset rescaled = data::time_rescale(
         seq_tasks().replay_subset, run.method.cl_timesteps, run.method.rescale);
@@ -151,8 +151,8 @@ bool seq_rows_identical(const std::vector<SequentialTaskRow>& a,
 }
 
 // ---------------------------------------------------------------------------
-// The bit-identity matrix: every eviction policy × shards {1, 4} ×
-// replay_stream {off, on}.  Each cell runs the stream three ways — full,
+// The bit-identity matrix: every eviction policy × shards {1, 4}.  Each
+// cell runs the stream three ways — full,
 // killed after task 1 (checkpoint forced), resumed from disk into a *blank*
 // network — and requires every row field, both cost totals, and every weight
 // to match the uninterrupted run exactly.
@@ -164,44 +164,41 @@ TEST(CheckpointResume, BitIdenticalAcrossPoliciesShardsAndStreaming) {
   std::size_t cell = 0;
   for (const ReplayPolicy policy : policies) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const bool stream : {false, true}) {
-        SCOPED_TRACE(std::string(to_string(policy)) + " shards=" +
-                     std::to_string(shards) + " stream=" + std::to_string(stream));
-        SequentialRunConfig cfg = seq_run(policy, shards, stream);
-        cfg.method.replay_budget.capacity_bytes = seq_budget();
+      SCOPED_TRACE(std::string(to_string(policy)) + " shards=" + std::to_string(shards));
+      SequentialRunConfig cfg = seq_run(policy, shards);
+      cfg.method.replay_budget.capacity_bytes = seq_budget();
 
-        snn::SnnNetwork ref_net = seq_base_net().clone();
-        const SequentialRunResult full = run_sequential(ref_net, seq_tasks(), cfg);
-        ASSERT_EQ(full.rows.size(), 2u);
+      snn::SnnNetwork ref_net = seq_base_net().clone();
+      const SequentialRunResult full = run_sequential(ref_net, seq_tasks(), cfg);
+      ASSERT_EQ(full.rows.size(), 2u);
 
-        const std::string path = temp_path("resume_" + std::to_string(cell++) + ".ckpt");
-        snn::SnnNetwork killed_net = seq_base_net().clone();
-        CheckpointOptions save_opts;
-        save_opts.save_path = path;
-        save_opts.stop_after_units = 1;
-        const SequentialRunResult partial =
-            run_sequential(killed_net, seq_tasks(), cfg, save_opts);
-        ASSERT_EQ(partial.rows.size(), 1u);
-        EXPECT_TRUE(seq_rows_identical(partial.rows, {full.rows.front()}));
+      const std::string path = temp_path("resume_" + std::to_string(cell++) + ".ckpt");
+      snn::SnnNetwork killed_net = seq_base_net().clone();
+      CheckpointOptions save_opts;
+      save_opts.save_path = path;
+      save_opts.stop_after_units = 1;
+      const SequentialRunResult partial =
+          run_sequential(killed_net, seq_tasks(), cfg, save_opts);
+      ASSERT_EQ(partial.rows.size(), 1u);
+      EXPECT_TRUE(seq_rows_identical(partial.rows, {full.rows.front()}));
 
-        snn::SnnNetwork resumed_net(seq_config().network);  // blank weights
-        CheckpointOptions resume_opts;
-        resume_opts.resume_path = path;
-        const SequentialRunResult resumed =
-            run_sequential(resumed_net, seq_tasks(), cfg, resume_opts);
+      snn::SnnNetwork resumed_net(seq_config().network);  // blank weights
+      CheckpointOptions resume_opts;
+      resume_opts.resume_path = path;
+      const SequentialRunResult resumed =
+          run_sequential(resumed_net, seq_tasks(), cfg, resume_opts);
 
-        EXPECT_TRUE(seq_rows_identical(resumed.rows, full.rows));
-        EXPECT_EQ(resumed.total_latency_ms, full.total_latency_ms);
-        EXPECT_EQ(resumed.total_energy_uj, full.total_energy_uj);
-        EXPECT_TRUE(weights_identical(resumed_net, ref_net));
-        std::filesystem::remove(path);
-      }
+      EXPECT_TRUE(seq_rows_identical(resumed.rows, full.rows));
+      EXPECT_EQ(resumed.total_latency_ms, full.total_latency_ms);
+      EXPECT_EQ(resumed.total_energy_uj, full.total_energy_uj);
+      EXPECT_TRUE(weights_identical(resumed_net, ref_net));
+      std::filesystem::remove(path);
     }
   }
 }
 
 TEST(CheckpointResume, DefaultOptionsMatchThreeArgForm) {
-  SequentialRunConfig cfg = seq_run(ReplayPolicy::kReservoir, 1, false);
+  SequentialRunConfig cfg = seq_run(ReplayPolicy::kReservoir, 1);
   snn::SnnNetwork a = seq_base_net().clone();
   snn::SnnNetwork b = seq_base_net().clone();
   const SequentialRunResult plain = run_sequential(a, seq_tasks(), cfg);
@@ -212,7 +209,7 @@ TEST(CheckpointResume, DefaultOptionsMatchThreeArgForm) {
 }
 
 TEST(CheckpointResume, CadenceSavesOnlyAtEveryKthUnitAndAtTheEnd) {
-  SequentialRunConfig cfg = seq_run(ReplayPolicy::kFifo, 1, false);
+  SequentialRunConfig cfg = seq_run(ReplayPolicy::kFifo, 1);
   const std::string path = temp_path("cadence.ckpt");
   snn::SnnNetwork net = seq_base_net().clone();
   CheckpointOptions opts;
@@ -382,7 +379,7 @@ TEST(CheckpointMismatch, RoundTripRestoresCarriedState) {
   EXPECT_EQ(ck.replay_rng, Rng(13).state());
 }
 
-TEST(CheckpointMismatch, KindPolicySeedAndStreamAllPinned) {
+TEST(CheckpointMismatch, KindPolicyAndSeedAllPinned) {
   CheckpointMeta m = tiny().meta;
   m.kind = CheckpointKind::kContinual;
   expect_load_error(m, "checkpoint mismatch: kind");
@@ -393,9 +390,6 @@ TEST(CheckpointMismatch, KindPolicySeedAndStreamAllPinned) {
   m.seed = 10;
   expect_load_error(m, "checkpoint mismatch: seed");
   m = tiny().meta;
-  m.replay_stream = true;
-  expect_load_error(m, "checkpoint mismatch: replay_stream");
-  m = tiny().meta;
   m.shards = 4;
   expect_load_error(m, "checkpoint mismatch: shards");
   m = tiny().meta;
@@ -404,6 +398,34 @@ TEST(CheckpointMismatch, KindPolicySeedAndStreamAllPinned) {
   m = tiny().meta;
   m.total_units = 7;
   expect_load_error(m, "checkpoint mismatch: total_units");
+}
+
+TEST(CheckpointMismatch, VersionOneFilesAreRejected) {
+  // Version 1 carried a replay_stream flag in META; this build reads 2.  The
+  // version word follows the 4-byte file tag.
+  std::vector<std::uint8_t> bytes = read_file(tiny().path);
+  ASSERT_GE(bytes.size(), 8u);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  ASSERT_EQ(version, 2u);
+  version = 1;
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));
+  const std::string old = temp_path("version1.ckpt");
+  write_file(old, bytes.data(), bytes.size());
+  snn::SnnNetwork net(tiny().net_config);
+  ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
+                             tiny().method.replay_budget.with_run_seed(9),
+                             tiny().method.replay_sharding);
+  try {
+    (void)load_checkpoint(old, tiny().meta, net, nullptr, engine);
+    FAIL() << "expected a version error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported checkpoint version 1 in " + old), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("(this build reads 2)"), std::string::npos) << what;
+  }
+  std::filesystem::remove(old);
 }
 
 TEST(CheckpointMismatch, OptimizerPresenceIsVerified) {
@@ -600,7 +622,7 @@ TEST(EngineSnapshot, RoundTripPreservesEntriesCountersAndImportance) {
   }
   // ...and so does all future stochastic behaviour (restored eviction rngs).
   Rng draw_a(31), draw_b(31);
-  EXPECT_EQ(engine.draw_indices(4, draw_a), loaded.draw_indices(4, draw_b));
+  EXPECT_EQ(engine.stream(4, draw_a).drawn(), loaded.stream(4, draw_b).drawn());
 }
 
 TEST(EngineSnapshot, ShardLayoutMismatchesArePinned) {

@@ -1,7 +1,7 @@
 // Hot-path bit-identity contracts: the event-driven forward must reproduce
 // the dense kernel bit for bit (outputs, caches AND SpikeOpStats), the
 // batch-parallel loops must make threads=N ≡ threads=1, the prefetched batch
-// pipeline must make prefetch=N ≡ prefetch=0 across the materialize/stream ×
+// pipeline must make prefetch=N ≡ prefetch=0 across the replay draw size ×
 // shards matrix, and the trainer/eval batch scratch must stay allocation-free
 // after the first minibatch.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "compress/aer.hpp"
 #include "core/experiment.hpp"
-#include "core/latent_buffer.hpp"
 #include "core/pretrain.hpp"
 #include "core/replay_stream.hpp"
 #include "core/sequential.hpp"
@@ -343,7 +342,7 @@ TEST(PrefetchIdentity, StreamedReplaySourceBitIdentical) {
   ncfg.num_classes = 4;
   ncfg.seed = 63;
   const snn::SnnNetwork base(ncfg);
-  core::LatentReplayBuffer buffer({.ratio = 2, .latent_bits = 2}, T);
+  core::ShardedReplayEngine buffer({.ratio = 2, .latent_bits = 2}, T);
   for (std::size_t i = 0; i < 24; ++i) {
     buffer.add(random_raster(T, C, 0.1, 1200 + i), static_cast<std::int32_t>(i % 4));
   }
@@ -370,26 +369,25 @@ TEST(PrefetchIdentity, StreamedReplaySourceBitIdentical) {
 TEST(PrefetchIdentity, SequentialEngineAcrossStreamAndShards) {
   const auto tasks = tiny_stream(2);
   const snn::SnnNetwork base = tiny_pretrained(tasks);
-  const auto run = [&](bool prefetch, bool stream, std::size_t shards,
+  const auto run = [&](bool prefetch, std::size_t draw, std::size_t shards,
                        std::vector<float>* weights) {
     snn::SnnNetwork net = base.clone();
     core::SequentialRunConfig cfg = tiny_run();
     cfg.method.prefetch = prefetch;
-    cfg.method.replay_stream = stream;
-    cfg.method.replay_samples_per_epoch = stream ? 4 : 0;
+    cfg.method.replay_samples_per_epoch = draw;
     cfg.method.replay_sharding.shards = shards;
     const auto result = core::run_sequential(net, tasks, cfg);
     *weights = all_weights(net);
     return result;
   };
   // prefetch=1 must be a pure overlap knob in every engine configuration:
-  // materialized and streamed replay, single-buffer and 4-shard stores.
-  for (const bool stream : {false, true}) {
+  // whole-store and 4-entry streamed draws, single-buffer and 4-shard stores.
+  for (const std::size_t draw : {std::size_t{0}, std::size_t{4}}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(testing::Message() << "stream=" << stream << " shards=" << shards);
+      SCOPED_TRACE(testing::Message() << "replay_samples=" << draw << " shards=" << shards);
       std::vector<float> w0, w1;
-      const auto r0 = run(false, stream, shards, &w0);
-      const auto r1 = run(true, stream, shards, &w1);
+      const auto r0 = run(false, draw, shards, &w0);
+      const auto r1 = run(true, draw, shards, &w1);
       EXPECT_TRUE(same_weights(w0, w1));
       expect_same_rows(r0, r1);
     }

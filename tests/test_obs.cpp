@@ -1,7 +1,7 @@
 // obs::MetricsRegistry: arm gating, histogram edge semantics, pinned
 // snapshot JSON shape, registry determinism across identical runs, the
-// enabled ≡ disabled bit-identity contract across policy × shards ×
-// replay_stream, a concurrent-increment hammer (the TSan obs lane filters on
+// enabled ≡ disabled bit-identity contract across policy × shards × engine
+// read (stream / sample_into), a concurrent-increment hammer (the TSan obs lane filters on
 // the ObsRegistryHammer name), and the declarative CLI knob table.
 #include <gtest/gtest.h>
 
@@ -58,8 +58,8 @@ constexpr core::ReplayPolicy kAllPolicies[] = {
     core::ReplayPolicy::kImportanceClassBalanced};
 
 /// One deterministic add/report/shrink/draw workload.  `use_stream` flips
-/// the read side between materialized sample() and the streaming cursor —
-/// the replay_stream axis of the bit-identity matrix.
+/// the read side between the draw decoded up front (sample_into) and the
+/// streaming cursor — the read axis of the bit-identity matrix.
 struct RunOutcome {
   data::Dataset final_state;
   data::Dataset drawn;
@@ -92,7 +92,7 @@ RunOutcome drive_engine(core::ReplayPolicy policy, std::size_t shards, bool use_
       out.drawn.push_back({s.raster, s.label});
     }
   } else {
-    out.drawn = eng.sample(4, draw_rng);
+    (void)eng.sample_into(4, draw_rng, out.drawn);
   }
   out.final_state = eng.materialize();
   out.evictions = eng.evictions();

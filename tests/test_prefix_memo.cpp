@@ -1,23 +1,29 @@
-// Reference identity for the frozen-prefix memo.
+// Reference identity for the frozen-prefix memo and the one replay read path.
 //
 // The run engines build one PackedLatentSet per input set per run: TS_cl once
 // per CL phase at the training blocking, each rescaled test set once per run
-// at the evaluation blocking.  The references below are the per-epoch engine
+// at the evaluation blocking.  Every epoch then streams its draw of A_LR
+// through a ReplayStream.  The references below are the per-epoch engine
 // loops they replaced, without the checkpoint handling: the frozen prefix
 // reruns over TS_cl every epoch (frozen_inference; run_sequential's
-// to_latents was the same function), and every evaluation rescales its test
+// to_latents was the same function), every evaluation rescales its test
 // sets again and runs the whole network from layer 0 (evaluate_tasks,
-// accuracy_at).  Both engines must equal them bit for bit — every row's loss,
+// accuracy_at), and A_LR is assembled one of the ways the engines used to
+// choose between: streamed, or decoded up front (sample_into for a capped or
+// fed-back draw, materialize for the whole store), with a local outcome
+// hook.  Both engines must equal them bit for bit — every row's loss,
 // accuracies, SpikeOpStats, modelled latency and energy, the final
 // accuracies, the latent bytes, the buffer evictions and the final weights —
-// over insertion {0..3} × fixed/adaptive θ × replay_stream × low_importance
-// feedback on/off × per-epoch draw all/4 × threads 1/4 (threads 4 also
-// prefetches, so a producer thread fetches from the run-long TS_cl set).
+// over insertion {0..3} × fixed/adaptive θ × reference assembly streamed/
+// decoded × low_importance feedback on/off × per-epoch draw all/4 × threads
+// 1/4 (threads 4 also prefetches, so a producer thread fetches from the
+// run-long TS_cl set).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -134,8 +140,21 @@ double accuracy_at(const snn::SnnNetwork& net, const data::Dataset& test,
   return snn::evaluate(net, rescaled, 0, method.policy());
 }
 
+/// The per-sample outcome hook of a CL epoch: training-set rows at or past
+/// `new_count` are replay rows, and each one's error goes to the entry it
+/// was drawn from.  `drawn` must outlive the hook.
+std::function<void(std::size_t, float)> outcome_hook(ShardedReplayEngine& store,
+                                                     const std::vector<std::size_t>& drawn,
+                                                     std::size_t new_count) {
+  return [&store, &drawn, new_count](std::size_t i, float error) {
+    if (i >= new_count) store.report_outcome(drawn[i - new_count], error);
+  };
+}
+
+/// `streamed` picks the reference's A_LR assembly: a ReplayStream, or the
+/// draw decoded up front.
 ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrementalTasks& tasks,
-                                const ClRunConfig& config) {
+                                const ClRunConfig& config, bool streamed) {
   const NclMethodConfig& method = config.method;
   if (method.threads > 0) set_num_threads(method.threads);
   const metrics::EnergyModel energy_model(config.energy_params);
@@ -187,7 +206,7 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
     opts.shuffle_seed = epoch_rng();
     opts.prefetch = method.prefetch ? 1 : 0;
     std::vector<snn::EpochRecord> history;
-    if (method.use_replay && method.replay_stream) {
+    if (method.use_replay && streamed) {
       // The per-epoch loop rebuilt this set every epoch, charging its prefix.
       PackedLatentSet latents(net, new_train_rescaled, config.insertion_layer, policy,
                               method.batch_size);
@@ -204,7 +223,7 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
         return i < n ? latents.fetch(i) : stream.fetch(i - n);
       };
       if (importance_feedback) {
-        opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
+        opts.sample_outcome = outcome_hook(buffer, stream.drawn(), new_count);
       }
       history = snn::train_supervised(net, source, optimizer, opts);
     } else {
@@ -217,12 +236,11 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
                                      ? method.replay_samples_per_epoch
                                      : buffer.size();
         drawn = buffer.sample_into(draw, replay_rng, mixed, &row.stats);
-        opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
+        opts.sample_outcome = outcome_hook(buffer, drawn, new_count);
+      } else if (method.use_replay && method.replay_samples_per_epoch > 0) {
+        (void)buffer.sample_into(method.replay_samples_per_epoch, replay_rng, mixed, &row.stats);
       } else if (method.use_replay) {
-        data::Dataset replay =
-            method.replay_samples_per_epoch > 0
-                ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &row.stats)
-                : buffer.materialize(&row.stats);
+        data::Dataset replay = buffer.materialize(&row.stats);
         mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
                      std::make_move_iterator(replay.end()));
       }
@@ -244,8 +262,10 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
   return result;
 }
 
+/// As reference_continual; a method without replay stores, draws and
+/// records nothing.
 SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
-                                         const SequentialRunConfig& config) {
+                                         const SequentialRunConfig& config, bool streamed) {
   const NclMethodConfig& method = config.method;
   if (method.threads > 0) set_num_threads(method.threads);
   const metrics::EnergyModel energy_model(config.energy_params);
@@ -262,7 +282,7 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
                              method.replay_sharding);
   Rng seed_rng(config.seed);
   Rng replay_rng(config.seed ^ kReplayDrawSeedSalt);
-  {
+  if (method.use_replay) {
     snn::SpikeOpStats prep_stats;
     const data::Dataset rescaled =
         data::time_rescale(tasks.replay_subset, method.cl_timesteps, method.rescale);
@@ -274,8 +294,8 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
     result.total_energy_uj += energy_model.energy_uj(prep_stats);
   }
 
-  const bool importance_feedback =
-      method.importance_feedback && is_importance_policy(method.replay_budget.policy);
+  const bool importance_feedback = method.use_replay && method.importance_feedback &&
+                                   is_importance_policy(method.replay_budget.policy);
   for (std::size_t task = 0; task < tasks.task_classes.size(); ++task) {
     SequentialTaskRow row;
     row.task_index = task;
@@ -298,7 +318,7 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
       opts.shuffle_seed = seed_rng();
       opts.prefetch = method.prefetch ? 1 : 0;
       std::vector<snn::EpochRecord> history;
-      if (method.replay_stream) {
+      if (method.use_replay && streamed) {
         // The per-epoch loop rebuilt this set every epoch, charging its prefix.
         PackedLatentSet latents(net, new_rescaled, config.insertion_layer, policy,
                                 method.batch_size);
@@ -315,7 +335,7 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
           return i < n ? latents.fetch(i) : stream.fetch(i - n);
         };
         if (importance_feedback) {
-          opts.sample_outcome = buffer.outcome_hook(stream.drawn(), new_count);
+          opts.sample_outcome = outcome_hook(buffer, stream.drawn(), new_count);
         }
         history = snn::train_supervised(net, source, optimizer, opts);
       } else {
@@ -328,12 +348,12 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
                                        ? method.replay_samples_per_epoch
                                        : buffer.size();
           drawn = buffer.sample_into(draw, replay_rng, mixed, &task_stats);
-          opts.sample_outcome = buffer.outcome_hook(drawn, new_count);
-        } else {
-          data::Dataset replay =
-              method.replay_samples_per_epoch > 0
-                  ? buffer.sample(method.replay_samples_per_epoch, replay_rng, &task_stats)
-                  : buffer.materialize(&task_stats);
+          opts.sample_outcome = outcome_hook(buffer, drawn, new_count);
+        } else if (method.use_replay && method.replay_samples_per_epoch > 0) {
+          (void)buffer.sample_into(method.replay_samples_per_epoch, replay_rng, mixed,
+                                   &task_stats);
+        } else if (method.use_replay) {
+          data::Dataset replay = buffer.materialize(&task_stats);
           mixed.insert(mixed.end(), std::make_move_iterator(replay.begin()),
                        std::make_move_iterator(replay.end()));
         }
@@ -341,7 +361,7 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
       }
       task_stats.add(history.front().stats);
     }
-    {
+    if (method.use_replay) {
       data::Dataset keep = data::take_per_class(
           new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
           config.replay_per_new_class);
@@ -445,8 +465,9 @@ void expect_same_result(const SequentialRunResult& got, const SequentialRunResul
 
 // -- the matrix ---------------------------------------------------------------------
 
-/// insertion, adaptive θ, replay_stream, low_importance feedback, per-epoch
-/// draw (0 = the whole buffer), threads.
+/// insertion, adaptive θ, the reference's A_LR assembly (true = streamed,
+/// false = decoded up front), low_importance feedback, per-epoch draw (0 =
+/// the whole buffer), threads.
 using MemoCase = std::tuple<std::size_t, bool, bool, bool, std::size_t, int>;
 
 /// Stored bytes of one latent entry at `insertion` under `method`'s codec.
@@ -459,14 +480,13 @@ std::size_t entry_bytes(const NclMethodConfig& method, std::size_t insertion) {
 }
 
 NclMethodConfig case_method(const MemoCase& c) {
-  const auto [insertion, adaptive, stream, feedback, draw, threads] = c;
+  const auto [insertion, adaptive, streamed, feedback, draw, threads] = c;
   NclMethodConfig m = NclMethodConfig::replay4ncl(10);
   m.batch_size = 6;
   m.adaptive_threshold = adaptive;
   // θ then adapts at every timestep to the spikes of the whole block, so the
   // latents, and the scores, depend on the blocking.
   m.adjust_interval = 1;
-  m.replay_stream = stream;
   m.replay_budget.policy = ReplayPolicy::kLowImportance;
   m.importance_feedback = feedback;
   m.replay_samples_per_epoch = draw;
@@ -492,7 +512,8 @@ TEST_P(PrefixMemoIdentity, ContinualMatchesPerEpochReference) {
   snn::SnnNetwork net = scenario().net.clone();
   snn::SnnNetwork ref_net = scenario().net.clone();
   const ClRunResult got = run_continual_learning(net, scenario().tasks, cfg);
-  const ClRunResult ref = reference_continual(ref_net, scenario().tasks, cfg);
+  const ClRunResult ref =
+      reference_continual(ref_net, scenario().tasks, cfg, std::get<2>(GetParam()));
   expect_same_result(got, ref);
   expect_same_weights(net, ref_net);
 }
@@ -509,7 +530,8 @@ TEST_P(PrefixMemoIdentity, SequentialMatchesPerEpochReference) {
   snn::SnnNetwork net = scenario().net.clone();
   snn::SnnNetwork ref_net = scenario().net.clone();
   const SequentialRunResult got = run_sequential(net, stream_tasks(), cfg);
-  const SequentialRunResult ref = reference_sequential(ref_net, stream_tasks(), cfg);
+  const SequentialRunResult ref =
+      reference_sequential(ref_net, stream_tasks(), cfg, std::get<2>(GetParam()));
   ASSERT_GT(got.rows.back().buffer_evictions, 0u);
   expect_same_result(got, ref);
   expect_same_weights(net, ref_net);
@@ -540,7 +562,25 @@ TEST(PrefixMemoIdentityNoReplay, ContinualMatchesPerEpochReference) {
     snn::SnnNetwork net = scenario().net.clone();
     snn::SnnNetwork ref_net = scenario().net.clone();
     const ClRunResult got = run_continual_learning(net, scenario().tasks, cfg);
-    const ClRunResult ref = reference_continual(ref_net, scenario().tasks, cfg);
+    const ClRunResult ref = reference_continual(ref_net, scenario().tasks, cfg, true);
+    SCOPED_TRACE("insertion " + std::to_string(insertion));
+    expect_same_result(got, ref);
+    expect_same_weights(net, ref_net);
+  }
+}
+
+TEST(PrefixMemoIdentityNoReplay, SequentialMatchesPerEpochReference) {
+  for (std::size_t insertion = 0; insertion <= 3; ++insertion) {
+    SequentialRunConfig cfg;
+    cfg.method = NclMethodConfig::naive_baseline();
+    cfg.method.cl_timesteps = 20;
+    cfg.method.batch_size = 6;
+    cfg.insertion_layer = insertion;
+    cfg.epochs_per_task = 2;
+    snn::SnnNetwork net = scenario().net.clone();
+    snn::SnnNetwork ref_net = scenario().net.clone();
+    const SequentialRunResult got = run_sequential(net, stream_tasks(), cfg);
+    const SequentialRunResult ref = reference_sequential(ref_net, stream_tasks(), cfg, true);
     SCOPED_TRACE("insertion " + std::to_string(insertion));
     expect_same_result(got, ref);
     expect_same_weights(net, ref_net);

@@ -13,6 +13,7 @@
 
 #include "core/pretrain.hpp"
 #include "core/sequential.hpp"
+#include "core/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
@@ -211,18 +212,19 @@ TEST(QuantizedLatents, StoredBytesShrinkProportionallyWithDepth) {
 }
 
 TEST(QuantizedLatents, QuantizedSampleChargesDecompressBitsProportionally) {
-  // sample(k) must charge exactly k/n of materialize()'s codec work, and a
-  // 4-bit buffer must charge half the bits of the 8-bit one.
+  // A k-entry draw must charge exactly k/n of materialize()'s codec work, and
+  // a 4-bit store must charge half the bits of the 8-bit one.
   auto charge = [](std::uint8_t bits, std::size_t draw) {
     const compress::CodecConfig cfg{.ratio = 1, .latent_bits = bits};
-    LatentReplayBuffer buf(cfg, 12);
+    ShardedReplayEngine buf(cfg, 12);
     for (int i = 0; i < 10; ++i) buf.add(random_raster(12, 48, 0.3, 700 + i), i);
     snn::SpikeOpStats stats;
     if (draw == 0) {
       (void)buf.materialize(&stats);
     } else {
       Rng rng(5);
-      (void)buf.sample(draw, rng, &stats);
+      data::Dataset out;
+      (void)buf.sample_into(draw, rng, out, &stats);
     }
     return stats.decompress_bits;
   };

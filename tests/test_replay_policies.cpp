@@ -8,6 +8,7 @@
 
 #include "core/pretrain.hpp"
 #include "core/sequential.hpp"
+#include "core/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
@@ -152,22 +153,31 @@ TEST(ReplayPolicy, ClassBalancedConvergesToEqualCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// sample(): draw statistics and decompression accounting
+// The per-epoch draw (the run engines' single-shard store): draw statistics
+// and decompression accounting
 // ---------------------------------------------------------------------------
 
+/// sample_into() into a fresh dataset: the draw decoded up front.
+data::Dataset sample(const ShardedReplayEngine& store, std::size_t k, Rng& rng,
+                     snn::SpikeOpStats* stats = nullptr) {
+  data::Dataset out;
+  (void)store.sample_into(k, rng, out, stats);
+  return out;
+}
+
 TEST(ReplayPolicy, SampleDrawsDistinctEntriesAndFallsBackToMaterialize) {
-  LatentReplayBuffer buf({.ratio = 1}, 8);
+  ShardedReplayEngine buf({.ratio = 1}, 8);
   for (int i = 0; i < 10; ++i) buf.add(random_raster(8, 16, 0.3, 300 + i), i);
   Rng rng(99);
-  const data::Dataset drawn = buf.sample(4, rng);
+  const data::Dataset drawn = sample(buf, 4, rng);
   ASSERT_EQ(drawn.size(), 4u);
   std::vector<std::int32_t> labels;
   for (const auto& s : drawn) labels.push_back(s.label);
   std::sort(labels.begin(), labels.end());
   EXPECT_EQ(std::adjacent_find(labels.begin(), labels.end()), labels.end())
-      << "sample() must draw without replacement";
+      << "the draw must be without replacement";
   // k >= size degenerates to the full buffer in storage order.
-  const data::Dataset all = buf.sample(10, rng);
+  const data::Dataset all = sample(buf, 10, rng);
   const data::Dataset full = buf.materialize();
   ASSERT_EQ(all.size(), full.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -177,24 +187,24 @@ TEST(ReplayPolicy, SampleDrawsDistinctEntriesAndFallsBackToMaterialize) {
 }
 
 TEST(ReplayPolicy, SampleChargesDecompressBitsProportionally) {
-  LatentReplayBuffer buf({.ratio = 2}, 20);
+  ShardedReplayEngine buf({.ratio = 2}, 20);
   for (int i = 0; i < 10; ++i) buf.add(random_raster(20, 16, 0.3, 400 + i), i);
   snn::SpikeOpStats full_stats, sample_stats;
   (void)buf.materialize(&full_stats);
   Rng rng(7);
-  (void)buf.sample(3, rng, &sample_stats);
+  (void)sample(buf, 3, rng, &sample_stats);
   ASSERT_GT(full_stats.decompress_bits, 0u);
   // Equal-geometry entries: 3 of 10 drawn => exactly 3/10 of the codec work.
   EXPECT_EQ(sample_stats.decompress_bits * 10, full_stats.decompress_bits * 3);
 }
 
 TEST(ReplayPolicy, SampleCoversEveryEntryOverManyDraws) {
-  LatentReplayBuffer buf({.ratio = 1}, 4);
+  ShardedReplayEngine buf({.ratio = 1}, 4);
   for (int i = 0; i < 12; ++i) buf.add(random_raster(4, 8, 0.3, 500 + i), i);
   Rng rng(11);
   std::vector<int> seen(12, 0);
   for (int draw = 0; draw < 60; ++draw) {
-    for (const auto& s : buf.sample(3, rng)) seen[static_cast<std::size_t>(s.label)] += 1;
+    for (const auto& s : sample(buf, 3, rng)) seen[static_cast<std::size_t>(s.label)] += 1;
   }
   EXPECT_GT(*std::min_element(seen.begin(), seen.end()), 0)
       << "some entry was never sampled in 60 draws of 3/12";
@@ -358,7 +368,7 @@ TEST(BudgetedSequentialRun, TenTaskStreamHoldsThreeTaskBudget) {
 }
 
 TEST(BudgetedSequentialRun, SampledReplayMatchesMaterializeAccuracy) {
-  // sample(k) replaces the full materialize() on the per-epoch hot path;
+  // A k-entry draw replaces the whole store on the per-epoch hot path;
   // training outcomes must be statistically indistinguishable, and the
   // sampled run must not cost more (it decompresses and trains on less).
   const PretrainConfig pc = small_config();

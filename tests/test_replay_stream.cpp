@@ -1,9 +1,10 @@
-// Streaming minibatch replay: ReplayStream-vs-sample() equivalence (entry
-// sets, rng stream, decompress_bits), scratch-pool memory bounds, engine
-// equivalence (replay_stream=1 reproduces the materialized run bit for bit),
-// the index-ring eviction regression (ring buffer == the historical
-// vector-erase semantics across every policy), and the CLI hardening fixes
-// (negative values, unknown keys) with their messages pinned.
+// Streaming minibatch replay: ReplayStream-vs-sample_into() equivalence on
+// the run engines' single-shard store (entry sets, rng stream,
+// decompress_bits), scratch-pool memory bounds, the index-ring eviction
+// regression (ring buffer == the historical vector-erase semantics across
+// every policy), and the CLI hardening fixes (negative values, unknown keys)
+// with their messages pinned.  That the run engines' streamed epochs equal a
+// materialized assembly is pinned by tests/test_prefix_memo.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/pretrain.hpp"
 #include "core/replay_stream.hpp"
-#include "core/sequential.hpp"
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
@@ -26,14 +25,23 @@ data::SpikeRaster random_raster(std::size_t T, std::size_t C, double p, std::uin
   return r;
 }
 
-/// Buffer with `n` random entries, label i % 5.
-LatentReplayBuffer filled_buffer(const compress::CodecConfig& codec, std::size_t n,
+/// Single-shard store (the run engines' default) with `n` random entries,
+/// label i % 5.
+ShardedReplayEngine filled_store(const compress::CodecConfig& codec, std::size_t n,
                                  std::size_t T = 8, std::size_t C = 24) {
-  LatentReplayBuffer buffer(codec, T);
+  ShardedReplayEngine store(codec, T);
   for (std::size_t i = 0; i < n; ++i) {
-    buffer.add(random_raster(T, C, 0.25, 100 + i), static_cast<std::int32_t>(i % 5));
+    store.add(random_raster(T, C, 0.25, 100 + i), static_cast<std::int32_t>(i % 5));
   }
-  return buffer;
+  return store;
+}
+
+/// sample_into() into a fresh dataset: the draw decoded up front.
+data::Dataset decode_draw(const ShardedReplayEngine& store, std::size_t k, Rng& rng,
+                          snn::SpikeOpStats* stats = nullptr) {
+  data::Dataset out;
+  (void)store.sample_into(k, rng, out, stats);
+  return out;
 }
 
 void expect_same_samples(const data::Dataset& a, const std::vector<data::Sample>& b) {
@@ -45,19 +53,19 @@ void expect_same_samples(const data::Dataset& a, const std::vector<data::Sample>
 }
 
 // ---------------------------------------------------------------------------
-// Stream vs sample(): identical draws, rng stream, and cost accounting
+// Stream vs sample_into(): identical draws, rng stream, and cost accounting
 // ---------------------------------------------------------------------------
 
 TEST(ReplayStream, CursorYieldsSampleEntrySetInOrder) {
   for (const std::uint8_t bits : {std::uint8_t{0}, std::uint8_t{2}}) {
     compress::CodecConfig codec{.ratio = 2, .latent_bits = bits};
-    const LatentReplayBuffer buffer = filled_buffer(codec, 20);
+    const ShardedReplayEngine store = filled_store(codec, 20);
     Rng rng_sample(42);
     Rng rng_stream(42);
     snn::SpikeOpStats stats_sample;
     snn::SpikeOpStats stats_stream;
-    const data::Dataset drawn = buffer.sample(7, rng_sample, &stats_sample);
-    ReplayStream stream = buffer.stream(7, rng_stream, 3, &stats_stream);
+    const data::Dataset drawn = decode_draw(store, 7, rng_sample, &stats_sample);
+    ReplayStream stream = store.stream(7, rng_stream, 3, &stats_stream);
     std::vector<data::Sample> streamed;
     while (!stream.done()) {
       for (const data::Sample& s : stream.next()) streamed.push_back(s);
@@ -65,18 +73,18 @@ TEST(ReplayStream, CursorYieldsSampleEntrySetInOrder) {
     expect_same_samples(drawn, streamed);
     EXPECT_EQ(stats_sample.decompress_bits, stats_stream.decompress_bits)
         << "bits " << int(bits);
-    // Both paths must leave the shared replay Rng in the same state, or a
-    // replay_stream toggle would desynchronize every later epoch.
+    // Both paths must leave the shared replay Rng in the same state, or the
+    // streamed epochs would desynchronize from a decoded-up-front reference.
     EXPECT_EQ(rng_sample(), rng_stream());
   }
 }
 
 TEST(ReplayStream, FetchRandomAccessMatchesSample) {
-  const LatentReplayBuffer buffer = filled_buffer({.ratio = 1, .latent_bits = 4}, 16);
+  const ShardedReplayEngine store = filled_store({.ratio = 1, .latent_bits = 4}, 16);
   Rng rng_sample(9);
   Rng rng_stream(9);
-  const data::Dataset drawn = buffer.sample(5, rng_sample);
-  ReplayStream stream = buffer.stream(5, rng_stream, 2);
+  const data::Dataset drawn = decode_draw(store, 5, rng_sample);
+  ReplayStream stream = store.stream(5, rng_stream, 2);
   // Out-of-order fetches (the shuffled-trainer access pattern).
   for (const std::size_t i : {std::size_t{4}, std::size_t{0}, std::size_t{2},
                               std::size_t{1}, std::size_t{3}}) {
@@ -88,26 +96,31 @@ TEST(ReplayStream, FetchRandomAccessMatchesSample) {
 }
 
 TEST(ReplayStream, WholeBufferDrawKeepsOrderAndConsumesNoRng) {
-  const LatentReplayBuffer buffer = filled_buffer({.ratio = 1}, 6);
+  // A quantized codec, so the decompress_bits charge is non-zero.
+  const ShardedReplayEngine store = filled_store({.ratio = 2, .latent_bits = 2}, 6);
   Rng rng(31);
   Rng untouched(31);
-  ReplayStream stream = buffer.stream(buffer.size(), rng, 4);
-  const data::Dataset all = buffer.materialize();
+  snn::SpikeOpStats stream_stats;
+  snn::SpikeOpStats full_stats;
+  ReplayStream stream = store.stream(store.size(), rng, 4, &stream_stats);
+  const data::Dataset all = store.materialize(&full_stats);
   std::vector<data::Sample> streamed;
   while (!stream.done()) {
     for (const data::Sample& s : stream.next()) streamed.push_back(s);
   }
   expect_same_samples(all, streamed);
   EXPECT_EQ(rng(), untouched()) << "materialize-equivalent draw must not consume rng";
+  ASSERT_GT(full_stats.decompress_bits, 0u);
+  EXPECT_EQ(stream_stats.decompress_bits, full_stats.decompress_bits);
 }
 
 TEST(ReplayStream, PeakAssemblyBytesBoundedByMinibatch) {
   const std::size_t T = 8;
   const std::size_t C = 24;
-  const LatentReplayBuffer buffer = filled_buffer({.ratio = 2}, 30, T, C);
+  const ShardedReplayEngine store = filled_store({.ratio = 2}, 30, T, C);
   const std::size_t raster_bytes = T * C;
   Rng rng(5);
-  ReplayStream stream = buffer.stream(24, rng, 4);
+  ReplayStream stream = store.stream(24, rng, 4);
   while (!stream.done()) (void)stream.next();
   EXPECT_EQ(stream.decoded(), 24u);
   EXPECT_GE(stream.peak_assembly_bytes(), 4 * raster_bytes);
@@ -116,26 +129,37 @@ TEST(ReplayStream, PeakAssemblyBytesBoundedByMinibatch) {
 }
 
 TEST(ReplayStream, EmptyBufferStreamsNothing) {
-  const LatentReplayBuffer buffer({.ratio = 1}, 8);
-  Rng rng(1);
-  ReplayStream stream = buffer.stream(0, rng, 4);
-  EXPECT_TRUE(stream.empty());
-  EXPECT_TRUE(stream.done());
-  EXPECT_TRUE(stream.next().empty());
+  // Also the store of a method without replay, whose capped epochs draw 4.
+  const ShardedReplayEngine store({.ratio = 1}, 8);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{4}}) {
+    Rng rng(1);
+    Rng untouched(1);
+    ReplayStream stream = store.stream(k, rng, 4);
+    EXPECT_TRUE(stream.empty());
+    EXPECT_TRUE(stream.done());
+    EXPECT_TRUE(stream.next().empty());
+    EXPECT_EQ(rng(), untouched()) << "k=" << k;
+  }
 }
 
 TEST(ReplayStream, DrawIndicesMatchesSampleContract) {
-  const LatentReplayBuffer buffer = filled_buffer({.ratio = 1}, 10);
+  const ShardedReplayEngine store = filled_store({.ratio = 1}, 10);
   // k >= size: identity order, no rng consumption.
   Rng rng_a(3);
   Rng rng_b(3);
-  const auto all = buffer.draw_indices(10, rng_a);
+  const std::vector<std::size_t> all = store.stream(10, rng_a).drawn();
   EXPECT_EQ(all.size(), 10u);
   for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i);
   EXPECT_EQ(rng_a(), rng_b());
-  // k < size: distinct, in range, exactly k rng draws.
+  // k < size: distinct, in range, and the same indices sample_into() decodes
+  // from the same Rng.
   Rng rng_c(3);
-  const auto some = buffer.draw_indices(4, rng_c);
+  Rng rng_d(3);
+  const std::vector<std::size_t> some = store.stream(4, rng_c).drawn();
+  data::Dataset decoded;
+  EXPECT_EQ(store.sample_into(4, rng_d, decoded), some);
+  EXPECT_EQ(decoded.size(), 4u);
+  EXPECT_EQ(rng_c(), rng_d());
   EXPECT_EQ(some.size(), 4u);
   auto sorted = some;
   std::sort(sorted.begin(), sorted.end());
@@ -269,115 +293,6 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, RingEvictionRegression,
                          [](const auto& p) { return std::string(to_string(p.param)); });
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: replay_stream=1 reproduces the materialized run
-// ---------------------------------------------------------------------------
-
-PretrainConfig tiny_config() {
-  PretrainConfig cfg;
-  cfg.network.layer_sizes = {64, 32, 16, 8};
-  cfg.network.num_classes = 6;
-  cfg.network.seed = 21;
-  cfg.data_params.channels = 64;
-  cfg.data_params.classes = 6;
-  cfg.data_params.timesteps = 20;
-  cfg.data_params.ridge_width = 5.0;
-  cfg.data_params.position_pool = 8;
-  cfg.data_params.background_rate = 0.004;
-  cfg.data_params.rate_jitter = 0.08;
-  cfg.data_params.channel_jitter = 1.5;
-  cfg.data_params.time_jitter = 1.0;
-  cfg.data_params.seed = 23;
-  cfg.split.train_per_class = 10;
-  cfg.split.test_per_class = 4;
-  cfg.split.replay_per_class = 3;
-  cfg.split.seed = 29;
-  cfg.epochs = 12;
-  cfg.batch_size = 8;
-  return cfg;
-}
-
-SequentialRunResult run_tiny_stream(bool streamed, std::size_t replay_samples) {
-  const PretrainConfig pc = tiny_config();
-  const data::SyntheticShdGenerator generator(pc.data_params);
-  const data::SequentialTasks tasks = data::build_sequential_tasks(generator, pc.split, 2);
-  snn::SnnNetwork net(pc.network);
-  {
-    snn::AdamOptimizer opt;
-    snn::TrainOptions opts;
-    opts.epochs = pc.epochs;
-    opts.batch_size = pc.batch_size;
-    (void)snn::train_supervised(net, tasks.pretrain_train, opt, opts);
-  }
-  SequentialRunConfig run;
-  run.method = NclMethodConfig::replay4ncl(10);
-  run.method.lr_cl = 5e-4f;
-  run.method.batch_size = 8;
-  run.method.replay_samples_per_epoch = replay_samples;
-  run.method.replay_stream = streamed;
-  run.insertion_layer = 1;
-  run.epochs_per_task = 3;
-  run.replay_per_new_class = 3;
-  run.seed = 77;
-  return run_sequential(net, tasks, run);
-}
-
-TEST(ReplayStream, SequentialRunBitIdenticalToMaterializedRun) {
-  // Both the sampled draw (k > 0) and the full-buffer draw (k = 0): the
-  // streamed engine path must reproduce accuracies, buffer accounting, and
-  // modelled cost exactly — same Rng stream, same training batches.
-  for (const std::size_t replay_samples : {std::size_t{5}, std::size_t{0}}) {
-    const SequentialRunResult a = run_tiny_stream(false, replay_samples);
-    const SequentialRunResult b = run_tiny_stream(true, replay_samples);
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (std::size_t i = 0; i < a.rows.size(); ++i) {
-      EXPECT_EQ(a.rows[i].acc_base, b.rows[i].acc_base) << "task " << i;
-      EXPECT_EQ(a.rows[i].acc_learned, b.rows[i].acc_learned) << "task " << i;
-      EXPECT_EQ(a.rows[i].acc_current, b.rows[i].acc_current) << "task " << i;
-      EXPECT_EQ(a.rows[i].latent_memory_bytes, b.rows[i].latent_memory_bytes);
-      EXPECT_EQ(a.rows[i].buffer_entries, b.rows[i].buffer_entries);
-      EXPECT_EQ(a.rows[i].buffer_evictions, b.rows[i].buffer_evictions);
-      EXPECT_EQ(a.rows[i].latency_ms, b.rows[i].latency_ms) << "task " << i;
-      EXPECT_EQ(a.rows[i].energy_uj, b.rows[i].energy_uj) << "task " << i;
-    }
-    EXPECT_EQ(a.total_latency_ms, b.total_latency_ms);
-    EXPECT_EQ(a.total_energy_uj, b.total_energy_uj);
-  }
-}
-
-TEST(ReplayStream, ContinualRunBitIdenticalToMaterializedRun) {
-  // Same check for the single-task engine (run_continual_learning).
-  PretrainConfig pc = tiny_config();
-  pc.split.new_class = 5;
-  static const PretrainedScenario scenario =
-      make_pretrained_scenario(pc, ::testing::TempDir(), true);
-  const auto run_once = [&](bool streamed) {
-    snn::SnnNetwork net = scenario.net.clone();
-    ClRunConfig cfg;
-    cfg.method = NclMethodConfig::replay4ncl(10);
-    cfg.method.batch_size = 8;
-    cfg.method.replay_samples_per_epoch = 4;
-    cfg.method.replay_stream = streamed;
-    cfg.insertion_layer = 2;
-    cfg.epochs = 4;
-    cfg.seed = 99;
-    return run_continual_learning(net, scenario.tasks, cfg);
-  };
-  const ClRunResult a = run_once(false);
-  const ClRunResult b = run_once(true);
-  EXPECT_EQ(a.final_acc_old, b.final_acc_old);
-  EXPECT_EQ(a.final_acc_new, b.final_acc_new);
-  EXPECT_EQ(a.latent_memory_bytes, b.latent_memory_bytes);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].loss, b.rows[i].loss) << "epoch " << i;
-    EXPECT_EQ(a.rows[i].acc_old, b.rows[i].acc_old) << "epoch " << i;
-    EXPECT_EQ(a.rows[i].acc_new, b.rows[i].acc_new) << "epoch " << i;
-    EXPECT_EQ(a.rows[i].latency_ms, b.rows[i].latency_ms) << "epoch " << i;
-    EXPECT_EQ(a.rows[i].energy_uj, b.rows[i].energy_uj) << "epoch " << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // CLI hardening: negative values and unknown keys fail loudly
 // ---------------------------------------------------------------------------
 
@@ -411,15 +326,6 @@ TEST(ReplayCliOverrides, NegativeReplaySamplesThrowsInsteadOfWrapping) {
   }
 }
 
-TEST(ReplayCliOverrides, ReplayStreamKnobParses) {
-  Config cfg;
-  cfg.set("replay_stream", "1");
-  NclMethodConfig method = NclMethodConfig::replay4ncl();
-  EXPECT_FALSE(method.replay_stream);
-  apply_replay_overrides(method, cfg);
-  EXPECT_TRUE(method.replay_stream);
-}
-
 TEST(ReplayCliOverrides, UnknownKeyIsRejectedWithValidList) {
   Config cfg;
   cfg.set("latentbits", "4");  // typo for latent_bits
@@ -430,7 +336,7 @@ TEST(ReplayCliOverrides, UnknownKeyIsRejectedWithValidList) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown config key 'latentbits'"), std::string::npos) << what;
     EXPECT_NE(what.find("latent_bits"), std::string::npos) << what;
-    EXPECT_NE(what.find("replay_stream"), std::string::npos) << what;
+    EXPECT_NE(what.find("replay_samples"), std::string::npos) << what;
   }
 }
 

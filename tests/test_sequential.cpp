@@ -127,6 +127,24 @@ TEST(SequentialRun, InsertionZeroStoresRawInputLatents) {
   EXPECT_GT(res.rows.back().latent_memory_bytes, res1.rows.back().latent_memory_bytes);
 }
 
+TEST(SequentialRun, MethodWithoutReplayStoresNothing) {
+  // naive_baseline() turns replay off: no preparation, no per-epoch draw and
+  // no recording of the learned classes, so the store stays empty.
+  const auto tasks = make_stream(2);
+  snn::SnnNetwork net = pretrained_on_base(tasks);
+  SequentialRunConfig cfg = stream_run();
+  cfg.method = NclMethodConfig::naive_baseline();
+  cfg.method.cl_timesteps = 12;
+  cfg.method.batch_size = 8;
+  cfg.epochs_per_task = 2;
+  const SequentialRunResult res = run_sequential(net, tasks, cfg);
+  ASSERT_EQ(res.rows.size(), 2u);
+  for (const auto& row : res.rows) {
+    EXPECT_EQ(row.buffer_entries, 0u) << "task " << row.task_index;
+    EXPECT_EQ(row.latent_memory_bytes, 0u) << "task " << row.task_index;
+  }
+}
+
 TEST(SequentialRun, RejectsBadConfig) {
   const auto tasks = make_stream(1);
   snn::SnnNetwork net = pretrained_on_base(tasks);

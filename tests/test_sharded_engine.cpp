@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/replay_stream.hpp"
 #include "core/sharded_engine.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
@@ -85,38 +84,6 @@ TEST(ShardedEngine, SingleShardBitIdenticalAcrossAllPolicies) {
           << to_string(policy) << " entry " << i;
     }
   }
-}
-
-TEST(ShardedEngine, SingleShardDrawAndStreamMatchBuffer) {
-  const ReplayBufferConfig budget{.seed = 0xabcdULL};
-  LatentReplayBuffer buf({.ratio = 1}, 8, budget);
-  ShardedReplayEngine eng({.ratio = 1}, 8, budget, {.shards = 1});
-  for (int i = 0; i < 40; ++i) {
-    const data::SpikeRaster r = random_raster(8, 16, 0.3, 9000 + i);
-    buf.add(r, i % 4);
-    eng.add(r, i % 4);
-  }
-  // Identical Rng state → identical draw (partial Fisher–Yates consumption)
-  // and identical sample sets, both for k < n and the k >= n fallback.
-  for (const std::size_t k : {7u, 40u, 64u}) {
-    Rng ra(42), rb(42);
-    EXPECT_EQ(buf.draw_indices(k, ra), eng.draw_indices(k, rb)) << "k=" << k;
-  }
-  Rng ra(43), rb(43);
-  ReplayStream sa = buf.stream(10, ra, 4);
-  ReplayStream sb = eng.stream(10, rb, 4);
-  ASSERT_EQ(sa.drawn(), sb.drawn());
-  while (!sa.done()) {
-    const auto batch_a = sa.next();
-    const auto batch_b = sb.next();
-    ASSERT_EQ(batch_a.size(), batch_b.size());
-    for (std::size_t i = 0; i < batch_a.size(); ++i) {
-      EXPECT_EQ(batch_a[i].raster, batch_b[i].raster);
-      EXPECT_EQ(batch_a[i].label, batch_b[i].label);
-    }
-  }
-  EXPECT_TRUE(sb.done());
-  EXPECT_EQ(sa.peak_assembly_bytes(), sb.peak_assembly_bytes());
 }
 
 // ---------------------------------------------------------------------------
