@@ -1,13 +1,12 @@
-// SNN hot-path latency: event-driven forward vs the dense kernel baseline,
-// batch-parallel training across thread counts, and prefetched (double
-// buffered) batch assembly vs blocking decode — with the bit-identity
-// contracts of all three knobs enforced as self-checks.
+// SNN hot-path latency: event-driven forward vs the dense kernel reference
+// and batch-parallel training across thread counts — with the bit-identity
+// contracts of both enforced as self-checks.
 //
 // Row modes:
 //   forward        — RecurrentLifLayer::forward at a given input density with
 //                    the dense cube already in hand: wall_ms is the
-//                    event-driven path (SparseForward::kAuto), ref_ms the
-//                    dense baseline (kNever), speedup the ratio.  `identical`
+//                    event-driven path (forward), ref_ms the dense reference
+//                    (forward_dense), speedup the ratio.  `identical`
 //                    asserts bitwise-equal output cubes AND equal
 //                    SpikeOpStats (the sparse path derives synops from the
 //                    event list; the dense path count_nonzero-rescans).  The
@@ -26,25 +25,18 @@
 //                    one network: `identical` asserts the final weights match
 //                    byte for byte (fixed reduction orders), speedup is the
 //                    threads=1 / threads=4 wall ratio.
-//   train_prefetch — train_supervised over a quantized replay stream with
-//                    prefetch=1 vs prefetch=0: stall_ms is the time the train
-//                    loop blocked on batch assembly with the background
-//                    decoder, blocking_ms the same cost paid synchronously
-//                    (prefetch=0), stall_frac their ratio.  `identical`
-//                    asserts the final weights match byte for byte.
 //
 // Self-checks: every `identical` column is enforced unconditionally (exit 1
 // on mismatch).  With strict=1 (the default; the smoke lane passes strict=0
-// because CI machines are noisy) the perf envelope is enforced too:
-//   * best forward_aer speedup among rows with density <= 0.10 must be >= 2.0
-//   * train_prefetch stall_frac must be < 0.20
-// These are the acceptance gates replayed offline by tools/check_bench.py
-// over the checked-in BENCH_hot_path.json.
+// because CI machines are noisy) the perf envelope is enforced too: the
+// best forward_aer speedup among rows with density <= 0.10 must be >= 2.0.
+// This is the acceptance gate replayed offline by tools/check_bench.py over
+// the checked-in BENCH_hot_path.json.
 //
 // This bench is synthetic (no pre-training scenario): it isolates the layer
 // and trainer hot paths, so it runs in seconds and is deterministic per
 // seed.  Knobs (key=value or R4NCL_<KEY>): channels=700 n_out=200
-// timesteps=40 batch=16 entries=160 reps=5 strict=1 threads=N verbose=1.
+// timesteps=40 batch=16 reps=5 strict=1 threads=N verbose=1.
 // Writes hot_path_latency.csv/.json (checked in at the repo root as
 // BENCH_hot_path.json).
 #include <algorithm>
@@ -55,8 +47,6 @@
 
 #include "common.hpp"
 #include "compress/aer.hpp"
-#include "core/replay_stream.hpp"
-#include "core/sharded_engine.hpp"
 #include "data/spike_data.hpp"
 #include "snn/layer.hpp"
 #include "snn/network.hpp"
@@ -96,7 +86,7 @@ bool same_stats(const snn::SpikeOpStats& a, const snn::SpikeOpStats& b) {
 }
 
 /// Every learned parameter of `net`, flattened — byte-compared to prove the
-/// threads/prefetch knobs change nothing but wall-clock.
+/// threads knob changes nothing but wall-clock.
 std::vector<float> all_weights(const snn::SnnNetwork& net) {
   std::vector<float> w;
   for (std::size_t i = 0; i < net.num_hidden(); ++i) {
@@ -120,7 +110,7 @@ bool same_weights(const std::vector<float>& a, const std::vector<float>& b) {
 int main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(
-      cfg, {"batch", "channels", "entries", "n_out", "reps", "strict", "timesteps"});
+      cfg, {"batch", "channels", "n_out", "reps", "strict", "timesteps"});
   const core::ScopedMetrics metrics(cfg);
   init_log_level_from_env();
   init_threads_from_env();
@@ -131,30 +121,23 @@ int main(int argc, char** argv) {
   const std::size_t n_out = static_cast<std::size_t>(cfg.get_int("n_out", 200));
   const std::size_t T = static_cast<std::size_t>(cfg.get_int("timesteps", 40));
   const std::size_t B = static_cast<std::size_t>(cfg.get_int("batch", 16));
-  const std::size_t entries = static_cast<std::size_t>(cfg.get_int("entries", 160));
   const std::size_t reps = static_cast<std::size_t>(cfg.get_int("reps", 5));
   const bool strict = cfg.get_bool("strict", true);
   const int base_threads = num_threads();
 
-  ResultTable table({"mode", "density", "threads", "prefetch", "reps", "wall_ms",
-                     "ref_ms", "speedup", "stall_ms", "blocking_ms", "stall_frac",
+  ResultTable table({"mode", "density", "threads", "reps", "wall_ms", "ref_ms", "speedup",
                      "spike_checksum", "identical"});
   const auto add_row = [&](const std::string& mode, const std::string& density,
-                           const std::string& threads, const std::string& prefetch,
-                           double wall_ms, double ref_ms, double stall_ms,
-                           double blocking_ms, std::uint64_t checksum, bool identical) {
+                           const std::string& threads, double wall_ms, double ref_ms,
+                           std::uint64_t checksum, bool identical) {
     table.add_row();
     table.push(mode);
     table.push(density);
     table.push(threads);
-    table.push(prefetch);
     table.push(static_cast<long long>(reps));
     table.push(format_double(wall_ms, 3));
-    table.push(ref_ms >= 0 ? format_double(ref_ms, 3) : "-");
-    table.push(ref_ms >= 0 ? format_double(ref_ms / wall_ms, 3) : "-");
-    table.push(stall_ms >= 0 ? format_double(stall_ms, 3) : "-");
-    table.push(blocking_ms >= 0 ? format_double(blocking_ms, 3) : "-");
-    table.push(blocking_ms > 0 ? format_double(stall_ms / blocking_ms, 3) : "-");
+    table.push(format_double(ref_ms, 3));
+    table.push(format_double(ref_ms / wall_ms, 3));
     table.push(static_cast<long long>(checksum));
     table.push(static_cast<long long>(identical ? 1 : 0));
   };
@@ -182,13 +165,12 @@ int main(int argc, char** argv) {
       Tensor dense_out, sparse_out;
       std::vector<double> dense_walls, sparse_walls;
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        snn::set_sparse_forward(snn::SparseForward::kNever);
         dense_stats = {};
         Stopwatch dw;
-        dense_out = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
+        dense_out =
+            layer.forward_dense(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
         dense_walls.push_back(dw.elapsed_ms());
 
-        snn::set_sparse_forward(snn::SparseForward::kAuto);
         sparse_stats = {};
         Stopwatch sw;
         sparse_out = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, &sparse_stats);
@@ -200,9 +182,8 @@ int main(int argc, char** argv) {
         std::printf("BUG: sparse forward diverges from dense at density %.2f\n", density);
         identity_fail = true;
       }
-      add_row("forward", format_double(density, 2), std::to_string(num_threads()), "-",
-              median(sparse_walls), median(dense_walls), -1, -1, sparse_stats.spikes,
-              identical);
+      add_row("forward", format_double(density, 2), std::to_string(num_threads()),
+              median(sparse_walls), median(dense_walls), sparse_stats.spikes, identical);
     }
   }
 
@@ -229,7 +210,6 @@ int main(int argc, char** argv) {
       Tensor x;
       data::SpikeRaster scratch;
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        snn::set_sparse_forward(snn::SparseForward::kNever);
         dense_stats = {};
         Stopwatch dw;
         data::ensure_batch_shape(x, T, B, C);
@@ -237,7 +217,8 @@ int main(int argc, char** argv) {
           compress::aer_decode_into(aer[b], scratch);
           data::fill_batch_column(x, b, scratch);
         }
-        dense_out = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
+        dense_out =
+            layer.forward_dense(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
         dense_walls.push_back(dw.elapsed_ms());
 
         event_stats = {};
@@ -257,10 +238,9 @@ int main(int argc, char** argv) {
       const double wall = median(event_walls);
       const double ref = median(dense_walls);
       if (density <= 0.10) best_aer_speedup = std::max(best_aer_speedup, ref / wall);
-      add_row("forward_aer", format_double(density, 2), std::to_string(num_threads()),
-              "-", wall, ref, -1, -1, event_stats.spikes, identical);
+      add_row("forward_aer", format_double(density, 2), std::to_string(num_threads()), wall,
+              ref, event_stats.spikes, identical);
     }
-    snn::set_sparse_forward(snn::SparseForward::kAuto);
     if (strict && best_aer_speedup < 2.0) {
       std::printf(
           "BUG: best from-AER sparse-forward speedup %.3f at density <= 0.10 below 2.0\n",
@@ -314,87 +294,12 @@ int main(int argc, char** argv) {
       std::printf("BUG: threads=4 training weights diverge from threads=1\n");
       identity_fail = true;
     }
-    add_row("train_threads", "-", "4", "-", median(walls4), median(walls1), -1, -1,
-            thread_spikes, identical);
-  }
-
-  // -- train_prefetch: background batch decode vs blocking assembly ---------
-  // The replay source is a quantized (latent_bits=2) buffer streamed through
-  // a ReplayStream, so every batch costs real decode work; prefetch=1 must
-  // hide almost all of it behind training without changing a single weight
-  // bit.
-  {
-    const std::size_t pT = 40, pC = 256;
-    snn::NetworkConfig ncfg;
-    ncfg.layer_sizes = {pC, 64, 32};
-    ncfg.num_classes = 5;
-    ncfg.seed = 33;
-    const snn::SnnNetwork base(ncfg);
-    core::ShardedReplayEngine buffer({.ratio = 2, .latent_bits = 2}, pT);
-    for (std::size_t i = 0; i < entries; ++i) {
-      buffer.add(random_raster(pT, pC, 0.1, 7000 + i), static_cast<std::int32_t>(i % 5));
-    }
-    const auto run_train = [&](std::size_t prefetch, std::vector<float>* weights,
-                               double* stall_ms, std::uint64_t* spikes) {
-      snn::SnnNetwork net = base.clone();
-      snn::AdamOptimizer optimizer;
-      snn::SpikeOpStats stream_stats;
-      Rng rng(7);
-      core::ReplayStream stream = buffer.stream(entries, rng, 16, &stream_stats);
-      snn::SampleSource source;
-      source.size = stream.size();
-      source.fetch = [&stream](std::size_t i) -> const data::Sample& {
-        return stream.fetch(i);
-      };
-      snn::TrainOptions opts;
-      opts.epochs = 3;
-      opts.batch_size = 16;
-      opts.lr = 1e-3f;
-      opts.shuffle_seed = 17;
-      opts.prefetch = prefetch;
-      Stopwatch watch;
-      const auto history = snn::train_supervised(net, source, optimizer, opts);
-      const double wall = watch.elapsed_ms();
-      double stall = 0.0;
-      std::uint64_t sp = 0;
-      for (const auto& rec : history) {
-        stall += rec.assembly_stall_seconds * 1e3;
-        sp += rec.stats.spikes;
-      }
-      if (weights != nullptr) *weights = all_weights(net);
-      if (stall_ms != nullptr) *stall_ms = stall;
-      if (spikes != nullptr) *spikes = sp;
-      return wall;
-    };
-    std::vector<float> w0, w1;
-    std::uint64_t prefetch_spikes = 0;
-    std::vector<double> walls0, walls1, stalls0, stalls1;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      double stall = 0.0;
-      walls0.push_back(run_train(0, &w0, &stall, nullptr));
-      stalls0.push_back(stall);
-      walls1.push_back(run_train(1, &w1, &stall, &prefetch_spikes));
-      stalls1.push_back(stall);
-    }
-    const bool identical = same_weights(w0, w1);
-    if (!identical) {
-      std::printf("BUG: prefetch=1 training weights diverge from prefetch=0\n");
-      identity_fail = true;
-    }
-    const double stall = median(stalls1);
-    const double blocking = median(stalls0);
-    const double frac = blocking > 0 ? stall / blocking : 0.0;
-    if (strict && frac >= 0.20) {
-      std::printf("BUG: prefetch stall %.3f ms is %.3f of blocking cost %.3f ms (>= 0.20)\n",
-                  stall, frac, blocking);
-      strict_fail = true;
-    }
-    add_row("train_prefetch", "-", std::to_string(num_threads()), "1", median(walls1),
-            median(walls0), stall, blocking, prefetch_spikes, identical);
+    add_row("train_threads", "-", "4", median(walls4), median(walls1), thread_spikes,
+            identical);
   }
 
   bench::emit(table, "hot_path_latency",
-              "SNN hot path: event-driven forward vs dense, batch-parallel training "
-              "and prefetched batch assembly, with bit-identity self-checks");
+              "SNN hot path: event-driven forward vs dense and batch-parallel "
+              "training, with bit-identity self-checks");
   return (identity_fail || strict_fail) ? 1 : 0;
 }

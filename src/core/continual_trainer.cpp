@@ -89,7 +89,6 @@ class ReplayRun {
     opts.insertion_layer = insertion_;
     opts.policy = policy_;
     opts.shuffle_seed = unit_rng_();
-    opts.prefetch = method_.prefetch ? 1 : 0;
     // A_LR: the epoch's draw (the whole store when the method sets no draw
     // size), each raster decoded only when the shuffled batch assembly
     // reaches it, with its decompression charged to this epoch.

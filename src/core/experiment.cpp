@@ -109,10 +109,6 @@ void apply_policy(NclMethodConfig& method, const Config& cfg) {
   }
 }
 
-void apply_prefetch(NclMethodConfig& method, const Config& cfg) {
-  method.prefetch = cfg.get_bool("prefetch", method.prefetch);
-}
-
 void apply_replay_samples(NclMethodConfig& method, const Config& cfg) {
   const long long samples = cfg.get_int(
       "replay_samples", static_cast<long long>(method.replay_samples_per_epoch));
@@ -181,8 +177,6 @@ constexpr CliKnob kStandardKnobs[] = {
      "eviction policy: fifo | reservoir | class_balanced | low_importance | "
      "importance_class_balanced",
      apply_policy},
-    {"prefetch", "decode the next minibatch on a background thread (bit-identical)",
-     apply_prefetch},
     {"pretrain_epochs", "pre-training epoch count (default 8)", nullptr},
     {"replay_samples", "replay entries drawn per epoch (0 = the whole store, streamed)",
      apply_replay_samples},

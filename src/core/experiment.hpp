@@ -62,9 +62,9 @@ struct CliKnob {
 [[nodiscard]] std::span<const CliKnob> standard_cli_knobs();
 
 /// Applies every replay-method knob in standard_cli_knobs() to `method`
-/// (budget, policy, budget_schedule, replay_samples, latent_bits, prefetch,
-/// threads, replay_seed, importance_feedback, shards, shard_by — see each
-/// row's `help` for semantics).  Keys absent
+/// (budget, policy, budget_schedule, replay_samples, latent_bits, threads,
+/// replay_seed, importance_feedback, shards, shard_by — see each row's
+/// `help` for semantics).  Keys absent
 /// from `cfg` (and the R4NCL_* environment) leave the method's own defaults
 /// untouched.  Every value validates eagerly with a pinned message naming
 /// the valid set — negative bytes/counts/seeds, policy typos and malformed

@@ -83,11 +83,10 @@ struct NclMethodConfig {
   /// by `shard_by` so concurrent device streams can share one engine.  CLI
   /// knobs: shards=<n>, shard_by=class|hash.
   ShardedEngineConfig replay_sharding{};
-  /// Decode the next training minibatch on a background thread while the
-  /// current one trains (snn::BatchPipeline double buffering).  Batch
-  /// contents are independent of the knob, so runs stay bit-identical; it
-  /// only overlaps replay decompression with the forward/backward pass.
-  /// CLI knob: prefetch=0|1.
+  /// Retired: the trainer assembles every minibatch synchronously, and no
+  /// library code reads this field.  It stays only because perfbench/ncl.cpp
+  /// still assigns it; a benchmark change drops that assignment, and then
+  /// the field goes.
   bool prefetch = false;
   /// Worker count the run engines apply via set_num_threads() at run start
   /// (0 = leave the process-wide setting untouched).  The parallel kernels

@@ -1,6 +1,6 @@
 // Runtime observability: one telemetry surface for the whole process.
 //
-// Every layer that used to keep private stats (BatchPipeline stall clocks,
+// Every layer that used to keep private stats (batch-assembly clocks,
 // per-buffer eviction counters, bench-local stopwatches) publishes into a
 // MetricsRegistry instead: named monotonic Counters, last-write-wins Gauges,
 // and fixed-bucket Histograms, exported as one deterministic JSON snapshot

@@ -1,7 +1,6 @@
 #include "snn/layer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -13,8 +12,6 @@ namespace r4ncl::snn {
 
 namespace {
 constexpr std::uint32_t kLayerTag = make_tag("LAYR");
-
-std::atomic<SparseForward> g_sparse_forward{SparseForward::kAuto};
 
 /// "6x2x3" (or "empty") — shape spelling for the backward cache diagnostics.
 std::string shape_str(const Tensor& t) {
@@ -34,15 +31,11 @@ void check_cache_cube(const Tensor& t, const char* name, std::size_t T, std::siz
               "cache " << name << " is " << shape_str(t) << ", this pass is " << T << "x" << B
                        << "x" << N);
 }
+void check_input(const Tensor& x, std::size_t n_in) {
+  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
+  R4NCL_CHECK(x.dim(2) == n_in, "input feature dim " << x.dim(2) << " != " << n_in);
+}
 }  // namespace
-
-void set_sparse_forward(SparseForward mode) noexcept {
-  g_sparse_forward.store(mode, std::memory_order_relaxed);
-}
-
-SparseForward sparse_forward() noexcept {
-  return g_sparse_forward.load(std::memory_order_relaxed);
-}
 
 RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const LifParams& lif,
                                      const SurrogateParams& surrogate, Rng& rng, float gain,
@@ -65,16 +58,13 @@ RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const 
 Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
                                   const ThresholdPolicy& policy, LayerCache* cache,
                                   SpikeOpStats* stats) const {
-  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
-  R4NCL_CHECK(x.dim(2) == n_in_, "input feature dim " << x.dim(2) << " != " << n_in_);
   // Hard mode goes event-driven: one scan of x builds the active-channel
   // lists (the same traffic the dense path's per-timestep count_nonzero
   // stats rescan used to cost), then every timestep does O(events·n_out)
   // work.  Soft mode (gradcheck) keeps the dense kernels.
-  if (mode == SpikeMode::kHard && sparse_forward() != SparseForward::kNever) {
-    return forward_sparse(compress::events_from_batch(x), policy, cache, stats);
-  }
-  return forward_dense(x, mode, policy, cache, stats);
+  if (mode == SpikeMode::kSoft) return forward_dense(x, mode, policy, cache, stats);
+  check_input(x, n_in_);
+  return forward_sparse(compress::events_from_batch(x), policy, cache, stats);
 }
 
 Tensor RecurrentLifLayer::forward_events(const compress::BatchEventList& events, SpikeMode mode,
@@ -314,6 +304,7 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
 Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
                                         const ThresholdPolicy& policy, LayerCache* cache,
                                         SpikeOpStats* stats) const {
+  check_input(x, n_in_);
   const std::size_t T = x.dim(0), B = x.dim(1);
 
   Tensor out(T, B, n_out_);

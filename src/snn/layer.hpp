@@ -47,20 +47,6 @@
 
 namespace r4ncl::snn {
 
-/// Forward-pass kernel selection.  Both paths are bit-identical, so this is
-/// purely a performance knob; kNever exists as the bench baseline and
-/// escape hatch.  Soft mode always uses the dense path (gradcheck only).
-enum class SparseForward : std::uint8_t {
-  kAuto,   // event-driven in hard mode (the default)
-  kAlways, // event-driven in hard mode, asserting the input is binary-friendly
-  kNever,  // legacy dense matmul + count_nonzero stats
-};
-
-/// Process-wide forward-kernel selection (benches/tests toggle it; the
-/// bit-identity contract makes it safe to flip at any point).
-void set_sparse_forward(SparseForward mode) noexcept;
-[[nodiscard]] SparseForward sparse_forward() noexcept;
-
 /// LIF neuron constants shared by all neurons of a layer.
 struct LifParams {
   /// Membrane decay per timestep: β = exp(−Δt/τ).
@@ -121,10 +107,16 @@ class RecurrentLifLayer {
   /// Runs the layer over a (T × B × n_in) spike cube; returns (T × B × n_out)
   /// output spikes.  When `cache` is non-null the pass records everything the
   /// backward pass needs.  `stats`, if non-null, accumulates event counts.
-  /// Hard mode dispatches through the event-driven path (see file comment)
-  /// unless set_sparse_forward(kNever); results are bit-identical either way.
+  /// Hard mode runs the event-driven path (see file comment), soft mode the
+  /// dense one.
   Tensor forward(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
                  LayerCache* cache, SpikeOpStats* stats) const;
+
+  /// The dense kernel path: per-timestep matmul + count_nonzero stats.  It
+  /// is the soft-mode path and, in hard mode, the reference the event path
+  /// must equal bit for bit (outputs, caches and stats).
+  Tensor forward_dense(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
+                       LayerCache* cache, SpikeOpStats* stats) const;
 
   /// Event-driven forward directly from per-timestep active-channel lists
   /// (e.g. built from AER samples via compress::events_from_aer) — no dense
@@ -158,10 +150,6 @@ class RecurrentLifLayer {
   void load(BinaryReader& in);
 
  private:
-  /// The legacy dense kernel path (per-timestep matmul + count_nonzero
-  /// stats) — soft mode and the SparseForward::kNever bench baseline.
-  Tensor forward_dense(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
-                       LayerCache* cache, SpikeOpStats* stats) const;
   /// The event-driven, batch-parallel path (hard mode).
   Tensor forward_sparse(const compress::BatchEventList& events, const ThresholdPolicy& policy,
                         LayerCache* cache, SpikeOpStats* stats) const;

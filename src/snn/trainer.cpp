@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "snn/batch_pipeline.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -11,6 +10,33 @@
 #include "util/stopwatch.hpp"
 
 namespace r4ncl::snn {
+
+namespace {
+
+/// Fills `batch` and `labels` with the minibatch of up to `batch_size` rows
+/// that starts at position `lo` of a sweep over `source` (row b is sample
+/// order[lo + b], or lo + b when `order` is null).  Each sample is copied into the batch before the next fetch, so a lazy
+/// source only ever needs its current sample alive — the streaming replay
+/// contract.  Equal-shape minibatches reuse the batch's allocation.
+void assemble_batch(const SampleSource& source, const std::vector<std::size_t>* order,
+                    std::size_t lo, std::size_t batch_size, Tensor& batch,
+                    std::vector<std::int32_t>& labels) {
+  const std::size_t count = std::min(source.size, lo + batch_size) - lo;
+  labels.clear();
+  for (std::size_t b = 0; b < count; ++b) {
+    const data::Sample& s = source.fetch(order != nullptr ? (*order)[lo + b] : lo + b);
+    if (b == 0) {
+      data::ensure_batch_shape(batch, s.raster.timesteps, count, s.raster.channels);
+    } else {
+      R4NCL_CHECK(s.raster.timesteps == batch.dim(0) && s.raster.channels == batch.dim(2),
+                  "raster shape mismatch inside batch");
+    }
+    data::fill_batch_column(batch, b, s.raster);
+    labels.push_back(s.label);
+  }
+}
+
+}  // namespace
 
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const data::Dataset& dataset,
                                           AdamOptimizer& optimizer, const TrainOptions& options,
@@ -31,38 +57,42 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
   std::vector<EpochRecord> history;
   history.reserve(options.epochs);
   std::vector<std::uint8_t> row_correct;
-
-  // Samples are copied into a persistent scratch batch one at a time, so a
-  // lazy source only ever needs its current sample alive — the streaming
-  // replay contract.  With prefetch > 0 the pipeline decodes the next batch
-  // on a background thread while this one trains.
-  BatchPipeline pipeline(source, options.batch_size, options.prefetch);
-  double assemble_base = 0.0;
-  double stall_base = 0.0;
+  // One scratch batch for the whole run (see assemble_batch).
+  Tensor batch;
+  std::vector<std::int32_t> labels;
   obs::MetricsRegistry& reg = obs::metrics();
   obs::Histogram& obs_epoch =
       reg.histogram("trainer.epoch_seconds", obs::kLatencyEdgesSeconds);
   obs::Counter& obs_epochs = reg.counter("trainer.epochs");
+  obs::Histogram& obs_assemble =
+      reg.histogram("pipeline.assemble_seconds", obs::kLatencyEdgesSeconds);
+  obs::Histogram& obs_stall = reg.histogram("pipeline.stall_seconds", obs::kLatencyEdgesSeconds);
 
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     Stopwatch watch;
     EpochRecord rec;
     rec.epoch = epoch;
-    auto order = shuffle_rng.permutation(source.size);
-    pipeline.begin_epoch(order);
+    const auto order = shuffle_rng.permutation(source.size);
     std::size_t correct = 0;
     double loss_sum = 0.0;
     std::size_t batches = 0;
-    while (const PreparedBatch* pb = pipeline.next_batch()) {
+    for (std::size_t lo = 0; lo < source.size; lo += options.batch_size) {
+      Stopwatch assembly;
+      assemble_batch(source, &order, lo, options.batch_size, batch, labels);
+      // The train loop waits for the whole assembly, so it is all stall.
+      const double assembly_seconds = assembly.elapsed_seconds();
+      obs_assemble.record(assembly_seconds);
+      obs_stall.record(assembly_seconds);
+      rec.assembly_seconds += assembly_seconds;
       const StepResult step =
-          net.train_step(pb->batch, pb->labels, options.insertion_layer, options.policy,
-                         optimizer, options.lr, options.mode, &rec.stats,
+          net.train_step(batch, labels, options.insertion_layer, options.policy, optimizer,
+                         options.lr, options.mode, &rec.stats,
                          options.sample_outcome ? &row_correct : nullptr);
       loss_sum += step.loss;
       correct += step.correct;
       if (options.sample_outcome) {
-        for (std::size_t b = 0; b < pb->count; ++b) {
-          options.sample_outcome(order[pb->lo + b], row_correct[b] != 0 ? 0.0f : 1.0f);
+        for (std::size_t b = 0; b < labels.size(); ++b) {
+          options.sample_outcome(order[lo + b], row_correct[b] != 0 ? 0.0f : 1.0f);
         }
       }
       ++batches;
@@ -73,15 +103,11 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
     rec.wall_seconds = watch.elapsed_seconds();
     obs_epoch.record(rec.wall_seconds);
     obs_epochs.add(1);
-    rec.assembly_seconds = pipeline.assemble_seconds() - assemble_base;
-    rec.assembly_stall_seconds = pipeline.stall_seconds() - stall_base;
-    assemble_base += rec.assembly_seconds;
-    stall_base += rec.assembly_stall_seconds;
     if (options.verbose) {
       R4NCL_INFO("epoch " << epoch << ": loss=" << rec.loss
                           << " train_acc=" << rec.train_accuracy << " ("
-                          << rec.wall_seconds << "s, assembly stall "
-                          << rec.assembly_stall_seconds << "s)");
+                          << rec.wall_seconds << "s, assembly "
+                          << rec.assembly_seconds << "s)");
     }
     if (hook) hook(rec);
     history.push_back(std::move(rec));
@@ -110,22 +136,8 @@ double evaluate(const SnnNetwork& net, const SampleSource& source, std::size_t i
   // it one at a time, so peak assembly memory is a single minibatch.
   Tensor batch;
   std::vector<std::int32_t> labels;
-  labels.reserve(batch_size);
   for (std::size_t lo = 0; lo < source.size; lo += batch_size) {
-    const std::size_t hi = std::min(source.size, lo + batch_size);
-    const std::size_t count = hi - lo;
-    labels.clear();
-    for (std::size_t b = 0; b < count; ++b) {
-      const data::Sample& s = source.fetch(lo + b);
-      if (b == 0) {
-        data::ensure_batch_shape(batch, s.raster.timesteps, count, s.raster.channels);
-      } else {
-        R4NCL_CHECK(s.raster.timesteps == batch.dim(0) && s.raster.channels == batch.dim(2),
-                    "raster shape mismatch inside batch");
-      }
-      data::fill_batch_column(batch, b, s.raster);
-      labels.push_back(s.label);
-    }
+    assemble_batch(source, nullptr, lo, batch_size, batch, labels);
     const Tensor logits = net.forward_logits(batch, insertion_layer, policy, stats);
     const auto preds = argmax_rows(logits);
     for (std::size_t i = 0; i < preds.size(); ++i) {

@@ -26,11 +26,6 @@ struct TrainOptions {
   SpikeMode mode = SpikeMode::kHard;
   std::uint64_t shuffle_seed = 99;
   bool verbose = false;
-  /// Minibatches to decode ahead of the train loop on a background thread
-  /// (0 = synchronous).  Batch contents and visit order are independent of
-  /// this knob, so results are bit-identical for any value — it only moves
-  /// sample decode off the critical path (see snn::BatchPipeline).
-  std::size_t prefetch = 0;
   /// Optional per-sample outcome hook: called once per trained sample per
   /// epoch with the sample's source index and its pre-update top-1 error
   /// (0.0 = correct, 1.0 = miss).  This is the trainer→replay-buffer
@@ -46,10 +41,8 @@ struct EpochRecord {
   double train_accuracy = 0.0;
   double wall_seconds = 0.0;
   /// Seconds spent decoding samples + filling batch tensors this epoch.
+  /// Assembly is synchronous, so the train loop waits for all of it.
   double assembly_seconds = 0.0;
-  /// Seconds the train loop was blocked waiting on batch assembly; equals
-  /// assembly_seconds when prefetch = 0, shrinks toward 0 with overlap.
-  double assembly_stall_seconds = 0.0;
   SpikeOpStats stats;  // forward+backward work of this epoch
 };
 
@@ -69,7 +62,11 @@ struct SampleSource {
 
 /// Trains `net` on `dataset` (spike cubes at `insertion_layer`).  Returns the
 /// per-epoch history.  The caller owns the optimizer so moment state can
-/// persist across phases when desired.
+/// persist across phases when desired.  Each shuffled minibatch is assembled
+/// on the calling thread into one scratch batch reused for the whole run;
+/// with the registry armed, every batch records its assembly time once into
+/// `pipeline.assemble_seconds` and once into `pipeline.stall_seconds` (the
+/// train loop waits for all of it).
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const data::Dataset& dataset,
                                           AdamOptimizer& optimizer, const TrainOptions& options,
                                           const EpochHook& hook = nullptr);

@@ -1,9 +1,7 @@
 // Hot-path bit-identity contracts: the event-driven forward must reproduce
 // the dense kernel bit for bit (outputs, caches AND SpikeOpStats), the
-// batch-parallel loops must make threads=N ≡ threads=1, the prefetched batch
-// pipeline must make prefetch=N ≡ prefetch=0 across the replay draw size ×
-// shards matrix, and the trainer/eval batch scratch must stay allocation-free
-// after the first minibatch.
+// batch-parallel loops must make threads=N ≡ threads=1, and the trainer/eval
+// batch scratch must stay allocation-free after the first minibatch.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,7 +10,6 @@
 #include "compress/aer.hpp"
 #include "core/experiment.hpp"
 #include "core/pretrain.hpp"
-#include "core/replay_stream.hpp"
 #include "core/sequential.hpp"
 #include "data/spike_data.hpp"
 #include "snn/layer.hpp"
@@ -74,16 +71,14 @@ bool same_weights(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Runs forward on both kernels and asserts bitwise-identical outputs,
-/// caches and stats.
+/// Runs the hard-mode forward (event path) and the dense reference and
+/// asserts bitwise-identical outputs, caches and stats.
 void expect_sparse_matches_dense(const snn::RecurrentLifLayer& layer, const Tensor& x,
                                  const snn::ThresholdPolicy& policy) {
   snn::LayerCache dense_cache, sparse_cache;
   snn::SpikeOpStats dense_stats, sparse_stats;
-  snn::set_sparse_forward(snn::SparseForward::kNever);
   const Tensor dense =
-      layer.forward(x, snn::SpikeMode::kHard, policy, &dense_cache, &dense_stats);
-  snn::set_sparse_forward(snn::SparseForward::kAuto);
+      layer.forward_dense(x, snn::SpikeMode::kHard, policy, &dense_cache, &dense_stats);
   const Tensor sparse =
       layer.forward(x, snn::SpikeMode::kHard, policy, &sparse_cache, &sparse_stats);
   EXPECT_TRUE(same_bits(dense, sparse));
@@ -178,9 +173,8 @@ TEST(SparseForward, EventsFromAerMatchEventsFromBatch) {
   const auto layer = make_layer(C, N, true, 11);
   const auto policy = snn::ThresholdPolicy::fixed(1.0f);
   snn::SpikeOpStats dense_stats, event_stats;
-  snn::set_sparse_forward(snn::SparseForward::kNever);
-  const Tensor dense = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
-  snn::set_sparse_forward(snn::SparseForward::kAuto);
+  const Tensor dense =
+      layer.forward_dense(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
   const Tensor evented =
       layer.forward_events(from_aer, snn::SpikeMode::kHard, policy, &event_stats);
   EXPECT_TRUE(same_bits(dense, evented));
@@ -307,121 +301,31 @@ TEST(ThreadIdentity, SequentialEngineBitIdentical) {
   expect_same_rows(r1, r4);
 }
 
-TEST(PrefetchIdentity, TrainSupervisedBitIdentical) {
-  snn::NetworkConfig ncfg;
-  ncfg.layer_sizes = {48, 32, 16};
-  ncfg.num_classes = 4;
-  ncfg.seed = 61;
-  const snn::SnnNetwork base(ncfg);
-  data::Dataset train;
-  for (std::size_t i = 0; i < 32; ++i) {
-    train.push_back({random_raster(12, 48, 0.1, 900 + i), static_cast<std::int32_t>(i % 4)});
-  }
-  const auto run = [&](std::size_t prefetch) {
-    snn::SnnNetwork net = base.clone();
-    snn::AdamOptimizer opt;
-    snn::TrainOptions opts;
-    opts.epochs = 2;
-    opts.batch_size = 8;
-    opts.shuffle_seed = 5;
-    opts.prefetch = prefetch;
-    (void)snn::train_supervised(net, train, opt, opts);
-    return all_weights(net);
-  };
-  const auto w0 = run(0);
-  EXPECT_TRUE(same_weights(w0, run(1)));
-  EXPECT_TRUE(same_weights(w0, run(2)));
-}
-
-TEST(PrefetchIdentity, StreamedReplaySourceBitIdentical) {
-  // The bench's train_prefetch case in miniature: a quantized replay stream
-  // is the one SampleSource whose fetch does real decode work per call.
-  const std::size_t T = 12, C = 48;
-  snn::NetworkConfig ncfg;
-  ncfg.layer_sizes = {C, 24, 16};
-  ncfg.num_classes = 4;
-  ncfg.seed = 63;
-  const snn::SnnNetwork base(ncfg);
-  core::ShardedReplayEngine buffer({.ratio = 2, .latent_bits = 2}, T);
-  for (std::size_t i = 0; i < 24; ++i) {
-    buffer.add(random_raster(T, C, 0.1, 1200 + i), static_cast<std::int32_t>(i % 4));
-  }
-  const auto run = [&](std::size_t prefetch) {
-    snn::SnnNetwork net = base.clone();
-    snn::AdamOptimizer opt;
-    Rng rng(3);
-    core::ReplayStream stream = buffer.stream(24, rng, 8, nullptr);
-    snn::SampleSource source;
-    source.size = stream.size();
-    source.fetch = [&stream](std::size_t i) -> const data::Sample& { return stream.fetch(i); };
-    snn::TrainOptions opts;
-    opts.epochs = 2;
-    opts.batch_size = 8;
-    opts.shuffle_seed = 5;
-    opts.prefetch = prefetch;
-    (void)snn::train_supervised(net, source, opt, opts);
-    return all_weights(net);
-  };
-  const auto w0 = run(0);
-  EXPECT_TRUE(same_weights(w0, run(1)));
-}
-
-TEST(PrefetchIdentity, SequentialEngineAcrossStreamAndShards) {
-  const auto tasks = tiny_stream(2);
-  const snn::SnnNetwork base = tiny_pretrained(tasks);
-  const auto run = [&](bool prefetch, std::size_t draw, std::size_t shards,
-                       std::vector<float>* weights) {
-    snn::SnnNetwork net = base.clone();
-    core::SequentialRunConfig cfg = tiny_run();
-    cfg.method.prefetch = prefetch;
-    cfg.method.replay_samples_per_epoch = draw;
-    cfg.method.replay_sharding.shards = shards;
-    const auto result = core::run_sequential(net, tasks, cfg);
-    *weights = all_weights(net);
-    return result;
-  };
-  // prefetch=1 must be a pure overlap knob in every engine configuration:
-  // whole-store and 4-entry streamed draws, single-buffer and 4-shard stores.
-  for (const std::size_t draw : {std::size_t{0}, std::size_t{4}}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(testing::Message() << "replay_samples=" << draw << " shards=" << shards);
-      std::vector<float> w0, w1;
-      const auto r0 = run(false, draw, shards, &w0);
-      const auto r1 = run(true, draw, shards, &w1);
-      EXPECT_TRUE(same_weights(w0, w1));
-      expect_same_rows(r0, r1);
-    }
-  }
-}
-
 TEST(BatchScratch, TrainerAllocationsPinnedPerSlot) {
   snn::NetworkConfig ncfg;
   ncfg.layer_sizes = {32, 16, 8};
   ncfg.num_classes = 4;
   ncfg.seed = 71;
   data::Dataset train;
-  // 32 samples at batch 8: every minibatch has the same shape, so each
-  // pipeline slot allocates its scratch exactly once, then reuses it for the
+  // 32 samples at batch 8: every minibatch has the same shape, so the
+  // trainer allocates its scratch batch exactly once, then reuses it for the
   // whole run no matter how many epochs follow.
   for (std::size_t i = 0; i < 32; ++i) {
     train.push_back({random_raster(10, 32, 0.1, 1500 + i), static_cast<std::int32_t>(i % 4)});
   }
-  const auto allocations = [&](std::size_t epochs, std::size_t prefetch) {
+  const auto allocations = [&](std::size_t epochs) {
     snn::SnnNetwork net(ncfg);
     snn::AdamOptimizer opt;
     snn::TrainOptions opts;
     opts.epochs = epochs;
     opts.batch_size = 8;
-    opts.prefetch = prefetch;
     const std::uint64_t before = data::batch_tensor_allocations();
     (void)snn::train_supervised(net, train, opt, opts);
     return data::batch_tensor_allocations() - before;
   };
-  // prefetch=0 runs one slot; prefetch=1 double-buffers with two.  More
-  // epochs must not add a single allocation.
-  EXPECT_EQ(allocations(1, 0), 1u);
-  EXPECT_EQ(allocations(3, 0), 1u);
-  EXPECT_EQ(allocations(3, 1), 2u);
+  // More epochs must not add a single allocation.
+  EXPECT_EQ(allocations(1), 1u);
+  EXPECT_EQ(allocations(3), 1u);
 }
 
 TEST(BatchScratch, EvaluateSourceMatchesDatasetAndReusesScratch) {

@@ -1,8 +1,9 @@
 // obs::MetricsRegistry: arm gating, histogram edge semantics, pinned
 // snapshot JSON shape, registry determinism across identical runs, the
 // enabled ≡ disabled bit-identity contract across policy × shards × engine
-// read (stream / sample_into), a concurrent-increment hammer (the TSan obs lane filters on
-// the ObsRegistryHammer name), and the declarative CLI knob table.
+// read (stream / sample_into), the trainer's batch-assembly histograms, a
+// concurrent-increment hammer (the TSan obs lane filters on the
+// ObsRegistryHammer name), and the declarative CLI knob table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,8 @@
 #include "core/replay_stream.hpp"
 #include "core/sharded_engine.hpp"
 #include "obs/metrics.hpp"
+#include "snn/network.hpp"
+#include "snn/trainer.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -306,6 +309,49 @@ TEST(ObsRegistry, EnabledRunsBitIdenticalToDisabledAcrossPolicyShardsStream) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Trainer telemetry: perfbench's snn.assemble_s / snn.stall_s read these
+// ---------------------------------------------------------------------------
+
+TEST(ObsTrainerTelemetry, OneAssemblyRecordPerTrainedBatchAndNoneFromEvaluate) {
+  GlobalRegistryGuard guard;
+  metrics().set_armed(true);
+  Histogram& assemble = metrics().histogram("pipeline.assemble_seconds", kLatencyEdgesSeconds);
+  Histogram& stall = metrics().histogram("pipeline.stall_seconds", kLatencyEdgesSeconds);
+
+  snn::NetworkConfig ncfg;
+  ncfg.layer_sizes = {16, 12, 8};
+  ncfg.num_classes = 3;
+  ncfg.seed = 29;
+  snn::SnnNetwork net(ncfg);
+  data::Dataset train;
+  for (std::size_t i = 0; i < 20; ++i) {
+    train.push_back({random_raster(6, 16, 0.2, 9100 + i), static_cast<std::int32_t>(i % 3)});
+  }
+  // 20 samples at batch 8: 3 batches per epoch, the last one short.
+  constexpr std::size_t kEpochs = 2, kBatchesPerEpoch = 3;
+  snn::AdamOptimizer opt;
+  snn::TrainOptions opts;
+  opts.epochs = kEpochs;
+  opts.batch_size = 8;
+
+  const std::uint64_t assemble_count = assemble.count(), stall_count = stall.count();
+  const double assemble_sum = assemble.sum(), stall_sum = stall.sum();
+  const auto history = snn::train_supervised(net, train, opt, opts);
+  EXPECT_EQ(assemble.count() - assemble_count, kEpochs * kBatchesPerEpoch);
+  EXPECT_EQ(stall.count() - stall_count, kEpochs * kBatchesPerEpoch);
+  // Assembly is synchronous, so every assembled second is a stalled one.
+  EXPECT_EQ(assemble.sum() - assemble_sum, stall.sum() - stall_sum);
+  double epoch_assembly = 0.0;
+  for (const snn::EpochRecord& rec : history) epoch_assembly += rec.assembly_seconds;
+  EXPECT_NEAR(epoch_assembly, assemble.sum() - assemble_sum, 1e-9);
+
+  const std::uint64_t assembled = assemble.count(), stalled = stall.count();
+  (void)snn::evaluate(net, train, 0, snn::ThresholdPolicy::fixed(1.0f), 8);
+  EXPECT_EQ(assemble.count(), assembled);
+  EXPECT_EQ(stall.count(), stalled);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@
 // accuracies, the latent bytes, the buffer evictions and the final weights —
 // over insertion {0..3} × fixed/adaptive θ × reference assembly streamed/
 // decoded × low_importance feedback on/off × per-epoch draw all/4 × threads
-// 1/4 (threads 4 also prefetches, so a producer thread fetches from the
-// run-long TS_cl set).
+// 1/4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -204,7 +203,6 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
     opts.insertion_layer = config.insertion_layer;
     opts.policy = policy;
     opts.shuffle_seed = epoch_rng();
-    opts.prefetch = method.prefetch ? 1 : 0;
     std::vector<snn::EpochRecord> history;
     if (method.use_replay && streamed) {
       // The per-epoch loop rebuilt this set every epoch, charging its prefix.
@@ -316,7 +314,6 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
       opts.insertion_layer = config.insertion_layer;
       opts.policy = policy;
       opts.shuffle_seed = seed_rng();
-      opts.prefetch = method.prefetch ? 1 : 0;
       std::vector<snn::EpochRecord> history;
       if (method.use_replay && streamed) {
         // The per-epoch loop rebuilt this set every epoch, charging its prefix.
@@ -491,7 +488,6 @@ NclMethodConfig case_method(const MemoCase& c) {
   m.importance_feedback = feedback;
   m.replay_samples_per_epoch = draw;
   m.threads = threads;
-  m.prefetch = threads > 1;
   return m;
 }
 

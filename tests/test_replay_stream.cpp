@@ -338,6 +338,17 @@ TEST(ReplayCliOverrides, UnknownKeyIsRejectedWithValidList) {
     EXPECT_NE(what.find("latent_bits"), std::string::npos) << what;
     EXPECT_NE(what.find("replay_samples"), std::string::npos) << what;
   }
+  // The retired prefetch= knob is rejected like any other unknown key.
+  Config retired;
+  retired.set("prefetch", "1");
+  try {
+    validate_standard_keys(retired);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown config key 'prefetch'"), std::string::npos) << what;
+    EXPECT_NE(what.find("threads"), std::string::npos) << what;
+  }
 }
 
 TEST(ReplayCliOverrides, ExtraKeysExtendTheVocabulary) {

@@ -89,18 +89,15 @@ FLEET_COLUMNS = [
 FLEET_MIN_CONCURRENT_STREAMS = 4
 
 HOT_PATH_COLUMNS = [
-    "mode", "density", "threads", "prefetch", "reps", "wall_ms", "ref_ms",
-    "speedup", "stall_ms", "blocking_ms", "stall_frac", "spike_checksum",
-    "identical",
+    "mode", "density", "threads", "reps", "wall_ms", "ref_ms", "speedup",
+    "spike_checksum", "identical",
 ]
-# The hot-path acceptance gates (mirrors the bench's own strict=1 envelope):
+# The hot-path acceptance gate (mirrors the bench's own strict=1 envelope):
 # from stored AER the event-driven forward must be >= 2x the decode-to-dense
-# pipeline at <= 10% density, and prefetch must hide > 80% of the blocking
-# batch-assembly cost.
+# pipeline at <= 10% density.
 HOT_PATH_MIN_AER_SPEEDUP = 2.0
-HOT_PATH_MAX_STALL_FRAC = 0.20
-# speedup / stall_frac are derived columns re-computed from the wall columns;
-# the tolerance only absorbs their three-decimal formatting.
+# speedup is a derived column re-computed from the wall columns; the
+# tolerance only absorbs its three-decimal formatting.
 HOT_PATH_DERIVED_TOL = 0.02
 
 
@@ -514,8 +511,8 @@ def check_hot_path(doc) -> int:
     checks = 0
 
     # Self-check on every row: the bit-identity flag held (sparse ≡ dense /
-    # threads=N ≡ 1 / prefetch=1 ≡ 0 — the bench exits nonzero otherwise, so
-    # a committed 0 means the artifact was generated from a broken build).
+    # threads=N ≡ 1 — the bench exits nonzero otherwise, so a committed 0
+    # means the artifact was generated from a broken build).
     for i, row in enumerate(doc):
         where = f"{ctx}: row {i} ({row['mode']}/{row['density']})"
         if row["identical"] != "1":
@@ -535,7 +532,7 @@ def check_hot_path(doc) -> int:
     by_mode = {}
     for row in doc:
         by_mode.setdefault(row["mode"], []).append(row)
-    for mode in ("forward", "forward_aer", "train_threads", "train_prefetch"):
+    for mode in ("forward", "forward_aer", "train_threads"):
         if mode not in by_mode:
             raise GateFailure(f"{ctx}: no {mode} rows")
     checks += 1
@@ -551,25 +548,6 @@ def check_hot_path(doc) -> int:
             f"{ctx}: best from-AER forward speedup {max(gated):.3f} below the "
             f"pinned {HOT_PATH_MIN_AER_SPEEDUP}x floor")
     checks += 1
-
-    # Headline: prefetch hides > 80% of the blocking assembly cost, and the
-    # committed stall_frac agrees with its stall/blocking columns.
-    for row in by_mode["train_prefetch"]:
-        where = f"{ctx}: train_prefetch row"
-        stall = fnum(row, "stall_ms", where)
-        blocking = fnum(row, "blocking_ms", where)
-        frac = fnum(row, "stall_frac", where)
-        if blocking <= 0:
-            raise GateFailure(f"{where}: non-positive blocking_ms")
-        if abs(frac - stall / blocking) > HOT_PATH_DERIVED_TOL:
-            raise GateFailure(
-                f"{where}: stall_frac {frac} != stall_ms / blocking_ms "
-                f"({stall / blocking:.3f})")
-        if frac >= HOT_PATH_MAX_STALL_FRAC:
-            raise GateFailure(
-                f"{where}: stall_frac {frac} not below the pinned "
-                f"{HOT_PATH_MAX_STALL_FRAC} ceiling")
-        checks += 3
     return checks
 
 
@@ -830,19 +808,6 @@ def self_test(directory: Path) -> int:
             row["speedup"] = "9.999"  # no longer ref_ms / wall_ms
             break
     expect_failure("hot-path speedup/wall mismatch", check_hot_path, bad)
-    cases += 1
-
-    bad = copy.deepcopy(hot_path)
-    for row in bad:
-        if row["mode"] == "train_prefetch":
-            row["stall_ms"] = row["blocking_ms"]
-            row["stall_frac"] = "1.000"
-    expect_failure("hot-path stall ceiling", check_hot_path, bad)
-    cases += 1
-
-    bad = copy.deepcopy(hot_path)
-    bad = [r for r in bad if r["mode"] != "train_prefetch"]
-    expect_failure("hot-path prefetch rows dropped", check_hot_path, bad)
     cases += 1
 
     bad = copy.deepcopy(hot_path)
