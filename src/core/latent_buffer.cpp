@@ -93,6 +93,18 @@ std::size_t schedule_field(std::string_view spec, std::string_view field) {
   return static_cast<std::size_t>(value);
 }
 
+/// Adds one entry of class `label` to the label-sorted `counts`.
+void count_label(std::vector<std::pair<std::int32_t, std::size_t>>& counts,
+                 std::int32_t label) {
+  auto it = std::lower_bound(counts.begin(), counts.end(), label,
+                             [](const auto& p, std::int32_t l) { return p.first < l; });
+  if (it == counts.end() || it->first != label) {
+    counts.insert(it, {label, 1});
+  } else {
+    ++it->second;
+  }
+}
+
 }  // namespace
 
 BudgetSchedule parse_budget_schedule(std::string_view spec) {
@@ -127,8 +139,6 @@ LatentReplayBuffer::LatentReplayBuffer(const compress::CodecConfig& codec,
                                        const ReplayBufferConfig& budget)
     : codec_(codec), activation_timesteps_(activation_timesteps), budget_(budget),
       rng_(budget.seed),
-      uses_class_queues_(budget.policy == ReplayPolicy::kClassBalanced ||
-                         budget.policy == ReplayPolicy::kImportanceClassBalanced),
       obs_adds_(&obs::metrics().counter("replay_buffer.adds")),
       obs_evictions_(&obs::metrics().counter("replay_buffer.evictions")),
       obs_policy_evictions_(&obs::metrics().counter(
@@ -150,13 +160,8 @@ bool LatentReplayBuffer::add(const data::SpikeRaster& raster, std::int32_t label
   R4NCL_CHECK(raster.timesteps == activation_timesteps_,
               "raster has " << raster.timesteps << " steps, buffer expects "
                             << activation_timesteps_);
-  if (empty()) {
-    channels_ = raster.channels;
-  } else {
-    R4NCL_CHECK(raster.channels == channels_, "raster has " << raster.channels
-                                                            << " channels, buffer holds "
-                                                            << channels_);
-  }
+  R4NCL_CHECK(empty() || raster.channels == channels_,
+              "raster has " << raster.channels << " channels, buffer holds " << channels_);
   Entry entry;
   entry.packed = compress::compress_packed(raster, codec_);
   entry.label = label;
@@ -165,125 +170,62 @@ bool LatentReplayBuffer::add(const data::SpikeRaster& raster, std::int32_t label
   // an importance policy mid-run needs no re-scoring pass.
   entry.density = static_cast<float>(raster.density());
   const std::size_t bytes = entry_bytes(entry);
+  const std::size_t capacity = budget_.capacity_bytes;
+  // Rejected before it is counted, so a throwing add() leaves stream_seen(),
+  // evictions() and size() consistent.
+  R4NCL_CHECK(capacity == 0 || bytes <= capacity,
+              "capacity_bytes=" << capacity << " cannot hold a single " << bytes
+                                << "-byte entry");
+  if (empty()) channels_ = raster.channels;
   ++stream_seen_;
   obs_adds_->add(1);
 
-  const std::size_t capacity = budget_.capacity_bytes;
-  if (capacity > 0) {
-    R4NCL_CHECK(bytes <= capacity, "capacity_bytes=" << capacity
-                                                     << " cannot hold a single " << bytes
-                                                     << "-byte entry");
-    if (memory_bytes_ + bytes > capacity) {
-      if (budget_.policy == ReplayPolicy::kReservoir) {
-        // Algorithm R over the lifetime stream: keep the newcomer with
-        // probability size/stream_seen, displacing a uniform victim.  All
-        // entries share one geometry, so one eviction always makes room.
-        const std::uint64_t j = rng_.uniform_index(stream_seen_);
-        if (j >= size()) {
-          note_eviction();  // the incoming entry is the one displaced
-          return false;
-        }
-        evict_at(static_cast<std::size_t>(j));
-      } else if (budget_.policy == ReplayPolicy::kLowImportance) {
-        // One scan settles both questions: whether the *incoming* entry is
-        // the one displaced, and otherwise which stored entry gives way.
-        // The newcomer competes density-vs-density only — it is rejected
-        // when strictly sparser than a victim still on its density proxy
-        // (so a long sparse tail cannot cycle out retained knowledge), but
-        // a trainer-scored victim (outcome EMA, a different scale) never
-        // blocks admission: saturated error scores on decaying old entries
-        // must not starve new-task latents out of the buffer.
-        const std::size_t victim = least_important_victim();
-        const Entry& least = entry_at(victim);
-        if (!least.outcome_valid && entry.density < least.density) {
-          note_eviction();
-          return false;
-        }
-        evict_at(victim);
-        evict_until_fits(capacity, bytes, &label);  // no-op: equal geometry
-      } else {
-        evict_until_fits(capacity, bytes, &label);
+  if (capacity > 0 && memory_bytes_ + bytes > capacity) {
+    if (budget_.policy == ReplayPolicy::kReservoir) {
+      // Algorithm R over the lifetime stream: keep the newcomer with
+      // probability size/stream_seen, displacing a uniform victim.  All
+      // entries share one geometry, so one eviction always makes room.
+      const std::uint64_t j = rng_.uniform_index(stream_seen_);
+      if (j >= size()) {
+        note_eviction();  // the incoming entry is the one displaced
+        return false;
       }
+      evict_at(static_cast<std::size_t>(j));
+    } else if (budget_.policy == ReplayPolicy::kLowImportance) {
+      // One scan settles both questions: whether the *incoming* entry is the
+      // one displaced, and otherwise which stored entry gives way.  The
+      // newcomer competes density-vs-density only — it is rejected when
+      // strictly sparser than a victim still on its density proxy (so a long
+      // sparse tail cannot cycle out retained knowledge), but a
+      // trainer-scored victim (outcome EMA, a different scale) never blocks
+      // admission: saturated error scores on decaying old entries must not
+      // starve new-task latents out of the buffer.
+      const std::size_t victim = least_important_victim();
+      const Entry& least = entries_[victim];
+      if (!least.outcome_valid && entry.density < least.density) {
+        note_eviction();
+        return false;
+      }
+      evict_at(victim);
+      evict_until_fits(capacity, bytes, &label);  // no-op: equal geometry
+    } else {
+      evict_until_fits(capacity, bytes, &label);
     }
   }
 
   memory_bytes_ += bytes;
-  auto it = std::lower_bound(class_counts_.begin(), class_counts_.end(), label,
-                             [](const auto& p, std::int32_t l) { return p.first < l; });
-  if (it == class_counts_.end() || it->first != label) {
-    class_counts_.insert(it, {label, 1});
-  } else {
-    ++it->second;
-  }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(entry);
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(entry));
-  }
-  order_.push_back(slot);
-  if (uses_class_queues_) {
-    if (order_pos_.size() < slots_.size()) order_pos_.resize(slots_.size());
-    order_pos_[slot] = static_cast<std::uint32_t>(order_.size() - 1);
-    class_queues_[label].push_back(slot);
-  }
+  count_label(class_counts_, label);
+  entries_.push_back(std::move(entry));
   return true;
 }
 
 void LatentReplayBuffer::evict_at(std::size_t index) {
-  const std::size_t pos = head_ + index;
-  const std::uint32_t slot = order_[pos];
-  Entry& victim = slots_[slot];
-  memory_bytes_ -= entry_bytes(victim);
-  const std::int32_t victim_label = victim.label;
-  auto it = std::lower_bound(class_counts_.begin(), class_counts_.end(), victim.label,
+  const auto victim = entries_.begin() + static_cast<std::ptrdiff_t>(index);
+  memory_bytes_ -= entry_bytes(*victim);
+  auto it = std::lower_bound(class_counts_.begin(), class_counts_.end(), victim->label,
                              [](const auto& p, std::int32_t l) { return p.first < l; });
   if (--it->second == 0) class_counts_.erase(it);
-  victim = Entry{};  // release the payload allocation now, not at compaction
-  free_slots_.push_back(slot);
-  if (uses_class_queues_) {
-    auto queue_it = class_queues_.find(victim_label);
-    R4NCL_CHECK(queue_it != class_queues_.end() && !queue_it->second.empty(),
-                "class queue out of sync with entries");
-    auto& queue = queue_it->second;
-    if (queue.front() == slot) {
-      // Balanced victims are the oldest of their class, so this is the hot
-      // path; only importance-scored victims land mid-queue.
-      queue.pop_front();
-    } else {
-      const auto slot_it = std::find(queue.begin(), queue.end(), slot);
-      R4NCL_CHECK(slot_it != queue.end(), "class queue out of sync with entries");
-      queue.erase(slot_it);
-    }
-    if (queue.empty()) class_queues_.erase(queue_it);
-  }
-  if (index == 0) {
-    // FIFO hot case: bump the ring head instead of erasing, and compact the
-    // dead prefix only once it dominates — amortized O(1) per eviction where
-    // the old vector erase shifted every remaining Entry.
-    ++head_;
-    if (head_ >= 64 && head_ * 2 >= order_.size()) {
-      order_.erase(order_.begin(), order_.begin() + static_cast<std::ptrdiff_t>(head_));
-      if (uses_class_queues_) {
-        for (const std::uint32_t s : order_) {
-          order_pos_[s] -= static_cast<std::uint32_t>(head_);
-        }
-      }
-      head_ = 0;
-    }
-  } else {
-    // Middle eviction (reservoir victim / balanced class): splice out a
-    // 4-byte slot id; the Entry payloads never move.
-    order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(pos));
-    if (uses_class_queues_) {
-      for (std::size_t p = pos; p < order_.size(); ++p) {
-        order_pos_[order_[p]] = static_cast<std::uint32_t>(p);
-      }
-    }
-  }
+  entries_.erase(victim);
   note_eviction();
 }
 
@@ -307,55 +249,22 @@ std::int32_t LatentReplayBuffer::heaviest_class(const std::int32_t* incoming) co
   return heaviest;
 }
 
-std::size_t LatentReplayBuffer::balanced_victim(const std::int32_t* incoming) const {
-  const std::int32_t heaviest = heaviest_class(incoming);
-  // The class queue is kept in insertion order, so its front is exactly the
-  // oldest stored entry of the heaviest class the old O(n) ring scan found —
-  // now O(#classes) total (the heaviest_class() walk dominates).
-  const auto it = class_queues_.find(heaviest);
-  if (it == class_queues_.end() || it->second.empty()) {
-    throw Error("class accounting out of sync with entries");
-  }
-  return order_pos_[it->second.front()] - head_;
-}
-
-std::size_t LatentReplayBuffer::least_important_victim() const {
-  const std::size_t n = size();
-  R4NCL_CHECK(n > 0, "no entries to evict");
-  std::size_t victim = 0;
-  float lowest = entry_at(0).importance();
+std::size_t LatentReplayBuffer::least_important_victim(
+    std::optional<std::int32_t> only) const {
   // Strict < keeps ties on the oldest entry, so an all-equal-score buffer
   // degrades to FIFO — deterministic without consuming any rng.
-  for (std::size_t i = 1; i < n; ++i) {
-    const float score = entry_at(i).importance();
-    if (score < lowest) {
+  std::size_t victim = entries_.size();
+  float lowest = 0.0f;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (only && entries_[i].label != *only) continue;
+    const float score = entries_[i].importance();
+    if (victim == entries_.size() || score < lowest) {
       victim = i;
       lowest = score;
     }
   }
+  R4NCL_CHECK(victim < entries_.size(), "no entries to evict");
   return victim;
-}
-
-std::size_t LatentReplayBuffer::importance_balanced_victim(
-    const std::int32_t* incoming) const {
-  const std::int32_t heaviest = heaviest_class(incoming);
-  const auto it = class_queues_.find(heaviest);
-  if (it == class_queues_.end() || it->second.empty()) {
-    throw Error("class accounting out of sync with entries");
-  }
-  // Walk one class queue (insertion order) instead of the whole ring; strict
-  // < keeps ties on the oldest entry of the class, exactly as the ring scan
-  // did, so the victim sequence is bit-identical.
-  std::uint32_t victim_slot = it->second.front();
-  float lowest = slots_[victim_slot].importance();
-  for (const std::uint32_t slot : it->second) {
-    const float score = slots_[slot].importance();
-    if (score < lowest) {
-      victim_slot = slot;
-      lowest = score;
-    }
-  }
-  return order_pos_[victim_slot] - head_;
 }
 
 void LatentReplayBuffer::evict_until_fits(std::size_t capacity, std::size_t bytes,
@@ -371,17 +280,22 @@ void LatentReplayBuffer::evict_until_fits(std::size_t capacity, std::size_t byte
         // stream-uniform under the tighter cap.
         evict_at(static_cast<std::size_t>(rng_.uniform_index(size())));
         break;
-      case ReplayPolicy::kClassBalanced:
-        // The newcomer counts toward its class when picking the victim so
-        // a stream heavy in one class displaces its own entries, not the
-        // minority classes'.
-        evict_at(balanced_victim(incoming));
+      case ReplayPolicy::kClassBalanced: {
+        // The oldest entry of the heaviest class.  The newcomer counts
+        // toward its class when picking it, so a stream heavy in one class
+        // displaces its own entries, not the minority classes'.
+        const std::int32_t heaviest = heaviest_class(incoming);
+        const auto oldest = std::find_if(
+            entries_.begin(), entries_.end(),
+            [heaviest](const Entry& e) { return e.label == heaviest; });
+        evict_at(static_cast<std::size_t>(oldest - entries_.begin()));
         break;
+      }
       case ReplayPolicy::kLowImportance:
         evict_at(least_important_victim());
         break;
       case ReplayPolicy::kImportanceClassBalanced:
-        evict_at(importance_balanced_victim(incoming));
+        evict_at(least_important_victim(heaviest_class(incoming)));
         break;
     }
   }
@@ -411,22 +325,22 @@ void LatentReplayBuffer::charge_decompress(const Entry& e, snn::SpikeOpStats* st
 
 std::int32_t LatentReplayBuffer::label_at(std::size_t index) const {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
-  return entry_at(index).label;
+  return entries_[index].label;
 }
 
 float LatentReplayBuffer::density_at(std::size_t index) const {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
-  return entry_at(index).density;
+  return entries_[index].density;
 }
 
 float LatentReplayBuffer::importance_at(std::size_t index) const {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
-  return entry_at(index).importance();
+  return entries_[index].importance();
 }
 
 void LatentReplayBuffer::report_outcome(std::size_t index, float score) {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
-  Entry& e = entry_at(index);
+  Entry& e = entries_[index];
   if (e.outcome_valid) {
     e.outcome += kOutcomeEma * (score - e.outcome);
   } else {
@@ -439,7 +353,7 @@ void LatentReplayBuffer::decompress_into(std::size_t index, data::Sample& out,
                                          snn::SpikeOpStats* stats,
                                          std::vector<std::uint8_t>* levels_scratch) const {
   R4NCL_CHECK(index < size(), "entry " << index << " out of " << size());
-  const Entry& e = entry_at(index);
+  const Entry& e = entries_[index];
   charge_decompress(e, stats);
   compress::decompress_packed_into(e.packed, activation_timesteps_, codec_, out.raster,
                                    levels_scratch);
@@ -470,10 +384,8 @@ void LatentReplayBuffer::save(BinaryWriter& out) const {
   out.write_u64(rng.state);
   out.write_u32(rng.have_spare_normal ? 1u : 0u);
   out.write_f64(rng.spare_normal);
-  const std::size_t n = size();
-  out.write_u64(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Entry& e = entry_at(i);
+  out.write_u64(entries_.size());
+  for (const Entry& e : entries_) {
     out.write_tag(kEntryTag);
     out.write_u32(e.packed.timesteps);
     out.write_u32(e.packed.channels);
@@ -558,9 +470,7 @@ void LatentReplayBuffer::load(BinaryReader& in) {
               "corrupt buffer snapshot: " << memory_bytes << " byte(s) stored exceeds the "
                                           << capacity << "-byte capacity");
 
-  // Commit: rebuild compacted (dense slots, identity order).  Logical order
-  // is all any observable behaviour reads, so a compacted rebuild is
-  // indistinguishable from the saved ring layout.
+  // Commit: the entries move in as saved, in logical order.
   budget_.capacity_bytes = static_cast<std::size_t>(capacity);
   channels_ = static_cast<std::size_t>(channels);
   memory_bytes_ = static_cast<std::size_t>(memory_bytes);
@@ -571,28 +481,9 @@ void LatentReplayBuffer::load(BinaryReader& in) {
   // cross-invariant (tools/check_bench.py) survives a warm resume.
   obs_restored_->add(entries.size());
   rng_.restore(rng);
-  slots_ = std::move(entries);
-  free_slots_.clear();
-  order_.resize(slots_.size());
-  head_ = 0;
+  entries_ = std::move(entries);
   class_counts_.clear();
-  class_queues_.clear();
-  order_pos_.assign(uses_class_queues_ ? slots_.size() : 0, 0);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-    const std::int32_t label = slots_[i].label;
-    auto it = std::lower_bound(class_counts_.begin(), class_counts_.end(), label,
-                               [](const auto& p, std::int32_t l) { return p.first < l; });
-    if (it == class_counts_.end() || it->first != label) {
-      class_counts_.insert(it, {label, 1});
-    } else {
-      ++it->second;
-    }
-    if (uses_class_queues_) {
-      order_pos_[i] = static_cast<std::uint32_t>(i);
-      class_queues_[label].push_back(static_cast<std::uint32_t>(i));
-    }
-  }
+  for (const Entry& e : entries_) count_label(class_counts_, e.label);
 }
 
 }  // namespace r4ncl::core

@@ -39,8 +39,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -172,12 +171,8 @@ class LatentReplayBuffer {
   /// Channel width of the stored activations (0 while empty).
   [[nodiscard]] std::size_t channels() const noexcept { return channels_; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size() - head_; }
-  [[nodiscard]] bool empty() const noexcept { return order_.size() == head_; }
-  [[nodiscard]] std::size_t activation_timesteps() const noexcept {
-    return activation_timesteps_;
-  }
-  [[nodiscard]] const compress::CodecConfig& codec() const noexcept { return codec_; }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] const ReplayBufferConfig& budget() const noexcept { return budget_; }
   [[nodiscard]] std::size_t capacity_bytes() const noexcept { return budget_.capacity_bytes; }
 
@@ -189,15 +184,16 @@ class LatentReplayBuffer {
   /// byte-identical buffer on every run.
   void set_capacity(std::size_t new_capacity_bytes);
 
-  /// Entries offered to add() over the buffer's lifetime.  Per-instance
-  /// compatibility shim: the process-wide aggregate of the same event stream
-  /// is the `replay_buffer.adds` counter in obs::MetricsRegistry::snapshot().
+  /// Entries offered to add() over the buffer's lifetime (an add() that
+  /// throws is not counted) — Algorithm R's stream length, saved with the
+  /// buffer.  The registry's `replay_buffer.adds` counter sums the same
+  /// events over every buffer in the process.
   [[nodiscard]] std::size_t stream_seen() const noexcept { return stream_seen_; }
   /// Entries displaced by the budget (stored entries evicted + incoming
-  /// entries the reservoir rejected).  Per-instance compatibility shim over
-  /// the same events the registry aggregates as `replay_buffer.evictions`
-  /// (and per-policy as `replay_buffer.evictions.<policy>`) — new telemetry
-  /// consumers should read obs::MetricsRegistry::snapshot() instead.
+  /// entries the policy rejected), so size() == stream_seen() - evictions()
+  /// for a buffer filled only through add().  The registry sums the same
+  /// events as `replay_buffer.evictions` (and per policy as
+  /// `replay_buffer.evictions.<policy>`).
   [[nodiscard]] std::size_t evictions() const noexcept { return evictions_; }
 
   /// Occupancy per class, sorted by label ascending; counts sum to size().
@@ -246,9 +242,6 @@ class LatentReplayBuffer {
                        snn::SpikeOpStats* stats = nullptr,
                        std::vector<std::uint8_t>* levels_scratch = nullptr) const;
 
-  /// Stored bits per payload element (0 = legacy binary storage).
-  [[nodiscard]] std::uint8_t latent_bits() const noexcept { return codec_.latent_bits; }
-
   /// Serializes the complete buffer state: capacity, eviction-rng snapshot,
   /// stream/eviction counters, and every live entry in logical order with its
   /// quantized payload byte-copied as-is (no decode).  Together with the
@@ -258,11 +251,11 @@ class LatentReplayBuffer {
 
   /// Replaces this buffer's contents with a saved snapshot.  The buffer must
   /// be constructed with the run's codec/timesteps/policy (the checkpoint
-  /// verifies policy and timesteps with pinned mismatch errors); entries are
-  /// rebuilt compacted (dense slots, identity order) — logical order, and
-  /// therefore all observable behaviour, is preserved.  Every geometry and
-  /// byte-accounting field is validated before use, so a corrupt snapshot
-  /// throws r4ncl::Error instead of mis-indexing.
+  /// verifies policy and timesteps with pinned mismatch errors); the decoded
+  /// entries move in as saved, in logical order, and the class counts are
+  /// rebuilt from them.  Every geometry and byte-accounting field is
+  /// validated before use, so a corrupt snapshot throws r4ncl::Error instead
+  /// of mis-indexing.
   void load(BinaryReader& in);
 
   /// Per-sample header bytes: raster geometry (2×u32) + label (i32) +
@@ -288,39 +281,21 @@ class LatentReplayBuffer {
     }
   };
 
-  /// Entry at logical position `index` (0 = oldest stored).  Logical order
-  /// is insertion order with evicted entries spliced out — the same order a
-  /// plain vector-with-erase would expose, but backed by an index ring so
-  /// eviction never moves Entry payloads: slots_ is stable append-only
-  /// storage (freed slots recycled through free_slots_), order_ holds slot
-  /// ids, and head_ is the ring head a FIFO eviction bumps in O(1).
-  [[nodiscard]] const Entry& entry_at(std::size_t index) const noexcept {
-    return slots_[order_[head_ + index]];
-  }
-  [[nodiscard]] Entry& entry_at(std::size_t index) noexcept {
-    return slots_[order_[head_ + index]];
-  }
   [[nodiscard]] std::size_t entry_bytes(const Entry& e) const noexcept;
   /// Charges the codec's decompression work for one entry (no-op for raw
   /// storage or when stats is null).
   void charge_decompress(const Entry& e, snn::SpikeOpStats* stats) const;
   /// Removes the entry at logical `index`, maintaining the byte and class
-  /// accounting.  index 0 (the FIFO case) is amortized O(1); middle
-  /// evictions splice a 4-byte slot id out of order_, never an Entry.
+  /// accounting.
   void evict_at(std::size_t index);
   /// Label of the most-represented class; when `incoming` is non-null that
   /// label counts toward its class (ties go to the smallest label).
   [[nodiscard]] std::int32_t heaviest_class(const std::int32_t* incoming) const;
-  /// Index of the oldest stored entry of the most-represented class (the
-  /// incoming label counts toward its class; ties go to the smallest label)
-  /// — the kClassBalanced victim.
-  [[nodiscard]] std::size_t balanced_victim(const std::int32_t* incoming) const;
-  /// Index of the least-important stored entry (ties go to the oldest) —
-  /// the kLowImportance victim.
-  [[nodiscard]] std::size_t least_important_victim() const;
-  /// Least-important entry of the most-represented class — the
-  /// kImportanceClassBalanced victim.
-  [[nodiscard]] std::size_t importance_balanced_victim(const std::int32_t* incoming) const;
+  /// Index of the least-important stored entry, or of the least-important
+  /// entry of class `only` when given (ties go to the oldest) — the
+  /// kLowImportance and kImportanceClassBalanced victims.
+  [[nodiscard]] std::size_t least_important_victim(
+      std::optional<std::int32_t> only = std::nullopt) const;
   /// Evicts per the configured policy until `bytes` more would fit under
   /// `capacity` (the shared add()/set_capacity() shrink loop; incoming is
   /// null during a shrink).  Reservoir shrinks displace a uniform stored
@@ -340,26 +315,13 @@ class LatentReplayBuffer {
   std::size_t memory_bytes_ = 0;
   std::size_t stream_seen_ = 0;
   std::size_t evictions_ = 0;
-  /// Stable entry storage; never reordered, freed slots are reused.
-  std::vector<Entry> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  /// Logical (insertion) order of live entries as slot ids; order_[head_]
-  /// is the oldest.  The dead prefix [0, head_) is compacted amortizedly.
-  std::vector<std::uint32_t> order_;
-  std::size_t head_ = 0;
-  /// Parallel per-class counts (label → stored entries), kept sorted.
+  /// Live entries in logical order: insertion order with evicted entries
+  /// erased, entries_.front() the oldest.  An erase shifts at most a few
+  /// hundred entries of a few words each (payloads stay on the heap), while
+  /// the add() that triggers it compresses a whole raster.
+  std::vector<Entry> entries_;
+  /// Per-class counts (label → stored entries), kept sorted by label.
   std::vector<std::pair<std::int32_t, std::size_t>> class_counts_;
-  /// Balanced-victim index, maintained only for the class-balanced policies
-  /// (uses_class_queues_): per-class FIFO queues of slot ids in insertion
-  /// order.  The kClassBalanced victim is the queue front of the heaviest
-  /// class — O(#classes) per eviction instead of an O(n) ring scan — and the
-  /// kImportanceClassBalanced scan walks one class queue instead of the ring.
-  std::map<std::int32_t, std::deque<std::uint32_t>> class_queues_;
-  /// slot id → absolute position in order_ (logical index = position -
-  /// head_), so a queued slot resolves to its logical index without a scan.
-  /// Only maintained when uses_class_queues_.
-  std::vector<std::uint32_t> order_pos_;
-  bool uses_class_queues_ = false;
   /// Registry handles (obs::metrics()), resolved once at construction.
   /// Observation-only: a disarmed registry turns every add() into a relaxed
   /// load, so instrumented and bare buffers behave bit-identically.

@@ -41,7 +41,6 @@ class ReplayStream {
   /// Entries in the draw.
   [[nodiscard]] std::size_t size() const noexcept { return drawn_.size(); }
   [[nodiscard]] bool empty() const noexcept { return drawn_.empty(); }
-  [[nodiscard]] std::size_t minibatch() const noexcept { return minibatch_; }
   /// Global engine indices of the draw, in draw order.
   [[nodiscard]] const std::vector<std::size_t>& drawn() const noexcept { return drawn_; }
   /// Label of drawn entry `i` without decoding it.

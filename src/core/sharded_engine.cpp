@@ -2,6 +2,7 @@
 
 #include <iterator>
 #include <map>
+#include <optional>
 
 #include "core/replay_stream.hpp"
 #include "obs/metrics.hpp"
@@ -67,6 +68,7 @@ ShardedReplayEngine::ShardedReplayEngine(const compress::CodecConfig& codec,
     : activation_timesteps_(activation_timesteps), sharding_(sharding),
       capacity_bytes_(budget.capacity_bytes) {
   R4NCL_CHECK(sharding.shards >= 1, "shards must be >= 1, got " << sharding.shards);
+  check_splittable(budget.capacity_bytes);
   shards_.reserve(sharding.shards);
   for (std::size_t i = 0; i < sharding.shards; ++i) {
     ReplayBufferConfig shard_budget = budget;
@@ -102,6 +104,14 @@ void ShardedReplayEngine::publish_shard_gauges(std::size_t i,
   t.evictions->set(static_cast<double>(buffer.evictions()));
 }
 
+void ShardedReplayEngine::check_splittable(std::size_t total) const {
+  // A share of 0 would mean "unbounded" to its shard, so a bounded total
+  // must give every shard at least one byte.
+  R4NCL_CHECK(total == 0 || total >= sharding_.shards,
+              "byte budget " << total << " is below the shard count " << sharding_.shards
+                             << ": every shard needs at least 1 byte (0 = unbounded)");
+}
+
 std::size_t ShardedReplayEngine::shard_capacity(std::size_t total,
                                                 std::size_t i) const noexcept {
   if (total == 0) return 0;  // unbounded stays unbounded for every shard
@@ -124,19 +134,15 @@ std::size_t ShardedReplayEngine::shard_of(const data::SpikeRaster& raster,
 bool ShardedReplayEngine::add(const data::SpikeRaster& raster, std::int32_t label) {
   const std::size_t idx = shard_of(raster, label);
   Shard& sh = *shards_[idx];
-  obs::MetricsRegistry& reg = obs::metrics();
-  if (!reg.armed()) {  // cold path: exactly the pre-telemetry code
-    MutexLock lock(sh.mu);
-    return sh.buffer.add(raster, label);
-  }
-  // Armed path: same work plus counter/gauge/timer writes — no rng use, no
-  // control-flow change, so enabled ≡ disabled bit-identity holds (pinned by
-  // tests/test_obs.cpp).  The wait clock spans the MutexLock acquisition:
-  // that *is* the per-shard lock contention the fleet view wants.
-  const bool timed = reg.trace_armed();
-  Stopwatch wait;
+  // The telemetry writes below use no rng and change no control flow, and a
+  // disarmed registry makes each a relaxed load, so armed ≡ disarmed
+  // (tests/test_obs.cpp).  The wait clock spans the lock acquisition — the
+  // per-shard contention the fleet view wants — and is read only while
+  // tracing is armed.
+  std::optional<Stopwatch> wait;
+  if (obs::metrics().trace_armed()) wait.emplace();
   MutexLock lock(sh.mu);
-  if (timed) obs_lock_wait_->record(wait.elapsed_seconds());
+  if (wait) obs_lock_wait_->record(wait->elapsed_seconds());
   const bool stored = sh.buffer.add(raster, label);
   obs_adds_->add(1);
   shard_obs_[idx].adds->add(1);
@@ -215,16 +221,15 @@ float ShardedReplayEngine::importance_at(std::size_t index) const {
 }
 
 void ShardedReplayEngine::report_outcome(std::size_t index, float score) {
-  // Out-of-range indices are dropped, not thrown: under concurrent fleet
-  // traffic a drawn entry may be displaced before its outcome lands, and
-  // losing one EMA observation is the correct degradation.  Single-threaded
-  // runs (the shards=1 contract) never take the miss branch.
+  // Out-of-range indices are dropped, not thrown (see the header: under
+  // concurrent traffic a stale index may point past the live population).
   (void)with_entry(index, [score](LatentReplayBuffer& b, std::size_t local) {
     b.report_outcome(local, score);
   });
 }
 
 void ShardedReplayEngine::set_capacity(std::size_t new_capacity_bytes) {
+  check_splittable(new_capacity_bytes);
   capacity_bytes_ = new_capacity_bytes;
   obs_capacity_->set(static_cast<double>(new_capacity_bytes));
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -28,13 +28,15 @@
 // engines read every epoch's A_LR through stream().
 //
 // The global logical index space is the concatenation of the shards' logical
-// orders (shard 0's entries first).  Per-entry reads lock only the owning
-// shard; aggregate reads lock shards one at a time (a consistent snapshot is
-// not promised while writers run).  report_outcome() drops an out-of-range
-// index instead of throwing: under concurrent fleet traffic a drawn entry may
-// be displaced before its outcome lands, and losing one EMA observation is
-// the correct degradation.  Single-threaded runs never hit that branch, so
-// the shards=1 contract is unaffected.
+// orders (shard 0's entries first).  Per-entry reads walk the shards, locking
+// one at a time, until the owner is found; aggregate reads lock shards one at
+// a time too (a consistent snapshot is not promised while writers run).  A
+// drawn index is only valid until the next add or eviction: one that lands
+// between a draw and its report_outcome() shifts the global positions behind
+// it, so the outcome is folded into whichever entry now holds that position,
+// or dropped if the index fell off the end; nothing counts either case.
+// Single-threaded runs report before they add again, so the shards=1
+// contract is unaffected.
 #pragma once
 
 #include <cstdint>
@@ -88,9 +90,10 @@ class ShardedReplayEngine {
  public:
   /// `budget.capacity_bytes` is the *total* byte budget: shard i receives
   /// total/shards plus one spare byte for i < total%shards (0 stays
-  /// unbounded for every shard).  Shard i's eviction rng is seeded
-  /// budget.seed ^ (i * kShardSeedMix), so shard 0 — and therefore the
-  /// shards=1 engine — keeps the buffer's exact stream.
+  /// unbounded for every shard; a nonzero total below the shard count
+  /// throws, since a share of 0 would leave that shard unbounded).  Shard
+  /// i's eviction rng is seeded budget.seed ^ (i * kShardSeedMix), so shard
+  /// 0 — and therefore the shards=1 engine — keeps the buffer's exact stream.
   ShardedReplayEngine(const compress::CodecConfig& codec,
                       std::size_t activation_timesteps,
                       const ReplayBufferConfig& budget = {},
@@ -111,7 +114,6 @@ class ShardedReplayEngine {
                                      std::int32_t label) const noexcept;
 
   [[nodiscard]] std::size_t num_shards() const noexcept { return shards_.size(); }
-  [[nodiscard]] const ShardedEngineConfig& sharding() const noexcept { return sharding_; }
   /// Direct read access to shard `i`'s buffer — test/bench introspection
   /// only; the caller must not use it while other threads write the engine.
   /// Deliberately unanalyzed: it hands out a reference to lock-guarded state
@@ -147,13 +149,13 @@ class ShardedReplayEngine {
   /// rule as construction) and applies each share in shard order, so every
   /// shard re-evicts per its policy and private rng exactly as a bare
   /// buffer would — shards=1 reproduces BudgetSchedule runs bit-identically.
+  /// A nonzero total below the shard count throws before any shard changes.
   void set_capacity(std::size_t new_capacity_bytes);
 
-  /// Aggregates over all shards (locked one shard at a time).  Per-instance
-  /// compatibility shims: the registry publishes the same quantities fleet-
-  /// wide as `replay_engine.shard<i>.occupancy_bytes` / `.evictions` gauges
-  /// and the `replay_engine(.shard<i>).adds` counters — new telemetry
-  /// consumers should read obs::MetricsRegistry::snapshot() instead.
+  /// Aggregates over all shards (locked one shard at a time).  The registry
+  /// publishes the same quantities as the
+  /// `replay_engine.shard<i>.occupancy_bytes` / `.evictions` gauges and the
+  /// `replay_engine(.shard<i>).adds` counters.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
   [[nodiscard]] std::size_t stream_seen() const noexcept;
   [[nodiscard]] std::size_t evictions() const noexcept;
@@ -165,8 +167,9 @@ class ShardedReplayEngine {
   [[nodiscard]] float importance_at(std::size_t index) const;
 
   /// Trainer feedback for the entry at global `index` — routed to the owning
-  /// shard under its lock.  Out-of-range indices are dropped (see file
-  /// comment); in-range routing matches the buffer's EMA exactly.
+  /// shard under its lock, matching the buffer's EMA exactly.  An index made
+  /// stale by an add or eviction since the draw lands on whichever entry now
+  /// holds that position, or is dropped past the end (see file comment).
   void report_outcome(std::size_t index, float score);
 
   /// Streaming minibatch cursor over a uniform draw of min(k, size())
@@ -208,6 +211,8 @@ class ShardedReplayEngine {
         : buffer(codec, activation_timesteps, budget) {}
   };
 
+  /// Throws unless `total` is 0 (unbounded) or gives every shard a byte.
+  void check_splittable(std::size_t total) const;
   /// Byte budget of shard `i` under total capacity `total` (0 = unbounded).
   [[nodiscard]] std::size_t shard_capacity(std::size_t total, std::size_t i) const noexcept;
 

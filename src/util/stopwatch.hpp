@@ -24,33 +24,4 @@ class Stopwatch {
   clock::time_point start_;
 };
 
-/// Accumulating timer: sums durations across start()/stop() pairs.  Used by
-/// the latency model to attribute wall-clock to training phases.
-class AccumulatingTimer {
- public:
-  void start() noexcept {
-    running_ = true;
-    origin_ = clock::now();
-  }
-
-  void stop() noexcept {
-    if (!running_) return;
-    total_ += std::chrono::duration<double>(clock::now() - origin_).count();
-    running_ = false;
-  }
-
-  void reset() noexcept {
-    total_ = 0.0;
-    running_ = false;
-  }
-
-  [[nodiscard]] double total_seconds() const noexcept { return total_; }
-
- private:
-  using clock = std::chrono::steady_clock;
-  clock::time_point origin_{};
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace r4ncl

@@ -3,27 +3,19 @@
 // libstdc++'s std::mutex / std::lock_guard carry no Clang Thread Safety
 // Analysis attributes, so code locking them is invisible to -Wthread-safety.
 // Every lock in src/ therefore goes through these thin wrappers instead:
-// Mutex is a capability, MutexLock a scoped acquire, and CondVar a
-// condition variable whose wait() states (and the analysis verifies) that
-// the mutex is held.  The wrappers add no state beyond the std primitives
-// and compile to the same code.
+// Mutex is a capability and MutexLock a scoped acquire.  The wrappers add no
+// state beyond std::mutex and compile to the same code.
 //
-// Lock discipline, pinned by annotation rather than comment:
-//   - public APIs of lock-owning classes are R4NCL_EXCLUDES(mu): callers
-//     never hold the lock, so no acquisition order across classes can form;
-//   - waits are explicit `while (!pred) cv.wait(mu);` loops so the predicate
-//     reads of R4NCL_GUARDED_BY state stay inside the analyzed locked scope
-//     (lambda predicates are analyzed as unlocked standalone functions).
+// Lock discipline, pinned by annotation rather than comment: public APIs of
+// lock-owning classes are R4NCL_EXCLUDES(mu), so callers never hold the lock
+// and no acquisition order across classes can form.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.hpp"
 
 namespace r4ncl {
-
-class CondVar;
 
 /// std::mutex annotated as a Clang TSA capability.
 class R4NCL_CAPABILITY("mutex") Mutex {
@@ -34,10 +26,8 @@ class R4NCL_CAPABILITY("mutex") Mutex {
 
   void lock() R4NCL_ACQUIRE() { mu_.lock(); }
   void unlock() R4NCL_RELEASE() { mu_.unlock(); }
-  [[nodiscard]] bool try_lock() R4NCL_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;  // wait() re-parks on the raw handle via adopt_lock
   // r4ncl-lint: allow(raw-mutex) this IS the annotated wrapper; the raw mutex is private and reachable only through the capability methods above
   std::mutex mu_;
 };
@@ -53,32 +43,6 @@ class R4NCL_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable over Mutex.  wait() requires the mutex held and holds
-/// it again on return; use a `while (!pred) cv.wait(mu);` loop so the
-/// predicate is evaluated inside the locked (and analyzed) scope.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mu) R4NCL_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the duration of the park, then
-    // release the unique_lock wrapper so ownership stays with the caller's
-    // MutexLock.  std::condition_variable::wait only throws if the mutex
-    // operations do, which std::mutex's do not.
-    std::unique_lock<std::mutex> parked(mu.mu_, std::adopt_lock);
-    cv_.wait(parked);
-    parked.release();
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace r4ncl

@@ -1,6 +1,6 @@
 // Importance-aware replay selection and per-task budget schedules: score
-// bookkeeping across the slot ring (evictions, middle splices, head
-// compaction), the report_outcome feedback channel, schedule parsing and
+// bookkeeping across evictions (oldest-first and from the middle), the
+// report_outcome feedback channel, schedule parsing and
 // boundary re-eviction determinism, retention statistics, and the pinned
 // CLI error messages of the eager validation path.
 #include <gtest/gtest.h>
@@ -146,10 +146,10 @@ TEST(ImportancePolicy, SaturatedOutcomesNeverBlockAdmission) {
 }
 
 TEST(ImportancePolicy, ScoresSurviveRingEvictionsAndCompaction) {
-  // 300 adds through a 100-entry FIFO window force >= 64 head evictions and
-  // multiple dead-prefix compactions of the order ring; every surviving
-  // logical index must still resolve to its own density (label encodes the
-  // spike count, so the mapping is checkable without decoding).
+  // 300 adds through a 100-entry FIFO window evict the oldest entry 200
+  // times; every surviving logical index must still resolve to its own
+  // density (label encodes the spike count, so the mapping is checkable
+  // without decoding).
   const std::size_t entry = probe_entry_bytes(4, 16);
   LatentReplayBuffer fifo({.ratio = 1}, 4,
                           {.capacity_bytes = 100 * entry, .policy = ReplayPolicy::kFifo});
@@ -164,8 +164,8 @@ TEST(ImportancePolicy, ScoresSurviveRingEvictionsAndCompaction) {
     ASSERT_FLOAT_EQ(fifo.density_at(i), expected) << "index " << i;
   }
 
-  // Middle splices + slot reuse: the importance policy evicts interior ring
-  // positions, so slot ids get recycled; scores must follow the entries.
+  // Middle evictions: the importance policy erases interior positions, and
+  // the scores must move with their entries.
   LatentReplayBuffer imp({.ratio = 1}, 4,
                          {.capacity_bytes = 20 * entry,
                           .policy = ReplayPolicy::kLowImportance});

@@ -9,6 +9,7 @@
 #include "core/pretrain.hpp"
 #include "core/sequential.hpp"
 #include "core/sharded_engine.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace r4ncl::core {
@@ -52,9 +53,21 @@ TEST(ReplayPolicy, UnboundedBufferNeverEvicts) {
 }
 
 TEST(ReplayPolicy, RejectsCapacityBelowOneEntry) {
+  // The rejected add is not counted: size() == stream_seen() - evictions()
+  // still holds, and the registry's adds counter does not see it either.
   const std::size_t entry = probe_entry_bytes(8, 16);
+  obs::MetricsRegistry& reg = obs::metrics();
+  reg.set_armed(true);
+  reg.reset_values();
   LatentReplayBuffer buf({.ratio = 1}, 8, {.capacity_bytes = entry - 1});
   EXPECT_THROW((void)buf.add(random_raster(8, 16, 0.3, 1), 0), Error);
+  const std::uint64_t counted = reg.counter("replay_buffer.adds").value();
+  reg.set_armed(false);
+  reg.reset_values();
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.stream_seen(), 0u);
+  EXPECT_EQ(buf.evictions(), 0u);
+  EXPECT_EQ(counted, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Streaming minibatch replay: ReplayStream-vs-sample_into() equivalence on
 // the run engines' single-shard store (entry sets, rng stream,
-// decompress_bits), scratch-pool memory bounds, the index-ring eviction
-// regression (ring buffer == the historical vector-erase semantics across
-// every policy), and the CLI hardening fixes (negative values, unknown keys)
+// decompress_bits), scratch-pool memory bounds, the eviction regression (the
+// buffer == an independent plain-vector reference model across all five
+// policies), and the CLI hardening fixes (negative values, unknown keys)
 // with their messages pinned.  That the run engines' streamed epochs equal a
 // materialized assembly is pinned by tests/test_prefix_memo.cpp.
 #include <gtest/gtest.h>
@@ -168,17 +168,22 @@ TEST(ReplayStream, DrawIndicesMatchesSampleContract) {
 }
 
 // ---------------------------------------------------------------------------
-// Index-ring eviction regression: ring == historical vector-erase semantics
+// Eviction regression: the buffer == a plain vector-erase reference model
 // ---------------------------------------------------------------------------
 
-/// The pre-ring reference implementation: a plain vector with erase(), the
-/// exact algorithm the buffer used before the index-ring refactor.  Runs the
-/// same policy logic with the same Rng consumption so any divergence in the
-/// ring's logical order shows up as a content mismatch.
+/// Reference model of LatentReplayBuffer's policies, written out
+/// independently: a plain vector with erase(), the same policy rules and the
+/// same Rng consumption, so any divergence in the buffer's logical order,
+/// victim choice or score bookkeeping shows up as a mismatch.
 struct NaiveBufferModel {
   struct Entry {
     data::SpikeRaster raster;
     std::int32_t label;
+    float density;
+    float outcome = 0.0f;
+    bool outcome_valid = false;
+
+    [[nodiscard]] float importance() const { return outcome_valid ? outcome : density; }
   };
   ReplayBufferConfig budget;
   std::size_t entry_bytes;  // all entries share one geometry
@@ -190,36 +195,65 @@ struct NaiveBufferModel {
   NaiveBufferModel(const ReplayBufferConfig& b, std::size_t bytes)
       : budget(b), entry_bytes(bytes), rng(b.seed) {}
 
+  bool full() const {
+    const std::size_t capacity = budget.capacity_bytes;
+    return capacity > 0 && (entries.size() + 1) * entry_bytes > capacity;
+  }
+
   bool add(const data::SpikeRaster& raster, std::int32_t label) {
     ++stream_seen;
-    const std::size_t capacity = budget.capacity_bytes;
-    if (capacity > 0 && (entries.size() + 1) * entry_bytes > capacity) {
-      switch (budget.policy) {
-        case ReplayPolicy::kFifo:
-          while ((entries.size() + 1) * entry_bytes > capacity) evict(0);
-          break;
-        case ReplayPolicy::kReservoir: {
+    const auto spikes = std::count(raster.bits.begin(), raster.bits.end(), 1);
+    const auto density = static_cast<float>(static_cast<double>(spikes) /
+                                            static_cast<double>(raster.bits.size()));
+    switch (budget.policy) {
+      case ReplayPolicy::kFifo:
+        while (full()) evict(0);
+        break;
+      case ReplayPolicy::kReservoir:
+        if (full()) {
           const std::uint64_t j = rng.uniform_index(stream_seen);
           if (j >= entries.size()) {
             ++evictions;
             return false;
           }
           evict(static_cast<std::size_t>(j));
-          break;
         }
-        case ReplayPolicy::kClassBalanced:
-          while ((entries.size() + 1) * entry_bytes > capacity) {
-            evict(balanced_victim(label));
+        break;
+      case ReplayPolicy::kClassBalanced:
+        while (full()) {
+          const std::int32_t heaviest = heaviest_class(label);
+          std::size_t oldest = 0;
+          while (entries[oldest].label != heaviest) ++oldest;
+          evict(oldest);
+        }
+        break;
+      case ReplayPolicy::kLowImportance:
+        if (full()) {
+          // A newcomer strictly sparser than an unscored victim is rejected;
+          // a trainer-scored victim never blocks admission.
+          const std::size_t victim = least_important(nullptr);
+          if (!entries[victim].outcome_valid && density < entries[victim].density) {
+            ++evictions;
+            return false;
           }
-          break;
-        case ReplayPolicy::kLowImportance:
-        case ReplayPolicy::kImportanceClassBalanced:
-          ADD_FAILURE() << "NaiveBufferModel does not model importance policies";
-          break;
-      }
+          evict(victim);
+        }
+        break;
+      case ReplayPolicy::kImportanceClassBalanced:
+        while (full()) {
+          const std::int32_t heaviest = heaviest_class(label);
+          evict(least_important(&heaviest));
+        }
+        break;
     }
-    entries.push_back({raster, label});
+    entries.push_back({raster, label, density});
     return true;
+  }
+
+  void report_outcome(std::size_t index, float score) {
+    Entry& e = entries[index];
+    e.outcome = e.outcome_valid ? e.outcome + kOutcomeEma * (score - e.outcome) : score;
+    e.outcome_valid = true;
   }
 
   void evict(std::size_t index) {
@@ -227,7 +261,9 @@ struct NaiveBufferModel {
     ++evictions;
   }
 
-  std::size_t balanced_victim(std::int32_t incoming) const {
+  /// Most-represented class, the newcomer counted toward its own; ties go
+  /// to the smallest label.
+  std::int32_t heaviest_class(std::int32_t incoming) const {
     std::vector<std::pair<std::int32_t, std::size_t>> counts;
     for (const auto& e : entries) {
       auto it = std::find_if(counts.begin(), counts.end(),
@@ -248,10 +284,20 @@ struct NaiveBufferModel {
         heaviest_count = effective;
       }
     }
+    return heaviest;
+  }
+
+  /// Least-important entry (of class `*only` when given); strict < keeps
+  /// ties on the oldest.
+  std::size_t least_important(const std::int32_t* only) const {
+    std::size_t victim = entries.size();
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].label == heaviest) return i;
+      if (only != nullptr && entries[i].label != *only) continue;
+      if (victim == entries.size() || entries[i].importance() < entries[victim].importance()) {
+        victim = i;
+      }
     }
-    return 0;
+    return victim;
   }
 };
 
@@ -268,28 +314,45 @@ TEST_P(RingEvictionRegression, LongStreamMatchesVectorEraseModel) {
 
   const ReplayBufferConfig budget{
       .capacity_bytes = 7 * entry, .policy = GetParam(), .seed = 0xFEED};
-  LatentReplayBuffer ring(codec, T, budget);
+  LatentReplayBuffer buffer(codec, T, budget);
   NaiveBufferModel model(budget, entry);
-  // 400 adds — long enough that FIFO cycles the ring head through multiple
-  // compactions and reservoir/balanced hit many middle evictions.
+  // 400 adds with densities spread over 0.02–0.62 (so the importance
+  // policies both admit and reject newcomers), and an outcome report after
+  // every third add whose scores straddle those densities (so victims mix
+  // scored and unscored entries).  Every policy sees many middle evictions.
   for (int i = 0; i < 400; ++i) {
-    const auto r = random_raster(T, C, 0.3, 5000 + i);
+    const auto r = random_raster(T, C, 0.02 + 0.06 * ((i * 7) % 11), 5000 + i);
     const std::int32_t label = i % 7;
-    EXPECT_EQ(ring.add(r, label), model.add(r, label)) << "add " << i;
+    ASSERT_EQ(buffer.add(r, label), model.add(r, label)) << "add " << i;
+    // Logical order after every add, so a divergence that later re-converges
+    // (class_balanced's round-robin stream does) still shows.
+    ASSERT_EQ(buffer.size(), model.entries.size()) << "add " << i;
+    for (std::size_t k = 0; k < buffer.size(); ++k) {
+      ASSERT_EQ(buffer.label_at(k), model.entries[k].label) << "add " << i << ", index " << k;
+    }
+    if (i % 3 == 2) {
+      const std::size_t index = static_cast<std::size_t>(i * 5) % model.entries.size();
+      const float score = 0.05f * static_cast<float>((i * 3) % 13);
+      buffer.report_outcome(index, score);
+      model.report_outcome(index, score);
+    }
   }
-  EXPECT_EQ(ring.evictions(), model.evictions);
-  EXPECT_EQ(ring.stream_seen(), model.stream_seen);
-  const data::Dataset got = ring.materialize();
+  EXPECT_EQ(buffer.evictions(), model.evictions);
+  EXPECT_EQ(buffer.stream_seen(), model.stream_seen);
+  const data::Dataset got = buffer.materialize();
   ASSERT_EQ(got.size(), model.entries.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].raster, model.entries[i].raster) << "logical index " << i;
     EXPECT_EQ(got[i].label, model.entries[i].label) << "logical index " << i;
+    EXPECT_EQ(buffer.importance_at(i), model.entries[i].importance()) << "logical index " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, RingEvictionRegression,
                          ::testing::Values(ReplayPolicy::kFifo, ReplayPolicy::kReservoir,
-                                           ReplayPolicy::kClassBalanced),
+                                           ReplayPolicy::kClassBalanced,
+                                           ReplayPolicy::kLowImportance,
+                                           ReplayPolicy::kImportanceClassBalanced),
                          [](const auto& p) { return std::string(to_string(p.param)); });
 
 // ---------------------------------------------------------------------------

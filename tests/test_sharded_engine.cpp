@@ -187,6 +187,41 @@ TEST(ShardedEngine, CapacitySplitsAcrossShardsWithRemainder) {
   }
 }
 
+TEST(ShardedEngine, RejectsBudgetBelowShardCount) {
+  // A share of 0 means "unbounded" to a shard, so a nonzero total smaller
+  // than the shard count must be refused rather than leave shards unbounded.
+  const auto expect_pinned = [](const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("byte budget 3 is below the shard count 4: every "
+                                         "shard needs at least 1 byte (0 = unbounded)"),
+              std::string::npos)
+        << e.what();
+  };
+  try {
+    ShardedReplayEngine eng({.ratio = 1}, 8, {.capacity_bytes = 3}, {.shards = 4});
+    ADD_FAILURE() << "expected Error at construction";
+  } catch (const Error& e) {
+    expect_pinned(e);
+  }
+
+  const std::size_t entry = probe_entry_bytes(8, 16);
+  ShardedReplayEngine eng({.ratio = 1}, 8, {.capacity_bytes = 8 * entry}, {.shards = 4});
+  for (int i = 0; i < 8; ++i) eng.add(random_raster(8, 16, 0.3, 400 + i), i % 4);
+  try {
+    eng.set_capacity(3);
+    ADD_FAILURE() << "expected Error from set_capacity";
+  } catch (const Error& e) {
+    expect_pinned(e);
+  }
+  // Rejected before any shard changed: budgets and contents are untouched.
+  EXPECT_EQ(eng.capacity_bytes(), 8 * entry);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(eng.shard(s).capacity_bytes(), 2 * entry) << "shard " << s;
+    EXPECT_EQ(eng.shard(s).size(), 2u) << "shard " << s;
+  }
+  // The smallest bounded split is still accepted: one byte per shard.
+  EXPECT_NO_THROW(ShardedReplayEngine({.ratio = 1}, 8, {.capacity_bytes = 4}, {.shards = 4}));
+}
+
 TEST(ShardedEngine, ShrinkReEvictsEveryShardUnderItsShare) {
   const std::size_t entry = probe_entry_bytes(8, 16);
   ShardedReplayEngine eng({.ratio = 1}, 8,
