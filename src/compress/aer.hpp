@@ -77,16 +77,6 @@ struct BatchEventList {
   std::vector<float> value;
   bool unit_values = true;
 
-  [[nodiscard]] std::size_t row_begin(std::size_t t, std::size_t b) const noexcept {
-    return offsets[t * batch + b];
-  }
-  [[nodiscard]] std::size_t row_end(std::size_t t, std::size_t b) const noexcept {
-    return offsets[t * batch + b + 1];
-  }
-  /// Events in timestep t across the whole batch (rows are t-major).
-  [[nodiscard]] std::size_t events_in_timestep(std::size_t t) const noexcept {
-    return offsets[(t + 1) * batch] - offsets[t * batch];
-  }
   [[nodiscard]] std::size_t num_events() const noexcept { return channel.size(); }
 };
 

@@ -120,9 +120,8 @@ void apply_replay_samples(NclMethodConfig& method, const Config& cfg) {
 
 void apply_replay_seed(NclMethodConfig& method, const Config& cfg) {
   if (const auto seed_text = cfg.get("replay_seed")) {
-    // Strict decimal parse (get_int would map "abc" to the fallback and
-    // "0xdeadbeef" to 0, silently running the wrong seed); also admits the
-    // full uint64 range.
+    // Unsigned decimal parse: a seed spans the full uint64 range, which
+    // get_int's signed 64-bit value cannot hold.
     std::uint64_t seed = 0;
     R4NCL_CHECK(parse_unsigned_decimal(*seed_text, seed),
                 "replay_seed=" << *seed_text

@@ -105,14 +105,6 @@ void fill_batch_column(Tensor& batch, std::size_t b, const SpikeRaster& raster) 
   }
 }
 
-std::vector<std::int32_t> batch_labels(const Dataset& dataset,
-                                       std::span<const std::size_t> indices) {
-  std::vector<std::int32_t> labels;
-  labels.reserve(indices.size());
-  for (std::size_t idx : indices) labels.push_back(dataset.at(idx).label);
-  return labels;
-}
-
 Tensor raster_to_batch(const SpikeRaster& raster) {
   Tensor batch(raster.timesteps, 1, raster.channels);
   for (std::size_t t = 0; t < raster.timesteps; ++t) {
@@ -133,15 +125,6 @@ SpikeRaster batch_to_raster(const Tensor& batch, std::size_t batch_index) {
     }
   }
   return r;
-}
-
-Dataset filter_classes(const Dataset& dataset, std::span<const std::int32_t> classes) {
-  const std::set<std::int32_t> keep(classes.begin(), classes.end());
-  Dataset out;
-  for (const auto& s : dataset) {
-    if (keep.contains(s.label)) out.push_back(s);
-  }
-  return out;
 }
 
 Dataset take_per_class(const Dataset& dataset, std::span<const std::int32_t> classes,

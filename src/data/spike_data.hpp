@@ -86,18 +86,11 @@ bool ensure_batch_shape(Tensor& batch, std::size_t timesteps, std::size_t batch_
 /// ensure_batch_shape() — the trainer's allocation-regression probe.
 std::uint64_t batch_tensor_allocations() noexcept;
 
-/// Labels of the given samples, in order.
-std::vector<std::int32_t> batch_labels(const Dataset& dataset,
-                                       std::span<const std::size_t> indices);
-
 /// Converts a single raster to a (T × 1 × channels) batch.
 Tensor raster_to_batch(const SpikeRaster& raster);
 
 /// Converts one batch entry back to a binary raster (values > 0.5 → spike).
 SpikeRaster batch_to_raster(const Tensor& batch, std::size_t batch_index);
-
-/// Keeps only samples whose label is in `classes`.
-Dataset filter_classes(const Dataset& dataset, std::span<const std::int32_t> classes);
 
 /// Selects up to `per_class` samples of each listed class (deterministic:
 /// first occurrences in dataset order).

@@ -79,57 +79,71 @@ Tensor RecurrentLifLayer::forward_events(const compress::BatchEventList& events,
 Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
                                          const ThresholdPolicy& policy, LayerCache* cache,
                                          SpikeOpStats* stats) const {
-  const std::size_t T = events.timesteps, B = events.batch;
-  Tensor out(T, B, n_out_);
-  Tensor v(B, n_out_);        // current membrane
-  Tensor prev_s(B, n_out_);   // S(t−1)
-  Tensor current(B, n_out_);  // I(t)
+  const std::size_t T = events.timesteps, B = events.batch, N = n_out_;
+  Tensor out(T, B, N);
+  Tensor v(B, N);        // current membrane
+  Tensor current(B, N);  // I(t)
   if (cache != nullptr) {
-    cache->membrane = Tensor(T, B, n_out_);
-    cache->spikes = Tensor(T, B, n_out_);
+    cache->membrane = Tensor(T, B, N);
+    cache->spikes = Tensor(T, B, N);
     cache->theta.assign(T, policy.fixed_value);
   }
 
-  ThresholdState th(policy);
-  float theta_prev = policy.fixed_value;
-  const std::size_t bn = B * n_out_;
+  // Everything the inner loops touch is hoisted into locals: member and
+  // vector accesses through `this`/`events` would otherwise defeat the
+  // auto-vectorizer (a float store could alias lif_.beta).
+  const float beta = lif_.beta;
+  const bool recurrent = lif_.recurrent;
+  const float* wff = w_ff_.raw();
+  const float* wrec = recurrent ? w_rec_.raw() : nullptr;
+  const std::uint32_t* offs = events.offsets.data();
+  const std::uint32_t* chan = events.channel.data();
+  const float* val = events.value.data();
+  const bool unit = events.unit_values;
+  float* vmem = v.raw();
+  float* cur = current.raw();
+  float* outp = out.raw();
+  float* cmem = cache != nullptr ? cache->membrane.raw() : nullptr;
+  float* cspk = cache != nullptr ? cache->spikes.raw() : nullptr;
+  // Output spikes double as the next step's recurrent *events*: each row
+  // records its spike indices while it emits them, so the recurrent matmul
+  // is event-driven too (hard-mode spikes are exactly 1.0f, and the indices
+  // are ascending — the dense kernel's accumulation order).
+  std::vector<std::uint32_t> rec_idx(recurrent ? B * N : 0);
+  // counts[b·T + t] = spikes of row b at step t, one contiguous run per row
+  // so that rows on different threads do not share cache lines.
+  std::vector<std::uint32_t> counts(B * T, 0);
+  const std::vector<float> zero_row(N, 0.0f);  // S(−1)
 
-  // Fixed threshold: θ(t) never depends on the batch's spike counts, so the
-  // rows are fully independent — each batch row runs its entire T-step
-  // sequence on one thread (one parallel dispatch per pass instead of one
-  // per timestep, and row state stays hot in cache).  The per-(b, t) FP op
-  // sequence is exactly the per-timestep loop below, so the output is
-  // bit-identical to it (and to the dense kernel) at any thread count.
-  if (policy.mode == ThresholdMode::kFixed) {
-    // Everything the inner loops touch is hoisted into locals: member and
-    // vector accesses through `this`/`events` would otherwise defeat the
-    // auto-vectorizer (a float store could alias lif_.beta).
-    const float theta = policy.fixed_value;
-    const std::size_t N = n_out_;
-    const float beta = lif_.beta;
-    const bool recurrent = lif_.recurrent;
-    const float* wff = w_ff_.raw();
-    const float* wrec = recurrent ? w_rec_.raw() : nullptr;
-    const std::uint32_t* offs = events.offsets.data();
-    const std::uint32_t* chan = events.channel.data();
-    const float* val = events.value.data();
-    const bool unit = events.unit_values;
-    float* outp = out.raw();
-    float* cmem = cache != nullptr ? cache->membrane.raw() : nullptr;
-    float* cspk = cache != nullptr ? cache->spikes.raw() : nullptr;
-    std::vector<std::uint32_t> rec_idx(recurrent ? bn : 0);
-    std::vector<std::size_t> row_total(B, 0);  // spikes over all T
-    std::vector<std::size_t> row_last(B, 0);   // spikes at t = T−1
-    const std::vector<float> zero_row(N, 0.0f);  // S(−1)
+  // θ windows: ThresholdState holds θ constant over [t0, t1) — the whole
+  // pass for a fixed θ, adjust_interval steps for the adaptive rule — so
+  // within a window the rows are independent and each batch row walks its
+  // steps on one thread: one parallel dispatch per window, row state hot in
+  // cache.  After the window the per-step spike counts, summed in row order,
+  // feed observe() in t order.  Per (b, t) the FP ops are forward_dense's,
+  // in its order, so outputs, caches, θ and stats are bit-identical to it at
+  // any thread count.
+  ThresholdState th(policy);
+  float theta_prev = policy.fixed_value;  // θ(t0 − 1), the reset at a window's first step
+  std::size_t spike_total = 0, rec_events = 0;  // rec_events: spikes at t < T−1
+  for (std::size_t t0 = 0; t0 < T;) {
+    const float theta = th.threshold_at(static_cast<int>(t0));
+    const auto t1 =
+        static_cast<std::size_t>(th.window_end(static_cast<int>(t0), static_cast<int>(T)));
     parallel_for(
         0, B,
         [&](std::size_t b) {
-          float* vrow = v.raw() + b * N;
-          float* crow = current.raw() + b * N;
+          const float theta_w = theta;
+          float reset = theta_prev;
+          float* vrow = vmem + b * N;
+          float* crow = cur + b * N;
           std::uint32_t* ridx = recurrent ? rec_idx.data() + b * N : nullptr;
-          std::uint32_t rn = 0;
-          std::size_t total = 0, last = 0;
-          for (std::size_t t = 0; t < T; ++t) {
+          std::uint32_t* row_counts = counts.data() + b * T;
+          std::uint32_t rn = t0 > 0 ? row_counts[t0 - 1] : 0;  // events of S(t−1)
+          for (std::size_t t = t0; t < t1; ++t) {
+            // I(t) = X(t)·W_ff: accumulate the weight row of every active
+            // input channel, ascending — bit-identical to kernels::matmul's
+            // zero-skipping k loop over the dense slab.
             std::fill(crow, crow + N, 0.0f);
             const std::size_t lo = offs[t * B + b], hi = offs[t * B + b + 1];
             if (unit) {
@@ -144,26 +158,28 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
                 for (std::size_t j = 0; j < N; ++j) crow[j] += av * wrow[j];
               }
             }
-            if (recurrent && t > 0) {
+            // I(t) += S(t−1)·W_rec over last step's recorded spike indices.
+            if (ridx != nullptr) {
               for (std::uint32_t e = 0; e < rn; ++e) {
                 const float* wrow = wrec + ridx[e] * N;
                 for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
               }
             }
-            // S(t−1) is row b of the previous output slab — no prev_s copy.
+            // S(t−1) is row b of the previous output slab.
             const float* srow_prev =
                 t > 0 ? outp + ((t - 1) * B + b) * N : zero_row.data();
             float* srow_out = outp + (t * B + b) * N;
-            // Membrane update + spike emission, branch-free over j so it
-            // vectorizes; the select equals hard_spike(vt − θ) exactly.
+            // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = Θ(V(t) − θ(t)),
+            // branch-free over j so it vectorizes; the select equals
+            // hard_spike(vt − θ) exactly.
             for (std::size_t j = 0; j < N; ++j) {
-              const float vt = beta * vrow[j] - theta * srow_prev[j] + crow[j];
+              const float vt = beta * vrow[j] - reset * srow_prev[j] + crow[j];
               vrow[j] = vt;
-              srow_out[j] = vt - theta > 0.0f ? 1.0f : 0.0f;
+              srow_out[j] = vt - theta_w > 0.0f ? 1.0f : 0.0f;
             }
             // Spike-index/count scan, kept out of the arithmetic loop above
             // so its data-dependent branch cannot block vectorization.
-            std::size_t count = 0;
+            std::uint32_t count = 0;
             if (ridx != nullptr) {
               for (std::size_t j = 0; j < N; ++j) {
                 if (srow_out[j] != 0.0f) ridx[count++] = static_cast<std::uint32_t>(j);
@@ -171,132 +187,41 @@ Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
             } else {
               for (std::size_t j = 0; j < N; ++j) count += srow_out[j] != 0.0f ? 1u : 0u;
             }
-            rn = static_cast<std::uint32_t>(count);
-            total += count;
-            if (t + 1 == T) last = count;
+            rn = count;
+            row_counts[t] = count;
+            reset = theta_w;
             if (cmem != nullptr) {
               std::copy(vrow, vrow + N, cmem + (t * B + b) * N);
               std::copy(srow_out, srow_out + N, cspk + (t * B + b) * N);
             }
           }
-          row_total[b] = total;
-          row_last[b] = last;
         },
-        T * n_out_ * 4);
-    if (stats != nullptr) {
-      // Fixed-order reduction over rows (integer sums, but keep row order
-      // anyway).  ff synops = every event × n_out; recurrent synops at step
-      // t charge the spikes of step t−1, i.e. all spikes except t = T−1's.
-      std::size_t spike_total = 0, rec_events = 0;
-      for (std::size_t b = 0; b < B; ++b) {
-        spike_total += row_total[b];
-        rec_events += row_total[b] - row_last[b];
-      }
-      stats->synops += static_cast<std::uint64_t>(events.num_events()) * n_out_;
-      if (lif_.recurrent) {
-        stats->synops += static_cast<std::uint64_t>(rec_events) * n_out_;
-      }
-      stats->neuron_updates += static_cast<std::uint64_t>(T) * bn;
-      stats->spikes += spike_total;
-      stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
+        (t1 - t0) * N * 4);
+
+    for (std::size_t t = t0; t < t1; ++t) {
+      std::size_t spikes = 0;
+      for (std::size_t b = 0; b < B; ++b) spikes += counts[b * T + t];
+      th.observe(static_cast<int>(t), spikes);
+      spike_total += spikes;
+      if (t + 1 < T) rec_events += spikes;
     }
-    return out;
+    if (cache != nullptr) {
+      std::fill(cache->theta.begin() + static_cast<std::ptrdiff_t>(t0),
+                cache->theta.begin() + static_cast<std::ptrdiff_t>(t1), theta);
+    }
+    theta_prev = theta;
+    t0 = t1;
   }
 
-  // Output spikes double as the next step's recurrent *events*: each row
-  // records its spike indices while it computes them, so the recurrent
-  // matmul is event-driven too (hard-mode spikes are exactly 1.0f, and the
-  // indices are ascending — the dense kernel's accumulation order).
-  std::vector<std::uint32_t> rec_idx(lif_.recurrent ? bn : 0);
-  std::vector<std::uint32_t> rec_len(lif_.recurrent ? B : 0, 0);
-  std::vector<std::size_t> row_spikes(B, 0);
-  std::size_t prev_spike_total = 0;  // spikes at t−1 = this step's recurrent events
-
-  for (std::size_t t = 0; t < T; ++t) {
-    const float theta_t = th.threshold_at(static_cast<int>(t));
-
-    // Per batch row: event-driven I(t), membrane update, spike emission and
-    // next-step recurrent event recording.  Rows write disjoint slices, so
-    // any thread count produces identical bits; the per-row grain keeps tiny
-    // layers serial (parallel_for's 2048-element floor).
-    parallel_for(
-        0, B,
-        [&](std::size_t b) {
-          float* crow = current.raw() + b * n_out_;
-          std::fill(crow, crow + n_out_, 0.0f);
-          // I(t) = X(t)·W_ff: accumulate the weight row of every active
-          // input channel, ascending — bit-identical to kernels::matmul's
-          // zero-skipping k loop over the dense slab.
-          const std::size_t lo = events.row_begin(t, b), hi = events.row_end(t, b);
-          if (events.unit_values) {
-            for (std::size_t e = lo; e < hi; ++e) {
-              const float* wrow = w_ff_.raw() + events.channel[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += wrow[j];
-            }
-          } else {
-            for (std::size_t e = lo; e < hi; ++e) {
-              const float av = events.value[e];
-              const float* wrow = w_ff_.raw() + events.channel[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += av * wrow[j];
-            }
-          }
-          // I(t) += S(t−1)·W_rec over last step's recorded spike indices.
-          if (lif_.recurrent && t > 0) {
-            const std::uint32_t* ridx = rec_idx.data() + b * n_out_;
-            const std::uint32_t rn = rec_len[b];
-            for (std::uint32_t e = 0; e < rn; ++e) {
-              const float* wrow = w_rec_.raw() + ridx[e] * n_out_;
-              for (std::size_t j = 0; j < n_out_; ++j) crow[j] += wrow[j];
-            }
-          }
-          // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = Θ(V(t) − θ(t))
-          float* vrow = v.raw() + b * n_out_;
-          const float* srow_prev = prev_s.raw() + b * n_out_;
-          float* srow_out = out.slab(t).data() + b * n_out_;
-          std::uint32_t* ridx_out = lif_.recurrent ? rec_idx.data() + b * n_out_ : nullptr;
-          std::size_t count = 0;
-          for (std::size_t j = 0; j < n_out_; ++j) {
-            const float vt = lif_.beta * vrow[j] - theta_prev * srow_prev[j] + crow[j];
-            vrow[j] = vt;
-            const float s = hard_spike(vt - theta_t);
-            srow_out[j] = s;
-            if (s != 0.0f) {
-              if (ridx_out != nullptr) ridx_out[count] = static_cast<std::uint32_t>(j);
-              ++count;
-            }
-          }
-          if (lif_.recurrent) rec_len[b] = static_cast<std::uint32_t>(count);
-          row_spikes[b] = count;
-        },
-        n_out_ * 4);
-
-    // Fixed-order reduction of the per-row spike counts (row 0 first) keeps
-    // the adaptive-threshold observation identical across thread counts.
-    std::size_t spike_count = 0;
-    for (std::size_t b = 0; b < B; ++b) spike_count += row_spikes[b];
-    th.observe(static_cast<int>(t), spike_count);
-
-    const float* sp_out = out.slab(t).data();
-    if (cache != nullptr) {
-      std::copy(v.raw(), v.raw() + bn, cache->membrane.slab(t).data());
-      std::copy(sp_out, sp_out + bn, cache->spikes.slab(t).data());
-      cache->theta[t] = theta_t;
-    }
-    if (stats != nullptr) {
-      // Synop stats fall straight out of the event list — the counts the
-      // dense path re-derived with a count_nonzero rescan of every slab.
-      stats->synops += static_cast<std::uint64_t>(events.events_in_timestep(t)) * n_out_;
-      if (lif_.recurrent && t > 0) {
-        stats->synops += static_cast<std::uint64_t>(prev_spike_total) * n_out_;
-      }
-      stats->neuron_updates += bn;
-      stats->spikes += spike_count;
-      stats->timestep_slots += B;
-    }
-
-    std::copy(sp_out, sp_out + bn, prev_s.raw());
-    theta_prev = theta_t;
-    prev_spike_total = spike_count;
+  if (stats != nullptr) {
+    // Synop stats fall out of the event list and the spike counts: ff synops
+    // = every event × n_out; recurrent synops at step t charge the spikes of
+    // step t−1, i.e. all spikes except t = T−1's.
+    stats->synops += static_cast<std::uint64_t>(events.num_events()) * N;
+    if (recurrent) stats->synops += static_cast<std::uint64_t>(rec_events) * N;
+    stats->neuron_updates += static_cast<std::uint64_t>(T) * B * N;
+    stats->spikes += spike_total;
+    stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
   }
   return out;
 }

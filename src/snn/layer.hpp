@@ -16,12 +16,18 @@
 // complete gradient in soft mode.
 // Hot path (hard mode): the forward pass is event-driven — the input cube is
 // turned into per-timestep active-channel lists (compress::BatchEventList)
-// once, I(t) accumulates O(events·n_out) weight rows in ascending channel
-// order (the exact accumulation order of kernels::matmul's zero-skipping
-// loop, so sparse ≡ dense bit-for-bit), the membrane update runs
-// batch-parallel over B rows (disjoint writes, per-row spike counts reduced
-// in fixed row order — threads=N ≡ threads=1), and synop stats fall out of
-// the event list instead of a per-timestep count_nonzero rescan.
+// once, and I(t) accumulates O(events·n_out) weight rows in ascending
+// channel order (the exact accumulation order of kernels::matmul's
+// zero-skipping loop, so sparse ≡ dense bit-for-bit).  Fixed and adaptive θ
+// share one loop over θ windows, the runs of steps over which
+// ThresholdState holds θ constant (ThresholdState::window_end): inside a
+// window each batch row walks its steps on one thread (disjoint writes),
+// and after it the per-row spike counts, summed in row order, feed
+// ThresholdState::observe in t order — threads=N ≡ threads=1.  That is one
+// parallel dispatch per pass for a fixed θ and ⌈T / adjust_interval⌉ for the
+// adaptive rule (8 at T = 40, interval 5), and synop stats fall out of the
+// event list and the spike counts instead of a per-timestep count_nonzero
+// rescan.
 // Backward hot path: the BPTT recurrence (∂L/∂S, ∂L/∂V, the dV·W_recᵀ and
 // reset terms) runs row-parallel — θ(t) comes from LayerCache::theta, so
 // rows are independent under fixed and adaptive thresholds and each row
@@ -150,7 +156,8 @@ class RecurrentLifLayer {
   void load(BinaryReader& in);
 
  private:
-  /// The event-driven, batch-parallel path (hard mode).
+  /// The event-driven, row-parallel path (hard mode): one dispatch per θ
+  /// window.
   Tensor forward_sparse(const compress::BatchEventList& events, const ThresholdPolicy& policy,
                         LayerCache* cache, SpikeOpStats* stats) const;
 

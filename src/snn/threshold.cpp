@@ -1,5 +1,6 @@
 #include "snn/threshold.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace r4ncl::snn {
@@ -29,6 +30,13 @@ float ThresholdState::threshold_at(int t) noexcept {
     window_time_sum_ = 0.0;
   }
   return current_;
+}
+
+int ThresholdState::window_end(int t, int timesteps) const noexcept {
+  const int interval = policy_.adjust_interval;
+  if (policy_.mode == ThresholdMode::kFixed || interval <= 0) return timesteps;
+  const long long boundary = static_cast<long long>(t) + interval - t % interval;
+  return static_cast<int>(std::min<long long>(boundary, timesteps));
 }
 
 void ThresholdState::observe(int t, std::size_t spike_count) noexcept {

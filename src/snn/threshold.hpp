@@ -64,6 +64,13 @@ class ThresholdState {
   /// Threshold to apply at timestep t.  Must be called with increasing t.
   float threshold_at(int t) noexcept;
 
+  /// End of the θ window that starts at t: threshold_at returns one value
+  /// over [t, window_end(t, timesteps)), so the spikes of those steps may be
+  /// observe()d after the window.  `timesteps` for a fixed θ or a rule that
+  /// never adjusts (adjust_interval <= 0), else the next adjustment boundary
+  /// after t, capped at `timesteps`.
+  [[nodiscard]] int window_end(int t, int timesteps) const noexcept;
+
   /// Reports the spikes emitted at timestep t (count and sum of their
   /// timestep indices, i.e. count·t for a single step).
   void observe(int t, std::size_t spike_count) noexcept;

@@ -91,43 +91,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   kernels::matmul(a.raw(), m, k, b.raw(), n, c.raw(), accumulate);
 }
 
-void axpy(float alpha, const Tensor& x, Tensor& y) {
-  R4NCL_CHECK(x.same_shape(y), "axpy shape mismatch");
-  const float* xs = x.raw();
-  float* ys = y.raw();
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) ys[i] += alpha * xs[i];
-}
-
-void hadamard(const Tensor& a, const Tensor& b, Tensor& y) {
-  R4NCL_CHECK(a.same_shape(b) && a.same_shape(y), "hadamard shape mismatch");
-  const float* as = a.raw();
-  const float* bs = b.raw();
-  float* ys = y.raw();
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) ys[i] = as[i] * bs[i];
-}
-
-double sum(const Tensor& t) noexcept {
-  double acc = 0.0;
-  for (float v : t.values()) acc += v;
-  return acc;
-}
-
-double mean(const Tensor& t) noexcept {
-  return t.empty() ? 0.0 : sum(t) / static_cast<double>(t.size());
-}
-
-float max_abs(const Tensor& t) noexcept {
-  float best = 0.0f;
-  for (float v : t.values()) best = std::max(best, std::abs(v));
-  return best;
-}
-
-void clip_inplace(Tensor& t, float bound) noexcept {
-  for (auto& v : t.values()) v = std::clamp(v, -bound, bound);
-}
-
 double softmax_cross_entropy(const Tensor& logits, std::span<const std::int32_t> labels,
                              Tensor* grad) {
   check_2d(logits, "logits");

@@ -60,24 +60,6 @@ std::size_t count_nonzero(const float* v, std::size_t n) noexcept;
 /// C = A·B (A: m×k, B: k×n, C: m×n).  When accumulate is true, C += A·B.
 void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 
-/// y += alpha * x (elementwise over equally-shaped tensors).
-void axpy(float alpha, const Tensor& x, Tensor& y);
-
-/// Elementwise y = a ⊙ b.
-void hadamard(const Tensor& a, const Tensor& b, Tensor& y);
-
-/// Sum of all elements.
-double sum(const Tensor& t) noexcept;
-
-/// Mean of all elements (0 for empty tensors).
-double mean(const Tensor& t) noexcept;
-
-/// Maximum absolute element (0 for empty tensors).
-float max_abs(const Tensor& t) noexcept;
-
-/// Clips every element into [-bound, bound]; used for gradient clipping.
-void clip_inplace(Tensor& t, float bound) noexcept;
-
 /// Row-wise softmax + cross-entropy against integer labels.
 /// logits: (batch × classes); labels: one per row.
 /// Returns mean loss; when grad is non-null, writes d(mean loss)/d(logits).

@@ -6,8 +6,4 @@ void Tensor::fill_normal(Rng& rng, float stddev) {
   for (auto& x : data_) x = static_cast<float>(rng.normal(0.0, stddev));
 }
 
-void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
-  for (auto& x : data_) x = static_cast<float>(rng.uniform(lo, hi));
-}
-
 }  // namespace r4ncl

@@ -88,9 +88,6 @@ class Tensor {
   /// Fills with N(0, stddev²) draws.
   void fill_normal(Rng& rng, float stddev);
 
-  /// Fills with U(lo, hi) draws.
-  void fill_uniform(Rng& rng, float lo, float hi);
-
   /// True when shapes match exactly.
   [[nodiscard]] bool same_shape(const Tensor& other) const noexcept {
     return shape_ == other.shape_;

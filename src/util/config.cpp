@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -34,26 +36,34 @@ std::string Config::get_string(const std::string& key, const std::string& fallba
   return get(key).value_or(fallback);
 }
 
+namespace {
+
+/// Parses all of `text` as a Number; a value that is not entirely one
+/// ("64k", "1e3" for an integer, "0.5x", "") throws, naming where it came
+/// from and what it was.
+template <typename Number>
+Number parse_whole(const std::string& name, const std::string& text, const char* kind) {
+  Number value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  R4NCL_CHECK(ec == std::errc() && stop == end, name << "=" << text << " must be " << kind);
+  return value;
+}
+
+}  // namespace
+
+std::string Config::source_name(const std::string& key) const {
+  return values_.contains(key) ? key : env_key_for(key);
+}
+
 long long Config::get_int(const std::string& key, long long fallback) const {
-  if (auto v = get(key)) {
-    try {
-      return std::stoll(*v);
-    } catch (...) {
-      return fallback;
-    }
-  }
-  return fallback;
+  const auto v = get(key);
+  return v ? parse_whole<long long>(source_name(key), *v, "an integer") : fallback;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
-  if (auto v = get(key)) {
-    try {
-      return std::stod(*v);
-    } catch (...) {
-      return fallback;
-    }
-  }
-  return fallback;
+  const auto v = get(key);
+  return v ? parse_whole<double>(source_name(key), *v, "a number") : fallback;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -29,6 +29,10 @@ class Config {
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_string(const std::string& key, const std::string& fallback) const;
+  /// Numeric getters: `fallback` when the key is absent; a value that is not
+  /// entirely a number (decimal for get_int, "1e3" and "0.5" included for
+  /// get_double; no whitespace or '+') throws Error naming the key — or its
+  /// R4NCL_<KEY> variable — and the value, so `budget=64k` cannot run as 64.
   [[nodiscard]] long long get_int(const std::string& key, long long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
@@ -45,6 +49,9 @@ class Config {
   void validate_keys(std::span<const std::string_view> known) const;
 
  private:
+  /// `key` for an explicit value, R4NCL_<KEY> for an environment one.
+  [[nodiscard]] std::string source_name(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positionals_;
 };
@@ -55,8 +62,8 @@ std::string env_key_for(const std::string& key);
 /// Strict non-negative decimal parse: digits only (no sign, hex prefix,
 /// whitespace or empty string), overflow-checked over the full uint64
 /// range.  Returns false instead of guessing — the CLI surfaces use this
-/// where get_int()'s lenient stoll semantics ("0x10" → 0, "abc" →
-/// fallback) would let a malformed value run silently.
+/// for values such as seeds that need the uint64 range get_int() (int64,
+/// signed) cannot hold.
 [[nodiscard]] bool parse_unsigned_decimal(std::string_view text,
                                           std::uint64_t& value) noexcept;
 

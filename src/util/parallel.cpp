@@ -72,7 +72,8 @@ void parallel_for(std::size_t begin, std::size_t end,
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const int workers = num_threads();
-  if (workers <= 1 || count * grain < 2048) {
+  // One iteration never gains from a team: it runs on the calling thread.
+  if (workers <= 1 || count == 1 || count * grain < 2048) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

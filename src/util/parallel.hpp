@@ -25,7 +25,8 @@ void init_threads_from_env();
 bool openmp_enabled() noexcept;
 
 /// Invokes body(i) for i in [begin, end).  Iterations must be independent.
-/// Small ranges (or grain hints) run serially to avoid fork overhead.
+/// Small ranges (or grain hints) and one-iteration ranges run serially on
+/// the calling thread to avoid fork overhead.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);

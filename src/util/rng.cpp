@@ -55,24 +55,6 @@ bool Rng::bernoulli(double p) noexcept {
   return uniform() < p;
 }
 
-std::uint32_t Rng::poisson(double lambda) noexcept {
-  if (lambda <= 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth's multiplication method.
-    const double limit = std::exp(-lambda);
-    double product = uniform();
-    std::uint32_t k = 0;
-    while (product > limit) {
-      ++k;
-      product *= uniform();
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction; fine for rate modelling.
-  const double draw = normal(lambda, std::sqrt(lambda));
-  return draw < 0.0 ? 0u : static_cast<std::uint32_t>(draw + 0.5);
-}
-
 void Rng::shuffle(std::vector<std::size_t>& v) noexcept {
   for (std::size_t i = v.size(); i > 1; --i) {
     const std::size_t j = uniform_index(i);

@@ -45,8 +45,6 @@ class Rng {
   double normal(double mean, double stddev) noexcept;
   /// Bernoulli draw with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
-  /// Poisson draw (Knuth for small lambda, normal approximation for large).
-  std::uint32_t poisson(double lambda) noexcept;
 
   /// Fisher–Yates shuffle of an index vector.
   void shuffle(std::vector<std::size_t>& v) noexcept;

@@ -1,5 +1,6 @@
 // Config parsing: CLI tokens, env fallback, typed getters, key validation.
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -50,9 +51,47 @@ TEST(Config, BoolParsing) {
   EXPECT_TRUE(cfg.get_bool("e", true)) << "unparseable falls back";
 }
 
+/// The Error message get(cfg) throws, or "" when it does not throw.
+template <typename Get>
+std::string error_of(Get get) {
+  try {
+    (void)get();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Config, MalformedNumberFallsBack) {
-  const Config cfg = parse({"epochs=abc"});
-  EXPECT_EQ(cfg.get_int("epochs", 7), 7);
+  // The name is kept from when this test pinned the silent fallback for
+  // "epochs=abc"; that fallback was the bug.  A parse that stops at the
+  // first non-digit would run each of these silently as a wrong value:
+  // "64k" as 64, "1e3" as 1, "2.5" as 2, "0.5x" as 0.5, "abc" and "" as the
+  // fallback.  Each must throw instead.
+  const Config cfg = parse({"epochs=abc", "budget=64k", "samples=1e3", "shards=2.5",
+                            "empty=", "scale=0.5x", "lr=."});
+  for (const char* key : {"epochs", "budget", "samples", "shards", "empty"}) {
+    const std::string what = error_of([&] { return cfg.get_int(key, 7); });
+    const std::string expected =
+        std::string(key) + "=" + *cfg.get(key) + " must be an integer";
+    EXPECT_NE(what.find(expected), std::string::npos) << key << ": " << what;
+  }
+  for (const char* key : {"scale", "lr", "empty"}) {
+    const std::string what = error_of([&] { return cfg.get_double(key, 1.0); });
+    const std::string expected = std::string(key) + "=" + *cfg.get(key) + " must be a number";
+    EXPECT_NE(what.find(expected), std::string::npos) << key << ": " << what;
+  }
+  // Whole numbers still parse, including the forms get_double admits.
+  const Config ok = parse({"n=-12", "x=1e3", "y=-0.25"});
+  EXPECT_EQ(ok.get_int("n", 0), -12);
+  EXPECT_DOUBLE_EQ(ok.get_double("x", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(ok.get_double("y", 0.0), -0.25);
+  // An environment value is named by its variable.
+  ::setenv("R4NCL_MALFORMED_UNIQUE", "64k", 1);
+  const std::string env = error_of([&] { return cfg.get_int("malformed_unique", 0); });
+  ::unsetenv("R4NCL_MALFORMED_UNIQUE");
+  EXPECT_NE(env.find("R4NCL_MALFORMED_UNIQUE=64k must be an integer"), std::string::npos)
+      << env;
 }
 
 TEST(Config, EnvKeyMapping) {

@@ -129,12 +129,29 @@ TEST(SparseForward, MatchesDenseWithAllZeroAndAllOnesTimesteps) {
 
 TEST(SparseForward, MatchesDenseUnderAdaptivePolicy) {
   const std::size_t T = 12, B = 4, C = 48, N = 32;
-  // The adaptive controller couples timesteps across the batch, which routes
-  // the sparse path through its per-timestep loop (observe() feedback) —
-  // still bit-identical.
-  const auto policy = snn::ThresholdPolicy::adaptive(static_cast<int>(T));
-  expect_sparse_matches_dense(make_layer(C, N, true, 9),
-                              random_cube(T, B, C, 0.15, 77), policy);
+  // The adaptive controller couples timesteps across the batch: the event
+  // path runs one row-parallel dispatch per θ window and feeds observe()
+  // after it — still bit-identical.  The intervals cover a rule that never
+  // adjusts (0), one-step windows (1), a partial last window (5, 7), exactly
+  // one window (12) and a window longer than T (15).
+  Tensor binary = random_cube(T, B, C, 0.15, 77);
+  Tensor graded(T, B, C);
+  Rng rng(78);
+  for (auto& v : graded.values()) {
+    if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
+  }
+  for (const bool recurrent : {true, false}) {
+    const auto layer = make_layer(C, N, recurrent, 9);
+    for (const int interval : {0, 1, 5, 7, 12, 15}) {
+      const auto policy =
+          snn::ThresholdPolicy::adaptive(static_cast<int>(T), 1.0f, interval);
+      for (const Tensor* x : {&binary, &graded}) {
+        SCOPED_TRACE(testing::Message() << "recurrent=" << recurrent << " interval=" << interval
+                                        << " graded=" << (x == &graded));
+        expect_sparse_matches_dense(layer, *x, policy);
+      }
+    }
+  }
 }
 
 TEST(SparseForward, MatchesDenseOnNonBinaryValues) {
@@ -182,17 +199,29 @@ TEST(SparseForward, EventsFromAerMatchEventsFromBatch) {
 }
 
 TEST(ThreadIdentity, ForwardBitIdentical) {
-  const std::size_t T = 10, B = 6, C = 48, N = 32;
+  // The size matters: parallel_for keeps a range serial below 2048 units
+  // (rows × grain), and a row's grain is 4·N per step of its θ window.  At
+  // B = 16, N = 64 even a one-step window is 16·64·4 = 4096 units, so the
+  // threads=4 run of both policies (fixed: one window of T steps; adaptive:
+  // windows of 5) really forks.  At B = 6, N = 32 a one-step window would be
+  // 768 units and never leave the calling thread, checking nothing.
+  const std::size_t T = 10, B = 16, C = 48, N = 64;
   const auto layer = make_layer(C, N, true, 15);
   const Tensor x = random_cube(T, B, C, 0.1, 200);
   const int base = num_threads();
   for (const auto& policy : {snn::ThresholdPolicy::fixed(1.0f),
                              snn::ThresholdPolicy::adaptive(static_cast<int>(T))}) {
+    snn::LayerCache cache1, cache4;
+    snn::SpikeOpStats stats1, stats4;
     set_num_threads(1);
-    const Tensor one = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, nullptr);
+    const Tensor one = layer.forward(x, snn::SpikeMode::kHard, policy, &cache1, &stats1);
     set_num_threads(4);
-    const Tensor four = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, nullptr);
+    const Tensor four = layer.forward(x, snn::SpikeMode::kHard, policy, &cache4, &stats4);
     EXPECT_TRUE(same_bits(one, four));
+    EXPECT_TRUE(same_bits(cache1.membrane, cache4.membrane));
+    EXPECT_TRUE(same_bits(cache1.spikes, cache4.spikes));
+    EXPECT_EQ(cache1.theta, cache4.theta);
+    expect_same_stats(stats1, stats4);
   }
   set_num_threads(base);
 }

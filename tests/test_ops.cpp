@@ -146,48 +146,6 @@ TEST(Ops, MatmulShapeMismatchThrows) {
   EXPECT_THROW(matmul(a, b, c), Error);
 }
 
-TEST(Ops, Axpy) {
-  Tensor x(2, 2), y(2, 2);
-  x.fill(3.0f);
-  y.fill(1.0f);
-  axpy(2.0f, x, y);
-  for (float v : y.values()) EXPECT_EQ(v, 7.0f);
-}
-
-TEST(Ops, Hadamard) {
-  Tensor a(1, 3), b(1, 3), y(1, 3);
-  a(0) = 2;
-  a(1) = -3;
-  a(2) = 0;
-  b.fill(4.0f);
-  hadamard(a, b, y);
-  EXPECT_EQ(y(0), 8.0f);
-  EXPECT_EQ(y(1), -12.0f);
-  EXPECT_EQ(y(2), 0.0f);
-}
-
-TEST(Ops, SumMeanMaxAbs) {
-  Tensor t(1, 4);
-  t(0) = 1;
-  t(1) = -5;
-  t(2) = 2;
-  t(3) = 0;
-  EXPECT_DOUBLE_EQ(sum(t), -2.0);
-  EXPECT_DOUBLE_EQ(mean(t), -0.5);
-  EXPECT_EQ(max_abs(t), 5.0f);
-}
-
-TEST(Ops, ClipInplace) {
-  Tensor t(1, 3);
-  t(0) = 10;
-  t(1) = -10;
-  t(2) = 0.5f;
-  clip_inplace(t, 1.0f);
-  EXPECT_EQ(t(0), 1.0f);
-  EXPECT_EQ(t(1), -1.0f);
-  EXPECT_EQ(t(2), 0.5f);
-}
-
 TEST(Ops, CountNonzero) {
   const float v[] = {0.0f, 1.0f, 0.0f, -2.0f, 0.0f};
   EXPECT_EQ(kernels::count_nonzero(v, 5), 2u);

@@ -82,6 +82,24 @@ TEST(Parallel, SmallGrainRunsSerial) {
   set_num_threads(2);
 }
 
+TEST(Parallel, SingleIterationRunsOnCallingThread) {
+  // A one-row batch (batch-1 inference) must not fork a team, whatever the
+  // grain says: no other thread could take a share of the work.
+  const int prev = num_threads();
+  set_num_threads(4);
+  std::thread::id ran_on;
+  bool in_team = false;
+  parallel_for(3, 4, [&](std::size_t) {
+    ran_on = std::this_thread::get_id();
+#ifdef _OPENMP
+    in_team = omp_in_parallel() != 0;
+#endif
+  }, 1 << 20);
+  set_num_threads(prev);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_FALSE(in_team);
+}
+
 TEST(RunWorkers, EveryWorkerIndexRunsOnItsOwnThread) {
   const std::size_t workers = 6;
   std::mutex mu;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -386,6 +387,25 @@ TEST(ReplayCliOverrides, NegativeReplaySamplesThrowsInsteadOfWrapping) {
     EXPECT_NE(std::string(e.what()).find("replay_samples=-3"), std::string::npos)
         << e.what();
     EXPECT_NE(std::string(e.what()).find("non-negative"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ReplayCliOverrides, PartlyNumericValuesThrowInsteadOfTruncating) {
+  // A prefix parse would run "64k" as a 64-byte budget, "1e3" as a 1-entry
+  // draw and "2.5" as 2 shards.
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{"budget", "64k"},
+                                   {"replay_samples", "1e3"},
+                                   {"shards", "2.5"}}) {
+    Config cfg;
+    cfg.set(key, value);
+    NclMethodConfig method = NclMethodConfig::replay4ncl();
+    try {
+      apply_replay_overrides(method, cfg);
+      ADD_FAILURE() << key << "=" << value << ": expected Error";
+    } catch (const Error& e) {
+      const std::string expected = std::string(key) + "=" + value + " must be an integer";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+    }
   }
 }
 

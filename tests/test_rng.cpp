@@ -88,27 +88,6 @@ TEST(Rng, BernoulliDegenerateCases) {
   }
 }
 
-TEST(Rng, PoissonMeanMatchesLambdaSmall) {
-  Rng rng(13);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(2.5);
-  EXPECT_NEAR(sum / n, 2.5, 0.1);
-}
-
-TEST(Rng, PoissonMeanMatchesLambdaLarge) {
-  Rng rng(14);
-  double sum = 0.0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) sum += rng.poisson(80.0);
-  EXPECT_NEAR(sum / n, 80.0, 1.5);
-}
-
-TEST(Rng, PoissonZeroLambda) {
-  Rng rng(15);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 TEST(Rng, PermutationIsAPermutation) {
   Rng rng(16);
   const auto p = rng.permutation(100);

@@ -98,15 +98,6 @@ TEST(Batching, RoundTripThroughTensor) {
   EXPECT_EQ(batch_to_raster(batch, 1), ds[1].raster);
 }
 
-TEST(Batching, LabelsFollowIndices) {
-  Dataset ds;
-  ds.push_back({SpikeRaster(2, 2), 5});
-  ds.push_back({SpikeRaster(2, 2), 9});
-  const std::size_t idx_arr[] = {1, 0};
-  const auto labels = batch_labels(ds, idx_arr);
-  EXPECT_EQ(labels, (std::vector<std::int32_t>{9, 5}));
-}
-
 TEST(Batching, RasterToBatchSingle) {
   const SpikeRaster r = make_raster(3, 2, {{1, 1}});
   const Tensor batch = raster_to_batch(r);
@@ -121,16 +112,6 @@ TEST(Batching, MixedShapesRejected) {
   ds.push_back({SpikeRaster(5, 3), 1});
   const std::size_t idx_arr[] = {0, 1};
   EXPECT_THROW((void)make_batch(ds, idx_arr), Error);
-}
-
-TEST(Filtering, FilterClasses) {
-  Dataset ds;
-  for (int k = 0; k < 5; ++k) ds.push_back({SpikeRaster(2, 2), k});
-  const std::int32_t keep[] = {1, 3};
-  const Dataset out = filter_classes(ds, keep);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].label, 1);
-  EXPECT_EQ(out[1].label, 3);
 }
 
 TEST(Filtering, TakePerClassCaps) {

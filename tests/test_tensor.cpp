@@ -69,16 +69,6 @@ TEST(Tensor, FillNormalIsDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a(i), b(i));
 }
 
-TEST(Tensor, FillUniformWithinBounds) {
-  Tensor t(10, 10);
-  Rng rng(3);
-  t.fill_uniform(rng, -0.5f, 0.5f);
-  for (float v : t.values()) {
-    EXPECT_GE(v, -0.5f);
-    EXPECT_LT(v, 0.5f);
-  }
-}
-
 TEST(Tensor, SameShape) {
   EXPECT_TRUE(Tensor(2, 3).same_shape(Tensor(2, 3)));
   EXPECT_FALSE(Tensor(2, 3).same_shape(Tensor(3, 2)));

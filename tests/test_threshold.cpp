@@ -88,6 +88,26 @@ TEST(Threshold, AdaptiveBaseRespected) {
   EXPECT_NEAR(st.threshold_at(5), 0.8f, 1e-5);
 }
 
+TEST(Threshold, WindowEndIsTheNextAdjustmentBoundary) {
+  // The event forward runs one parallel dispatch per window, so a window
+  // must end exactly where threshold_at may change θ.
+  const ThresholdState fixed(ThresholdPolicy::fixed(1.0f));
+  EXPECT_EQ(fixed.window_end(0, 40), 40);
+  EXPECT_EQ(fixed.window_end(17, 40), 40);
+  const ThresholdState never(ThresholdPolicy::adaptive(40, 1.0f, 0));
+  EXPECT_EQ(never.window_end(0, 40), 40);
+  const ThresholdState every(ThresholdPolicy::adaptive(40, 1.0f, 1));
+  EXPECT_EQ(every.window_end(0, 40), 1);
+  EXPECT_EQ(every.window_end(39, 40), 40);
+  const ThresholdState paper(ThresholdPolicy::adaptive(12));  // interval 5
+  EXPECT_EQ(paper.window_end(0, 12), 5);
+  EXPECT_EQ(paper.window_end(5, 12), 10);
+  EXPECT_EQ(paper.window_end(10, 12), 12);  // partial last window
+  EXPECT_EQ(paper.window_end(7, 12), 10);   // mid-window start
+  const ThresholdState longer(ThresholdPolicy::adaptive(12, 1.0f, 15));
+  EXPECT_EQ(longer.window_end(0, 12), 12);
+}
+
 TEST(Threshold, PolicyFactoriesSetFields) {
   const auto fixed = ThresholdPolicy::fixed(1.2f);
   EXPECT_EQ(fixed.mode, ThresholdMode::kFixed);
