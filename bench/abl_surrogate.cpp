@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
     core::ClRunConfig run;
     run.method = core::bench_replay4ncl();
-    run.method.lr_cl = 5e-4f;  // half-scale η rescaling (DESIGN.md §5.10)
+    run.method.lr_cl = 5e-4f;  // η_pre/2; see bench_replay4ncl() for the η rescaling
     run.insertion_layer = 2;
     run.epochs = epochs;
     run.eval_every = epochs;

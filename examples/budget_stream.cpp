@@ -60,7 +60,16 @@ int run_main(int argc, char** argv) {
               "stop_after=" << stop_after << " requires checkpoint=<path>");
   ckpt.stop_after_units = static_cast<std::size_t>(stop_after);
 
+  // So do the scenario and replay knobs (budget=64k, latent_bits=3, ...).
   core::PretrainConfig pc = core::pretrain_config_from(cfg);
+  core::SequentialRunConfig run;
+  run.method = core::bench_replay4ncl();
+  core::apply_replay_overrides(run.method, cfg);
+  run.insertion_layer = 2;
+  run.epochs_per_task = static_cast<std::size_t>(cfg.get_int("epochs", 8));
+  run.replay_per_new_class = pc.split.replay_per_class;
+  run.method.replay_budget.policy = policy;
+
   const data::SyntheticShdGenerator generator(pc.data_params);
   const data::SequentialTasks tasks =
       data::build_sequential_tasks(generator, pc.split, num_tasks);
@@ -76,14 +85,6 @@ int run_main(int argc, char** argv) {
     opts.lr = pc.lr;
     (void)snn::train_supervised(net, tasks.pretrain_train, opt, opts);
   }
-
-  core::SequentialRunConfig run;
-  run.method = core::bench_replay4ncl();
-  core::apply_replay_overrides(run.method, cfg);
-  run.insertion_layer = 2;
-  run.epochs_per_task = static_cast<std::size_t>(cfg.get_int("epochs", 8));
-  run.replay_per_new_class = pc.split.replay_per_class;
-  run.method.replay_budget.policy = policy;
 
   if (run.method.replay_budget.capacity_bytes == 0) {
     // Probe the per-entry footprint at the insertion layer and grant the

@@ -1,5 +1,7 @@
 #include "compress/aer.hpp"
 
+#include <functional>
+
 #include "compress/bitpack.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -39,6 +41,10 @@ AerRaster aer_encode(const data::SpikeRaster& raster) {
   return out;
 }
 
+namespace {
+
+/// Walks the encoded event stream in (t, channel) order without densifying
+/// it, invoking visit(t, channel) once per event.
 void aer_visit(const AerRaster& aer,
                const std::function<void(std::size_t t, std::size_t channel)>& visit) {
   std::size_t t = 0;
@@ -66,6 +72,8 @@ void aer_visit(const AerRaster& aer,
   }
   R4NCL_CHECK(decoded == aer.num_events, "AER event count mismatch");
 }
+
+}  // namespace
 
 data::SpikeRaster aer_decode(const AerRaster& aer) {
   data::SpikeRaster out(aer.timesteps, aer.channels);
@@ -155,41 +163,6 @@ BatchEventList events_from_batch(const Tensor& x) {
         }
       },
       C);
-  return out;
-}
-
-BatchEventList events_from_aer(std::span<const AerRaster> samples) {
-  BatchEventList out;
-  if (samples.empty()) return out;
-  out.timesteps = samples[0].timesteps;
-  out.batch = samples.size();
-  out.channels = samples[0].channels;
-  const std::size_t rows = out.timesteps * out.batch;
-  // Pass 1: events per (t, b) row → CSR offsets by exclusive prefix sum.
-  std::vector<std::uint32_t> counts(rows, 0);
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    const AerRaster& aer = samples[b];
-    R4NCL_CHECK(aer.timesteps == out.timesteps && aer.channels == out.channels,
-                "AER batch samples must share geometry");
-    aer_visit(aer, [&](std::size_t t, std::size_t) { ++counts[t * out.batch + b]; });
-  }
-  out.offsets.resize(rows + 1);
-  std::uint32_t cursor = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    out.offsets[r] = cursor;
-    cursor += counts[r];
-  }
-  out.offsets[rows] = cursor;
-  out.channel.resize(cursor);
-  out.value.assign(cursor, 1.0f);  // AER events are binary spikes
-  // Pass 2: fill.  aer_visit yields (t, c) sorted ascending, so each row's
-  // channels land ascending too.
-  std::vector<std::uint32_t> fill(out.offsets.begin(), out.offsets.end() - 1);
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    aer_visit(samples[b], [&](std::size_t t, std::size_t c) {
-      out.channel[fill[t * out.batch + b]++] = static_cast<std::uint32_t>(c);
-    });
-  }
   return out;
 }
 

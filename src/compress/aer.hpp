@@ -10,16 +10,12 @@
 // Encoding: events sorted by (t, channel); timestep stored as a delta from
 // the previous event's timestep (u8 with 255-escape), channel as u16.
 //
-// Beyond storage, this header is also the event-*iteration* surface of the
-// repo: aer_visit() walks an encoded stream without densifying it, and
-// BatchEventList is the batched per-timestep active-channel list the SNN
-// hot path consumes (snn::RecurrentLifLayer's event-driven forward), built
-// either from AER samples or from a dense (T × B × C) float batch.
+// The header also defines BatchEventList, the batched per-timestep
+// active-channel list the SNN hot path consumes (snn::RecurrentLifLayer's
+// event-driven forward), built from a dense (T × B × C) float batch.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "data/spike_data.hpp"
@@ -50,12 +46,6 @@ data::SpikeRaster aer_decode(const AerRaster& aer);
 /// rewritten, so stale contents cannot leak through).
 void aer_decode_into(const AerRaster& aer, data::SpikeRaster& out);
 
-/// Walks the encoded event stream in (t, channel) order without densifying
-/// it, invoking visit(t, channel) once per event — the iteration primitive
-/// batch event lists and event-driven consumers are built from.
-void aer_visit(const AerRaster& aer,
-               const std::function<void(std::size_t t, std::size_t channel)>& visit);
-
 /// Batched per-timestep active-channel lists: for every (t, b) row of a
 /// (T × B × C) spike cube, the channels with a non-zero value, ascending —
 /// CSR over rows in t-major order, so one timestep's rows are contiguous.
@@ -83,11 +73,6 @@ struct BatchEventList {
 /// Builds the event list of a dense (T × B × C) float batch in one scan.
 /// Every cell with a non-zero value becomes an event carrying that value.
 BatchEventList events_from_batch(const Tensor& x);
-
-/// Builds the event list of B AER-encoded samples (sample i = batch row i)
-/// without densifying any of them; all samples must share geometry.  The
-/// result equals events_from_batch() over the decoded dense batch.
-BatchEventList events_from_aer(std::span<const AerRaster> samples);
 
 /// Bytes the AER encoding needs for a raster of the given geometry/density
 /// (without encoding it): events·3 bytes + escape bytes are density-data

@@ -7,7 +7,7 @@
 // path (Ravaglia et al.) stores sub-byte group-count codes at 2/4/8 bits per
 // element through the same container.  The byte-per-row padding is also what
 // makes the paper's latent-memory savings land in the 20–21.88% band instead
-// of exactly 20% (see DESIGN.md §5).
+// of exactly 20% (see memory_bytes() in core/latent_buffer.hpp).
 //
 // Decode/encode are byte-parallel: a constexpr 256-row table decodes every
 // payload byte's 8/4/2 elements with one small copy, and the encoders fold a

@@ -7,7 +7,7 @@
 // drift and when they are active.
 //
 // This generator reproduces exactly that structure synthetically (the real
-// files are unavailable offline; see DESIGN.md §2): each class owns a seeded
+// files are unavailable offline): each class owns a seeded
 // set of channel–time Gaussian ridges; samples draw Bernoulli spikes from the
 // class rate field with per-sample temporal jitter, channel offset and rate
 // variation, plus uniform background noise.  The result is a 20-class,

@@ -67,15 +67,6 @@ Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
   return forward_sparse(compress::events_from_batch(x), policy, cache, stats);
 }
 
-Tensor RecurrentLifLayer::forward_events(const compress::BatchEventList& events, SpikeMode mode,
-                                         const ThresholdPolicy& policy,
-                                         SpikeOpStats* stats) const {
-  R4NCL_CHECK(mode == SpikeMode::kHard, "event-driven forward is hard-mode only");
-  R4NCL_CHECK(events.channels == n_in_,
-              "event-list channel count " << events.channels << " != " << n_in_);
-  return forward_sparse(events, policy, nullptr, stats);
-}
-
 Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
                                          const ThresholdPolicy& policy, LayerCache* cache,
                                          SpikeOpStats* stats) const {

@@ -124,14 +124,6 @@ class RecurrentLifLayer {
   Tensor forward_dense(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
                        LayerCache* cache, SpikeOpStats* stats) const;
 
-  /// Event-driven forward directly from per-timestep active-channel lists
-  /// (e.g. built from AER samples via compress::events_from_aer) — no dense
-  /// input cube exists at any point.  Bit-identical to forward() over the
-  /// equivalent dense cube.  Inference-only: backward() needs the dense x,
-  /// so `cache` capture is not offered here.
-  Tensor forward_events(const compress::BatchEventList& events, SpikeMode mode,
-                        const ThresholdPolicy& policy, SpikeOpStats* stats) const;
-
   /// BPTT backward.  `x` must be the exact tensor passed to forward, `d_out`
   /// is ∂L/∂S (T × B × n_out).  Accumulates weight gradients internally and,
   /// when `d_in` is non-null, writes ∂L/∂X (same shape as x).  Throws when

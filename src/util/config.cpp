@@ -67,11 +67,14 @@ double Config::get_double(const std::string& key, double fallback) const {
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  if (auto v = get(key)) {
-    if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
-    if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
-  }
-  return fallback;
+  const auto v = get(key);
+  if (!v) return fallback;
+  const bool yes = *v == "1" || *v == "true" || *v == "yes" || *v == "on";
+  const bool no = *v == "0" || *v == "false" || *v == "no" || *v == "off";
+  R4NCL_CHECK(yes || no, source_name(key)
+                             << "=" << *v
+                             << " must be a boolean (1/true/yes/on or 0/false/no/off)");
+  return yes;
 }
 
 void Config::validate_keys(std::span<const std::string_view> known) const {

@@ -42,15 +42,6 @@ TEST(Config, FallbacksWhenMissing) {
   EXPECT_TRUE(cfg.get_bool("missing", true));
 }
 
-TEST(Config, BoolParsing) {
-  const Config cfg = parse({"a=1", "b=true", "c=0", "d=off", "e=bogus"});
-  EXPECT_TRUE(cfg.get_bool("a", false));
-  EXPECT_TRUE(cfg.get_bool("b", false));
-  EXPECT_FALSE(cfg.get_bool("c", true));
-  EXPECT_FALSE(cfg.get_bool("d", true));
-  EXPECT_TRUE(cfg.get_bool("e", true)) << "unparseable falls back";
-}
-
 /// The Error message get(cfg) throws, or "" when it does not throw.
 template <typename Get>
 std::string error_of(Get get) {
@@ -60,6 +51,24 @@ std::string error_of(Get get) {
     return e.what();
   }
   return "";
+}
+
+TEST(Config, BoolParsing) {
+  const Config cfg = parse({"a=1", "b=true", "c=0", "d=off", "e=yes", "f=no", "g=on",
+                            "h=false", "bogus=bogus", "typo=flase", "tail=yes2", "empty="});
+  for (const char* key : {"a", "b", "e", "g"}) EXPECT_TRUE(cfg.get_bool(key, false)) << key;
+  for (const char* key : {"c", "d", "f", "h"}) EXPECT_FALSE(cfg.get_bool(key, true)) << key;
+  // The name is kept from when this test pinned the fallback for "e=bogus";
+  // that fallback was the bug: `cache=flase` ran silently with the default.
+  for (const char* key : {"bogus", "typo", "tail", "empty"}) {
+    const std::string what = error_of([&] { return cfg.get_bool(key, true); });
+    const std::string expected = std::string(key) + "=" + *cfg.get(key) + " must be a boolean";
+    EXPECT_NE(what.find(expected), std::string::npos) << key << ": " << what;
+  }
+  ::setenv("R4NCL_BOOL_UNIQUE", "flase", 1);
+  const std::string env = error_of([&] { return cfg.get_bool("bool_unique", false); });
+  ::unsetenv("R4NCL_BOOL_UNIQUE");
+  EXPECT_NE(env.find("R4NCL_BOOL_UNIQUE=flase must be a boolean"), std::string::npos) << env;
 }
 
 TEST(Config, MalformedNumberFallsBack) {

@@ -61,7 +61,8 @@ TEST(Experiment, BenchReplay4NclPreset) {
   EXPECT_EQ(m.cl_timesteps, 40u);
   EXPECT_TRUE(m.adaptive_threshold);
   EXPECT_EQ(m.storage_codec.ratio, 1u);
-  // Rescaled η (DESIGN.md §5.10): between the paper divisor and η_pre.
+  // Rescaled η (see bench_replay4ncl() in core/experiment.hpp): between the
+  // paper divisor and η_pre.
   EXPECT_LT(m.lr_cl, kEtaPre);
   EXPECT_GT(m.lr_cl, kEtaPre / 100.0f);
 }

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <vector>
 
-#include "compress/aer.hpp"
 #include "core/experiment.hpp"
 #include "core/pretrain.hpp"
 #include "core/sequential.hpp"
@@ -169,35 +168,6 @@ TEST(SparseForward, MatchesDenseOnNonBinaryValues) {
                               snn::ThresholdPolicy::fixed(1.0f));
 }
 
-TEST(SparseForward, EventsFromAerMatchEventsFromBatch) {
-  const std::size_t T = 10, B = 5, C = 64, N = 32;
-  std::vector<compress::AerRaster> aer;
-  Tensor x;
-  data::ensure_batch_shape(x, T, B, C);
-  for (std::size_t b = 0; b < B; ++b) {
-    const data::SpikeRaster r = random_raster(T, C, 0.1, 300 + b);
-    data::fill_batch_column(x, b, r);
-    aer.push_back(compress::aer_encode(r));
-  }
-  const compress::BatchEventList from_batch = compress::events_from_batch(x);
-  const compress::BatchEventList from_aer = compress::events_from_aer(aer);
-  EXPECT_EQ(from_batch.offsets, from_aer.offsets);
-  EXPECT_EQ(from_batch.channel, from_aer.channel);
-  EXPECT_EQ(from_batch.value, from_aer.value);
-  EXPECT_TRUE(from_aer.unit_values);
-
-  // forward_events over the AER-built list ≡ dense forward over the cube.
-  const auto layer = make_layer(C, N, true, 11);
-  const auto policy = snn::ThresholdPolicy::fixed(1.0f);
-  snn::SpikeOpStats dense_stats, event_stats;
-  const Tensor dense =
-      layer.forward_dense(x, snn::SpikeMode::kHard, policy, nullptr, &dense_stats);
-  const Tensor evented =
-      layer.forward_events(from_aer, snn::SpikeMode::kHard, policy, &event_stats);
-  EXPECT_TRUE(same_bits(dense, evented));
-  expect_same_stats(dense_stats, event_stats);
-}
-
 TEST(ThreadIdentity, ForwardBitIdentical) {
   // The size matters: parallel_for keeps a range serial below 2048 units
   // (rows × grain), and a row's grain is 4·N per step of its θ window.  At
@@ -255,16 +225,22 @@ TEST(ThreadIdentity, BackwardGradsBitIdentical) {
 
 // -- engine-level identity fixtures -----------------------------------------
 
+// Sized so that every pre-training pass forks at threads=4: parallel_for
+// keeps a range serial below 2048 units (rows × grain), and here the 3 base
+// classes × 8 samples fill 3 whole batches of B = 8 at T = 16.  The smallest
+// pass, the event-list scan of the narrowest input (32 channels over T·B =
+// 128 rows), is 4096 units; the last hidden layer's forward (N = 24, one θ
+// window of T steps) is B · T·N·4 = 12288.
 core::PretrainConfig tiny_pretrain() {
   core::PretrainConfig cfg;
-  cfg.network.layer_sizes = {64, 32, 16, 12};
+  cfg.network.layer_sizes = {64, 48, 32, 24};
   cfg.network.num_classes = 5;
   cfg.network.seed = 51;
   cfg.data_params.channels = 64;
   cfg.data_params.classes = 5;
   cfg.data_params.timesteps = 16;
   cfg.data_params.seed = 53;
-  cfg.split.train_per_class = 6;
+  cfg.split.train_per_class = 8;
   cfg.split.test_per_class = 4;
   cfg.split.replay_per_class = 2;
   cfg.split.seed = 57;
@@ -312,8 +288,12 @@ void expect_same_rows(const core::SequentialRunResult& a,
 
 TEST(ThreadIdentity, SequentialEngineBitIdentical) {
   const auto tasks = tiny_stream(2);
-  const snn::SnnNetwork base = tiny_pretrained(tasks);
   const int saved = num_threads();
+  // Pre-training (train_supervised, every layer learning) at threads 1 and 4.
+  set_num_threads(1);
+  const snn::SnnNetwork base = tiny_pretrained(tasks);
+  set_num_threads(4);
+  EXPECT_TRUE(same_weights(all_weights(base), all_weights(tiny_pretrained(tasks))));
   const auto run = [&](int threads, std::vector<float>* weights) {
     snn::SnnNetwork net = base.clone();
     core::SequentialRunConfig cfg = tiny_run();

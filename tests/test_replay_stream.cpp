@@ -58,8 +58,15 @@ void expect_same_samples(const data::Dataset& a, const std::vector<data::Sample>
 // ---------------------------------------------------------------------------
 
 TEST(ReplayStream, CursorYieldsSampleEntrySetInOrder) {
-  for (const std::uint8_t bits : {std::uint8_t{0}, std::uint8_t{2}}) {
-    compress::CodecConfig codec{.ratio = 2, .latent_bits = bits};
+  // Every stored layout: raw rasters (ratio 1), and binary and 2/4/8-bit
+  // quantized counts at ratio 2.
+  const compress::CodecConfig codecs[] = {
+      {.ratio = 1, .latent_bits = 0}, {.ratio = 2, .latent_bits = 0},
+      {.ratio = 2, .latent_bits = 2}, {.ratio = 2, .latent_bits = 4},
+      {.ratio = 2, .latent_bits = 8}};
+  for (const compress::CodecConfig& codec : codecs) {
+    SCOPED_TRACE(testing::Message() << "ratio " << codec.ratio << " bits "
+                                    << int(codec.latent_bits));
     const ShardedReplayEngine store = filled_store(codec, 20);
     Rng rng_sample(42);
     Rng rng_stream(42);
@@ -72,8 +79,7 @@ TEST(ReplayStream, CursorYieldsSampleEntrySetInOrder) {
       for (const data::Sample& s : stream.next()) streamed.push_back(s);
     }
     expect_same_samples(drawn, streamed);
-    EXPECT_EQ(stats_sample.decompress_bits, stats_stream.decompress_bits)
-        << "bits " << int(bits);
+    EXPECT_EQ(stats_sample.decompress_bits, stats_stream.decompress_bits);
     // Both paths must leave the shared replay Rng in the same state, or the
     // streamed epochs would desynchronize from a decoded-up-front reference.
     EXPECT_EQ(rng_sample(), rng_stream());

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <string>
 #include <vector>
@@ -267,38 +266,37 @@ TEST(ShardedEngine, ConcurrentAddSampleReportStress) {
   const std::size_t entry = probe_entry_bytes(8, 16);
   const std::size_t workers = 8;
   const std::size_t adds_per_worker = 150;
-  for (const ShardKey key : {ShardKey::kClass, ShardKey::kHash}) {
-    ShardedReplayEngine eng({.ratio = 1}, 8,
-                            {.capacity_bytes = 32 * entry,
-                             .policy = ReplayPolicy::kImportanceClassBalanced},
-                            {.shards = 4, .shard_by = key});
-    std::atomic<std::size_t> accepted{0};
-    run_workers(workers, [&](std::size_t w) {
-      Rng draw_rng(0x1000 + w);
-      for (std::size_t i = 0; i < adds_per_worker; ++i) {
-        const auto r = random_raster(8, 16, 0.2 + 0.05 * (w % 4),
-                                     (w << 20) | i);
-        if (eng.add(r, static_cast<std::int32_t>((w * 3 + i) % 11))) {
-          accepted.fetch_add(1);
-        }
-        if (i % 16 == 0) {
-          data::Dataset out;
-          const auto drawn = eng.sample_into(4, draw_rng, out);
-          for (std::size_t d = 0; d < drawn.size(); ++d) {
-            eng.report_outcome(drawn[d], 0.5f);
+  // Both class-keyed policies: class_balanced evicts by class counts alone,
+  // importance_class_balanced also writes scores from the outcome reports.
+  for (const ReplayPolicy policy :
+       {ReplayPolicy::kImportanceClassBalanced, ReplayPolicy::kClassBalanced}) {
+    for (const ShardKey key : {ShardKey::kClass, ShardKey::kHash}) {
+      SCOPED_TRACE(testing::Message() << to_string(policy) << "/" << to_string(key));
+      ShardedReplayEngine eng({.ratio = 1}, 8, {.capacity_bytes = 32 * entry, .policy = policy},
+                              {.shards = 4, .shard_by = key});
+      run_workers(workers, [&](std::size_t w) {
+        Rng draw_rng(0x1000 + w);
+        for (std::size_t i = 0; i < adds_per_worker; ++i) {
+          const auto r = random_raster(8, 16, 0.2 + 0.05 * (w % 4), (w << 20) | i);
+          (void)eng.add(r, static_cast<std::int32_t>((w * 3 + i) % 11));
+          if (i % 16 == 0) {
+            data::Dataset out;
+            for (const std::size_t d : eng.sample_into(4, draw_rng, out)) {
+              eng.report_outcome(d, 0.5f);
+            }
           }
         }
-      }
-    });
-    // Lifetime accounting must balance exactly: every offered entry was
-    // either stored or displaced, and the byte budget held throughout.
-    EXPECT_EQ(eng.stream_seen(), workers * adds_per_worker) << to_string(key);
-    EXPECT_EQ(eng.size(), eng.stream_seen() - eng.evictions()) << to_string(key);
-    EXPECT_LE(eng.memory_bytes(), 32 * entry) << to_string(key);
-    EXPECT_EQ(eng.size(), 32u) << to_string(key);  // steady state: full
-    std::size_t shard_sum = 0;
-    for (std::size_t s = 0; s < 4; ++s) shard_sum += eng.shard(s).size();
-    EXPECT_EQ(shard_sum, eng.size()) << to_string(key);
+      });
+      // Lifetime accounting must balance exactly: every offered entry was
+      // either stored or displaced, and the byte budget held throughout.
+      EXPECT_EQ(eng.stream_seen(), workers * adds_per_worker);
+      EXPECT_EQ(eng.size(), eng.stream_seen() - eng.evictions());
+      EXPECT_LE(eng.memory_bytes(), 32 * entry);
+      EXPECT_EQ(eng.size(), 32u);  // steady state: full
+      std::size_t shard_sum = 0;
+      for (std::size_t s = 0; s < 4; ++s) shard_sum += eng.shard(s).size();
+      EXPECT_EQ(shard_sum, eng.size());
+    }
   }
 }
 

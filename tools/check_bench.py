@@ -1,35 +1,30 @@
 #!/usr/bin/env python3
 """Bench-regression gate over the checked-in BENCH_*.json files.
 
-Validates three things for every known bench artifact:
+Validates three things for each of BENCH_budget_sweep.json,
+BENCH_baseline.json and BENCH_resume_parity.json:
 
-1. Schema — the file parses, carries its metadata envelope (or, for
-   BENCH_replay_stream.json, is a bare row array) and every row has the full
-   column set with numeric fields that actually parse.
-2. Self-check fields — invariants the generating benches themselves enforce
-   must still hold in the committed data: sample-vs-stream spike-checksum
-   parity, streamed peak-assembly bytes strictly under the materialized
-   peak, buffer bytes within the byte budget, delta_vs_unbounded agreeing
-   with the accuracy columns, and — for the fleet bench — deterministic
-   checksum parity across reps, shards=1 bit-identity anchoring, exact
-   lifetime accounting (entries == adds - evictions) and >= 4 concurrent
-   device streams.
+1. Schema — the file parses, carries its metadata envelope and every row
+   has the full column set with numeric fields that actually parse.
+2. Self-check fields — invariants the generating runs themselves enforce
+   must still hold in the committed data: buffer bytes within the byte
+   budget, delta_vs_unbounded agreeing with the accuracy columns, resumed
+   rows equal to the uninterrupted run's, and every truncated checkpoint
+   rejected on the pinned error path without a crash.
 3. Pinned headline statistics — the numbers the README/ROADMAP quote may
    not silently regress past tolerance when a sweep is refreshed: the
    importance policies must match or beat the best content-blind policy at
    the tightest budget, 4-bit latents must hold >= QUANT_CAPACITY_MIN_RATIO
-   x the 8-bit entries at equal bytes, the 2-bit element kernel must beat
-   the scalar binary unpack, and the Table-1 latent-memory saving must stay
-   inside the paper's band.
+   x the 8-bit entries at equal bytes, and the Table-1 latent-memory saving
+   and latency speedup must stay inside their pinned bands.
 
 Exit code 0 = all gates pass.  Any failure prints `bench gate: FAIL ...`
 and exits 1, which is what the CI `bench gate` job keys off.
 
-The fleet artifact additionally embeds the generating run's
-obs::MetricsRegistry snapshot under "metrics"; check_metrics_snapshot
-validates its schema, value sanity and counter/byte cross-invariants, and
-the same validator runs standalone over any metrics_out= file via
---metrics-snapshot (the metrics_smoke ctest lane).
+--metrics-snapshot FILE instead validates one obs::MetricsRegistry
+snapshot written by metrics_out= (schema, value sanity, counter/byte
+cross-invariants), then corrupts copies of it seven ways and fails unless
+every corruption trips the validator (the metrics_smoke ctest lane).
 
     python3 tools/check_bench.py              # validate the repo's files
     python3 tools/check_bench.py --dir DIR    # validate copies elsewhere
@@ -37,10 +32,10 @@ the same validator runs standalone over any metrics_out= file via
                                               # hand-corrupted data
     python3 tools/check_bench.py --metrics-snapshot FILE  # one snapshot
 
-The self-test corrupts in-memory copies of the real files (checksum flip,
-budget overflow, headline regression, dropped column, delta mismatch) and
-fails if any corruption slips through — so the gate cannot rot into a
-rubber stamp.
+The self-test corrupts in-memory copies of the real files (budget
+overflow, headline regressions, dropped column, delta mismatch, resume
+divergence) and fails if any corruption slips through — so the gate cannot
+rot into a rubber stamp.
 """
 
 from __future__ import annotations
@@ -75,30 +70,6 @@ BUDGET_SWEEP_COLUMNS = [
     "final_bytes", "entries", "evictions", "acc_base", "acc_learned",
     "delta_vs_unbounded", "latency_ms",
 ]
-REPLAY_STREAM_COLUMNS = [
-    "mode", "codec", "latent_bits", "minibatch", "draws", "wall_ms", "ns_per_elem",
-    "peak_assembly_bytes", "decompress_mbits", "spike_checksum",
-]
-FLEET_COLUMNS = [
-    "mode", "streams", "shards", "shard_by", "policy", "adds", "entries",
-    "evictions", "memory_bytes", "capacity_bytes", "wall_ms", "adds_per_sec",
-    "checksum", "rep",
-]
-# The fleet bench's acceptance floor: concurrent rows must exercise at least
-# this many real device threads against the shared engine.
-FLEET_MIN_CONCURRENT_STREAMS = 4
-
-HOT_PATH_COLUMNS = [
-    "mode", "density", "threads", "reps", "wall_ms", "ref_ms", "speedup",
-    "spike_checksum", "identical",
-]
-# The hot-path acceptance gate (mirrors the bench's own strict=1 envelope):
-# from stored AER the event-driven forward must be >= 2x the decode-to-dense
-# pipeline at <= 10% density.
-HOT_PATH_MIN_AER_SPEEDUP = 2.0
-# speedup is a derived column re-computed from the wall columns; the
-# tolerance only absorbs its three-decimal formatting.
-HOT_PATH_DERIVED_TOL = 0.02
 
 
 class GateFailure(Exception):
@@ -231,58 +202,6 @@ def check_budget_sweep(doc) -> int:
     return checks
 
 
-# ---- BENCH_replay_stream.json ----------------------------------------------
-
-def check_replay_stream(doc) -> int:
-    ctx = "replay_stream"
-    if not isinstance(doc, list):
-        raise GateFailure(f"{ctx}: expected a bare row array")
-    require_columns(doc, REPLAY_STREAM_COLUMNS, ctx)
-    checks = 0
-
-    sample = {row["codec"]: row for row in doc if row["mode"] == "sample"}
-    if not sample:
-        raise GateFailure(f"{ctx}: no sample-mode rows")
-    for i, row in enumerate(doc):
-        if row["mode"] != "stream":
-            continue
-        codec = row["codec"]
-        where = f"{ctx}: row {i} (stream/{codec}/mb{row['minibatch']})"
-        ref = sample.get(codec)
-        if ref is None:
-            raise GateFailure(f"{where}: no sample-mode row for codec {codec}")
-        # Self-check: checksum parity — the stream decodes the *same* draw.
-        if row["spike_checksum"] != ref["spike_checksum"]:
-            raise GateFailure(
-                f"{where}: spike_checksum {row['spike_checksum']} diverges from "
-                f"sample checksum {ref['spike_checksum']}")
-        if row["decompress_mbits"] != ref["decompress_mbits"]:
-            raise GateFailure(
-                f"{where}: decompress_mbits {row['decompress_mbits']} diverges from "
-                f"sample {ref['decompress_mbits']}")
-        # Self-check: the streaming path exists to bound assembly memory.
-        if fnum(row, "peak_assembly_bytes", where) >= fnum(ref, "peak_assembly_bytes", where):
-            raise GateFailure(
-                f"{where}: streamed peak_assembly_bytes not below the sample peak")
-        checks += 3
-
-    # Headline: the byte-parallel 2-bit element kernel beats the scalar
-    # binary reference unpack per element.
-    kernels = {row["codec"] + ":" + row["latent_bits"]: row
-               for row in doc if row["mode"] == "kernel"}
-    scalar = kernels.get("binary-scalar:0")
-    elem2 = kernels.get("elements:2")
-    if scalar is None or elem2 is None:
-        raise GateFailure(f"{ctx}: kernel rows missing (binary-scalar and elements/2)")
-    if fnum(elem2, "ns_per_elem", ctx) >= fnum(scalar, "ns_per_elem", ctx):
-        raise GateFailure(
-            f"{ctx}: kernel headline regressed: 2-bit unpack "
-            f"{elem2['ns_per_elem']} ns/elem not below scalar binary "
-            f"{scalar['ns_per_elem']}")
-    checks += 1
-    return checks
-
-
 # ---- BENCH_baseline.json ----------------------------------------------------
 
 def check_baseline(doc) -> int:
@@ -337,9 +256,8 @@ def check_metrics_snapshot(doc, ctx: str = "metrics_snapshot") -> int:
     with the total), and the cross-metric invariants the instrumented code
     guarantees (shard adds sum to the engine total, per-policy evictions sum
     to the buffer total, evictions never exceed adds + restored entries, and
-    occupancy gauges respect their capacity gauges).  Used both for
-    standalone metrics_out= files (--metrics-snapshot) and for the snapshot
-    embedded in BENCH_fleet_replay.json."""
+    occupancy gauges respect their capacity gauges).  Run over a
+    metrics_out= file by --metrics-snapshot (the metrics_smoke lane)."""
     checks = 0
     if not isinstance(doc, dict):
         raise GateFailure(f"{ctx}: expected a snapshot object")
@@ -425,132 +343,6 @@ def check_metrics_snapshot(doc, ctx: str = "metrics_snapshot") -> int:
     return checks
 
 
-# ---- BENCH_fleet_replay.json -------------------------------------------------
-
-def check_fleet_replay(doc) -> int:
-    ctx = "fleet_replay"
-    rows = require_envelope(doc, ctx)
-    require_columns(rows, FLEET_COLUMNS, ctx)
-    checks = 0
-
-    # The artifact carries the generating run's telemetry snapshot; it must
-    # be present and internally consistent (schema + cross-invariants).
-    if "metrics" not in doc:
-        raise GateFailure(f"{ctx}: missing embedded 'metrics' registry snapshot")
-    checks += check_metrics_snapshot(doc["metrics"], f"{ctx}: metrics")
-
-    # Self-check on every row: the lifetime accounting balances exactly and
-    # the byte budget held (capacity 0 would mean unbounded).
-    for i, row in enumerate(rows):
-        where = f"{ctx}: row {i} ({row['mode']}/shards{row['shards']}/rep{row['rep']})"
-        if row["mode"] not in ("det", "concurrent"):
-            raise GateFailure(f"{where}: unknown mode {row['mode']!r}")
-        adds = fnum(row, "adds", where)
-        entries = fnum(row, "entries", where)
-        evictions = fnum(row, "evictions", where)
-        if entries != adds - evictions:
-            raise GateFailure(
-                f"{where}: entries {entries} != adds {adds} - evictions {evictions}")
-        capacity = fnum(row, "capacity_bytes", where)
-        if capacity > 0 and fnum(row, "memory_bytes", where) > capacity:
-            raise GateFailure(
-                f"{where}: memory_bytes {row['memory_bytes']} exceeds "
-                f"capacity_bytes {row['capacity_bytes']}")
-        if fnum(row, "adds_per_sec", where) <= 0:
-            raise GateFailure(f"{where}: non-positive adds_per_sec")
-        checks += 3
-
-    # Self-check: det rows are deterministic — every rep of a (shards,
-    # shard_by) cell must report the same final-state checksum.
-    det_cells = {}
-    for row in rows:
-        if row["mode"] == "det":
-            det_cells.setdefault((row["shards"], row["shard_by"]), []).append(row)
-    if not det_cells:
-        raise GateFailure(f"{ctx}: no det-mode rows")
-    for cell, cell_rows in sorted(det_cells.items()):
-        if len(cell_rows) < 2:
-            raise GateFailure(f"{ctx}: det cell {cell} has a single rep; "
-                              f"checksum parity needs >= 2")
-        checksums = {r["checksum"] for r in cell_rows}
-        if len(checksums) != 1:
-            raise GateFailure(
-                f"{ctx}: det cell {cell} reps disagree on checksum: {sorted(checksums)}")
-        checks += 1
-
-    # The bit-identity anchor (shards=1, checked in-binary against the plain
-    # LatentReplayBuffer) must be part of the sweep.
-    if not any(shards == "1" for shards, _ in det_cells):
-        raise GateFailure(f"{ctx}: no shards=1 det rows — bit-identity anchor missing")
-    checks += 1
-
-    # Headline: concurrent rows ran with a real fleet (>= 4 device threads)
-    # and at least one multi-shard configuration.
-    concurrent = [r for r in rows if r["mode"] == "concurrent"]
-    if not concurrent:
-        raise GateFailure(f"{ctx}: no concurrent-mode rows")
-    for row in concurrent:
-        streams = fnum(row, "streams", f"{ctx}: concurrent row")
-        if streams < FLEET_MIN_CONCURRENT_STREAMS:
-            raise GateFailure(
-                f"{ctx}: concurrent row ran only {streams:.0f} streams "
-                f"(floor is {FLEET_MIN_CONCURRENT_STREAMS})")
-    if not any(fnum(r, "shards", ctx) > 1 for r in concurrent):
-        raise GateFailure(f"{ctx}: no concurrent rows with shards > 1")
-    checks += 2
-    return checks
-
-
-# ---- BENCH_hot_path.json -----------------------------------------------------
-
-def check_hot_path(doc) -> int:
-    ctx = "hot_path"
-    if not isinstance(doc, list):
-        raise GateFailure(f"{ctx}: expected a bare row array")
-    require_columns(doc, HOT_PATH_COLUMNS, ctx)
-    checks = 0
-
-    # Self-check on every row: the bit-identity flag held (sparse ≡ dense /
-    # threads=N ≡ 1 — the bench exits nonzero otherwise, so a committed 0
-    # means the artifact was generated from a broken build).
-    for i, row in enumerate(doc):
-        where = f"{ctx}: row {i} ({row['mode']}/{row['density']})"
-        if row["identical"] != "1":
-            raise GateFailure(f"{where}: bit-identity flag is not 1")
-        if fnum(row, "wall_ms", where) <= 0:
-            raise GateFailure(f"{where}: non-positive wall_ms")
-        checks += 2
-        # speedup is derived; it must agree with ref_ms / wall_ms.
-        if row["speedup"] != "-":
-            expected = fnum(row, "ref_ms", where) / fnum(row, "wall_ms", where)
-            if abs(fnum(row, "speedup", where) - expected) > HOT_PATH_DERIVED_TOL:
-                raise GateFailure(
-                    f"{where}: speedup {row['speedup']} != ref_ms / wall_ms "
-                    f"({expected:.3f})")
-            checks += 1
-
-    by_mode = {}
-    for row in doc:
-        by_mode.setdefault(row["mode"], []).append(row)
-    for mode in ("forward", "forward_aer", "train_threads"):
-        if mode not in by_mode:
-            raise GateFailure(f"{ctx}: no {mode} rows")
-    checks += 1
-
-    # Headline: from stored AER, the event path must clear the pinned speedup
-    # at replay-realistic density.
-    gated = [fnum(r, "speedup", f"{ctx}: forward_aer row")
-             for r in by_mode["forward_aer"] if float(r["density"]) <= 0.10]
-    if not gated:
-        raise GateFailure(f"{ctx}: no forward_aer rows at density <= 0.10")
-    if max(gated) < HOT_PATH_MIN_AER_SPEEDUP:
-        raise GateFailure(
-            f"{ctx}: best from-AER forward speedup {max(gated):.3f} below the "
-            f"pinned {HOT_PATH_MIN_AER_SPEEDUP}x floor")
-    checks += 1
-    return checks
-
-
 # ---- BENCH_resume_parity.json ------------------------------------------------
 
 def check_resume_parity(doc) -> int:
@@ -598,11 +390,8 @@ def check_resume_parity(doc) -> int:
 
 CHECKS = {
     "BENCH_budget_sweep.json": check_budget_sweep,
-    "BENCH_replay_stream.json": check_replay_stream,
     "BENCH_baseline.json": check_baseline,
-    "BENCH_fleet_replay.json": check_fleet_replay,
     "BENCH_resume_parity.json": check_resume_parity,
-    "BENCH_hot_path.json": check_hot_path,
 }
 
 
@@ -637,18 +426,12 @@ def self_test(directory: Path) -> int:
     """Corrupts in-memory copies of the real artifacts and asserts that every
     corruption trips its gate — the 'hand-corrupted JSON must fail' proof."""
     sweep = load(directory / "BENCH_budget_sweep.json")
-    stream = load(directory / "BENCH_replay_stream.json")
     baseline = load(directory / "BENCH_baseline.json")
-    fleet = load(directory / "BENCH_fleet_replay.json")
     resume = load(directory / "BENCH_resume_parity.json")
-    hot_path = load(directory / "BENCH_hot_path.json")
     # The pristine copies must pass before corruption means anything.
     check_budget_sweep(copy.deepcopy(sweep))
-    check_replay_stream(copy.deepcopy(stream))
     check_baseline(copy.deepcopy(baseline))
-    check_fleet_replay(copy.deepcopy(fleet))
     check_resume_parity(copy.deepcopy(resume))
-    check_hot_path(copy.deepcopy(hot_path))
 
     cases = 0
 
@@ -691,21 +474,6 @@ def self_test(directory: Path) -> int:
     expect_failure("quant capacity regression", check_budget_sweep, bad)
     cases += 1
 
-    bad = copy.deepcopy(stream)
-    for row in bad:
-        if row["mode"] == "stream":
-            row["spike_checksum"] = str(int(row["spike_checksum"]) + 1)
-            break
-    expect_failure("checksum parity", check_replay_stream, bad)
-    cases += 1
-
-    bad = copy.deepcopy(stream)
-    for row in bad:
-        if row["mode"] == "stream":
-            row["peak_assembly_bytes"] = "999999999"
-    expect_failure("peak-bytes invariant", check_replay_stream, bad)
-    cases += 1
-
     bad = copy.deepcopy(baseline)
     for row in bad["rows"]:
         if row["metric"] == "latent memory saving [%]":
@@ -716,38 +484,6 @@ def self_test(directory: Path) -> int:
     bad = copy.deepcopy(sweep)
     bad.pop("command")
     expect_failure("missing metadata envelope field", check_budget_sweep, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    for row in bad["rows"]:
-        if row["mode"] == "det":
-            row["checksum"] = str(int(row["checksum"]) + 1)
-            break
-    expect_failure("fleet det checksum parity", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    bad["rows"][0]["entries"] = str(int(bad["rows"][0]["entries"]) + 1)
-    expect_failure("fleet lifetime accounting", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    for row in bad["rows"]:
-        row["memory_bytes"] = str(int(float(row["capacity_bytes"])) + 1)
-    expect_failure("fleet byte-budget overflow", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    for row in bad["rows"]:
-        if row["mode"] == "concurrent":
-            row["streams"] = "2"
-    expect_failure("fleet stream-count floor", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    bad["rows"] = [r for r in bad["rows"]
-                   if not (r["mode"] == "det" and r["shards"] == "1")]
-    expect_failure("fleet bit-identity anchor dropped", check_fleet_replay, bad)
     cases += 1
 
     # Resume divergence written *consistently* (flag and text both lie the
@@ -784,88 +520,65 @@ def self_test(directory: Path) -> int:
     expect_failure("truncated checkpoint loaded cleanly", check_resume_parity, bad)
     cases += 1
 
-    bad = copy.deepcopy(hot_path)
-    for row in bad:
-        if row["mode"] == "forward":
-            row["identical"] = "0"
-            break
-    expect_failure("hot-path bit-identity flag", check_hot_path, bad)
-    cases += 1
-
-    # Speedup regression written *consistently* (wall, ref and the derived
-    # speedup column all agreeing), so only the pinned floor can catch it.
-    bad = copy.deepcopy(hot_path)
-    for row in bad:
-        if row["mode"] == "forward_aer":
-            row["ref_ms"] = row["wall_ms"]
-            row["speedup"] = "1.000"
-    expect_failure("hot-path AER speedup floor", check_hot_path, bad)
-    cases += 1
-
-    bad = copy.deepcopy(hot_path)
-    for row in bad:
-        if row["mode"] == "forward_aer":
-            row["speedup"] = "9.999"  # no longer ref_ms / wall_ms
-            break
-    expect_failure("hot-path speedup/wall mismatch", check_hot_path, bad)
-    cases += 1
-
-    bad = copy.deepcopy(hot_path)
-    del bad[0]["spike_checksum"]
-    expect_failure("hot-path dropped column", check_hot_path, bad)
-    cases += 1
-
-    # ---- metrics snapshot corruptions (embedded in the fleet artifact) ----
-    bad = copy.deepcopy(fleet)
-    del bad["metrics"]
-    expect_failure("fleet metrics snapshot dropped", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    bad["metrics"]["schema"] = "r4ncl-metrics-v0"
-    expect_failure("metrics schema tag", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    name = sorted(bad["metrics"]["counters"])[0]
-    bad["metrics"]["counters"][name] = -1
-    expect_failure("negative counter", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    bad["metrics"]["counters"]["replay_engine.adds"] += 1
-    expect_failure("shard adds / engine total mismatch", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    bad["metrics"]["counters"]["replay_buffer.evictions"] = (
-        bad["metrics"]["counters"]["replay_buffer.adds"]
-        + bad["metrics"]["counters"]["replay_buffer.restored_entries"] + 1)
-    expect_failure("evictions exceed adds + restored", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    hist_name = sorted(bad["metrics"]["histograms"])[0]
-    bad["metrics"]["histograms"][hist_name]["count"] += 1
-    expect_failure("histogram count / bucket-sum mismatch", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    hist = bad["metrics"]["histograms"][sorted(bad["metrics"]["histograms"])[0]]
-    hist["edges"] = sorted(hist["edges"], reverse=True)
-    expect_failure("histogram edges not increasing", check_fleet_replay, bad)
-    cases += 1
-
-    bad = copy.deepcopy(fleet)
-    for gauge in list(bad["metrics"]["gauges"]):
-        if gauge.endswith(".capacity_bytes"):
-            occ = gauge[:-len("capacity_bytes")] + "occupancy_bytes"
-            bad["metrics"]["gauges"][occ] = bad["metrics"]["gauges"][gauge] + 1
-            break
-    expect_failure("occupancy gauge over capacity", check_fleet_replay, bad)
-    cases += 1
-
     return cases
+
+
+def snapshot_self_test(snapshot: dict, ctx: str) -> int:
+    """Corrupts copies of a valid metrics snapshot seven ways and asserts
+    that check_metrics_snapshot rejects every one.  The snapshot must carry
+    what the corruptions touch: the engine and per-shard add counters, the
+    buffer's add, eviction and restored-entry counters, an occupancy gauge
+    beside its positive capacity gauge and a histogram with at least two
+    edges.  The metrics_smoke run's sharded, streamed snapshot has them all."""
+    counters = snapshot["counters"]
+    gauges = snapshot["gauges"]
+    hists = snapshot["histograms"]
+    missing = [name for name in ("replay_engine.adds", "replay_buffer.adds",
+                                 "replay_buffer.evictions",
+                                 "replay_buffer.restored_entries")
+               if name not in counters]
+    if not any(k.startswith("replay_engine.shard") and k.endswith(".adds") for k in counters):
+        missing.append("replay_engine.shard<i>.adds")
+    capacity = next((name for name, value in sorted(gauges.items())
+                     if name.endswith(".capacity_bytes") and value > 0
+                     and name[:-len("capacity_bytes")] + "occupancy_bytes" in gauges), None)
+    if capacity is None:
+        missing.append("a positive *.capacity_bytes gauge beside its occupancy gauge")
+    hist = next((name for name, h in sorted(hists.items()) if len(h["edges"]) > 1), None)
+    if hist is None:
+        missing.append("a histogram with two or more edges")
+    if missing:
+        raise GateFailure(f"{ctx}: the snapshot self-test needs {missing}")
+
+    occupancy = capacity[:-len("capacity_bytes")] + "occupancy_bytes"
+    # One eviction more than adds + restored entries, with the per-policy
+    # counts raised to match, so only that bound (not their sum) can trip.
+    evictions = counters["replay_buffer.evictions"]
+    over = {"replay_buffer.evictions": counters["replay_buffer.adds"]
+            + counters["replay_buffer.restored_entries"] + 1}
+    per_policy = sorted(k for k in counters if k.startswith("replay_buffer.evictions."))
+    if per_policy:
+        over[per_policy[0]] = counters[per_policy[0]] + over["replay_buffer.evictions"] - evictions
+    cases = [
+        ("metrics schema tag", lambda s: s.update(schema="r4ncl-metrics-v0")),
+        ("negative counter", lambda s: s["counters"].update({sorted(counters)[0]: -1})),
+        ("shard adds / engine total mismatch",
+         lambda s: s["counters"].update(
+             {"replay_engine.adds": counters["replay_engine.adds"] + 1})),
+        ("evictions exceed adds + restored", lambda s: s["counters"].update(over)),
+        ("histogram count / bucket-sum mismatch",
+         lambda s: s["histograms"][hist].update(count=hists[hist]["count"] + 1)),
+        ("histogram edges not increasing",
+         lambda s: s["histograms"][hist].update(
+             edges=sorted(hists[hist]["edges"], reverse=True))),
+        ("occupancy gauge over capacity",
+         lambda s: s["gauges"].update({occupancy: gauges[capacity] + 1})),
+    ]
+    for label, corrupt in cases:
+        bad = copy.deepcopy(snapshot)
+        corrupt(bad)
+        expect_failure(label, lambda doc: check_metrics_snapshot(doc, ctx), bad)
+    return len(cases)
 
 
 def main() -> int:
@@ -876,15 +589,19 @@ def main() -> int:
     parser.add_argument("--self-test", action="store_true",
                         help="corrupt in-memory copies and assert every gate trips")
     parser.add_argument("--metrics-snapshot", type=Path, default=None,
-                        help="validate one metrics_out= snapshot file instead of "
-                             "the checked-in BENCH_*.json artifacts")
+                        help="validate one metrics_out= snapshot file, and prove on "
+                             "corrupted copies of it that the validator trips, "
+                             "instead of the checked-in BENCH_*.json artifacts")
     args = parser.parse_args()
 
     try:
         if args.metrics_snapshot is not None:
-            checks = check_metrics_snapshot(load(args.metrics_snapshot),
-                                            str(args.metrics_snapshot))
-            print(f"bench gate: metrics snapshot OK ({checks} checks)")
+            ctx = str(args.metrics_snapshot)
+            snapshot = load(args.metrics_snapshot)
+            checks = check_metrics_snapshot(snapshot, ctx)
+            cases = snapshot_self_test(snapshot, ctx)
+            print(f"bench gate: metrics snapshot OK ({checks} checks, "
+                  f"{cases} corruptions all caught)")
         elif args.self_test:
             cases = self_test(args.dir)
             print(f"bench gate: self-test OK ({cases} corruptions all caught)")
