@@ -12,7 +12,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(25);
   const std::size_t layer = 3;
@@ -61,3 +63,7 @@ int main(int argc, char** argv) {
               "Ablation: Replay4NCL parameter adjustments (LR layer 3, T*=40)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -9,7 +9,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(15);
   const std::size_t layer = 2;
@@ -57,3 +59,7 @@ int main(int argc, char** argv) {
               "Ablation: latent codec strategy x ratio (SpikingLR config, LR layer 2)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

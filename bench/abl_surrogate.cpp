@@ -13,7 +13,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(cfg);
   const core::ScopedMetrics metrics(cfg);
@@ -59,3 +61,7 @@ int main(int argc, char** argv) {
               "Ablation: surrogate-gradient family (half-scale scenario, LR layer 2)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -61,9 +61,7 @@ std::size_t probe_entry_bytes(const compress::CodecConfig& codec, std::size_t ti
   return probe.memory_bytes();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(cfg, {"tasks", "replay_per_task", "spiking_lr"});
   const core::ScopedMetrics metrics(cfg);
@@ -230,3 +228,7 @@ int main(int argc, char** argv) {
               "sweep plus codec x latent_bits sweep over a sequential class stream");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

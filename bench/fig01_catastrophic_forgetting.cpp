@@ -8,7 +8,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(30);
 
@@ -34,3 +36,7 @@ int main(int argc, char** argv) {
               bench::pct(res.final_acc_old).c_str(), bench::pct(res.final_acc_new).c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

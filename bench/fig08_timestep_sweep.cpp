@@ -10,7 +10,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(16);
   const std::size_t layers[] = {1};  // the case study's LR insertion layer
@@ -59,3 +61,7 @@ int main(int argc, char** argv) {
               format_double(results[3].total_latency_ms() / t100, 2).c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -9,7 +9,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(25);
 
@@ -66,3 +68,7 @@ int main(int argc, char** argv) {
               bench::ratio(best_speedup).c_str(), bench::pct(best_saving).c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -8,7 +8,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
 
   // Only the preparation phase matters for memory; one epoch keeps it quick.
@@ -41,3 +43,7 @@ int main(int argc, char** argv) {
               bench::pct(min_saving).c_str(), bench::pct(max_saving).c_str());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

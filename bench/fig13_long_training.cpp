@@ -8,7 +8,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(100);
   const std::size_t layer = 3;
@@ -53,3 +55,7 @@ int main(int argc, char** argv) {
               roughness(sota), roughness(r4ncl));
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -8,7 +8,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   bench::BenchContext ctx = bench::make_context(argc, argv);
   const std::size_t epochs = ctx.epochs(40);
   const std::size_t layer = 3;
@@ -43,3 +45,7 @@ int main(int argc, char** argv) {
   bench::emit(table, "table1_headline", "Headline comparison (LR insertion layer 3)");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

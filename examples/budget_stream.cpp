@@ -29,7 +29,8 @@
 //           process — resumes and finishes bit-identical to an
 //           uninterrupted run.  tools/run_resume_smoke.py automates this.)
 #include <cstdio>
-#include <exception>
+#include <string_view>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/sequential.hpp"
@@ -43,7 +44,12 @@ namespace {
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  core::validate_standard_keys(cfg, {"tasks", "stop_after"});
+  // This stream pre-trains its own base classes instead of loading the
+  // cached scenario, so the cache knobs would act on nothing: reject them.
+  std::vector<std::string_view> keys = core::standard_cli_keys();
+  std::erase_if(keys, [](std::string_view key) { return key == "cache" || key == "cache_dir"; });
+  keys.insert(keys.end(), {"tasks", "stop_after"});
+  cfg.validate_keys(keys);
   const core::ScopedMetrics metrics(cfg);
   init_log_level_from_env();
   init_threads_from_env();
@@ -69,6 +75,7 @@ int run_main(int argc, char** argv) {
   run.epochs_per_task = static_cast<std::size_t>(cfg.get_int("epochs", 8));
   run.replay_per_new_class = pc.split.replay_per_class;
   run.method.replay_budget.policy = policy;
+  run.verbose = cfg.get_bool("verbose", false);
 
   const data::SyntheticShdGenerator generator(pc.data_params);
   const data::SequentialTasks tasks =
@@ -169,17 +176,4 @@ int run_main(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Exit 2 distinguishes the pinned r4ncl::Error path (bad CLI values, a
-  // corrupt/mismatched checkpoint) from crashes and sanitizer aborts — the
-  // corruption sweep in tools/run_resume_smoke.py keys off it.
-  try {
-    return run_main(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -18,7 +18,6 @@
 //       ./deployment_report drill=0      (resource report only)
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <filesystem>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "core/sequential.hpp"
 #include "metrics/hw_mapper.hpp"
 #include "util/config.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 using namespace r4ncl;
@@ -245,14 +243,4 @@ int run_main(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run_main(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -22,7 +22,6 @@
 // the relaunched mission resumes and finishes bit-identical to one that was
 // never interrupted.
 #include <cstdio>
-#include <exception>
 
 #include "core/experiment.hpp"
 #include "util/error.hpp"
@@ -115,16 +114,4 @@ int run_main(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Exit 2 = pinned r4ncl::Error (bad CLI values, corrupt/mismatched
-  // checkpoint), distinct from crashes and sanitizer aborts.
-  try {
-    return run_main(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -14,7 +14,9 @@
 
 using namespace r4ncl;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_main(int argc, char** argv) {
   // --- 1: dataset + network + pre-training (checkpoint-cached) -----------
   Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(cfg);
@@ -45,3 +47,7 @@ int main(int argc, char** argv) {
   std::printf("  modelled energy   : %.1f uJ\n", result.total_energy_uj());
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

@@ -5,40 +5,43 @@
 // trade-off — the analysis that leads to the paper's choice of T* = 40.
 //
 // Usage: ./timestep_explorer [timesteps=100,60,40,20] [scale=0.5]
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "metrics/cost_model.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 using namespace r4ncl;
 
 namespace {
 
+/// Parses timesteps= ("100,60,40,20"); every entry must be a positive integer.
 std::vector<std::size_t> parse_list(const std::string& csv) {
   std::vector<std::size_t> out;
   std::stringstream ss(csv);
   std::string tok;
   while (std::getline(ss, tok, ',')) {
-    const long v = std::stol(tok);
-    if (v > 0) out.push_back(static_cast<std::size_t>(v));
+    std::uint64_t v = 0;
+    R4NCL_CHECK(parse_unsigned_decimal(tok, v) && v > 0,
+                "timesteps=" << csv << " must be a comma-separated list of positive integers");
+    out.push_back(static_cast<std::size_t>(v));
   }
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(cfg, {"timesteps"});
+  const auto settings = parse_list(cfg.get_string("timesteps", "100,60,40,20"));
   const core::ScopedMetrics metrics(cfg);
   Config scaled = cfg;
   if (!cfg.get("scale")) scaled.set("scale", "0.5");
   core::PretrainedScenario scenario = core::standard_scenario(scaled);
 
-  const auto settings = parse_list(scaled.get_string("timesteps", "100,60,40,20"));
   const metrics::LatencyModel latency_model;
 
   std::printf("\n%-10s %14s %16s %18s %14s\n", "timesteps", "old-task(fix)",
@@ -65,3 +68,7 @@ int main(int argc, char** argv) {
               "during continual-learning training (Sec. III-B).\n");
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return core::run_cli(argc, argv, run_main); }

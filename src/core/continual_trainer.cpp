@@ -6,6 +6,8 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/latent_source.hpp"
@@ -37,6 +39,15 @@ ReplayBufferConfig task0_budget(const NclMethodConfig& method, std::uint64_t see
   return budget;
 }
 
+/// A test set in the deployment configuration (Sec. IV: the method's own
+/// timestep and threshold behaviour), as latents at `insertion` built at the
+/// evaluation blocking.
+data::Dataset eval_latents(const snn::SnnNetwork& net, const data::Dataset& test,
+                           std::size_t insertion, const metrics::EvalSettings& eval) {
+  return frozen_latents(net, data::time_rescale(test, eval.timesteps, eval.rescale), insertion,
+                        eval.policy, eval.batch_size, nullptr);
+}
+
 /// What both run engines share over one run: the replay store, the run's
 /// shuffle and replay-draw Rng streams, and the Alg. 1 steps over them.  A
 /// method without replay stores nothing, so its epochs draw nothing and
@@ -65,23 +76,25 @@ class ReplayRun {
   /// Runs the frozen prefix over `dataset` (already rescaled) and stores
   /// every latent: the preparation of Alg. 1 lines 6–20, and run_sequential's
   /// recording of each learned class.  Returns the prefix work.
-  snn::SpikeOpStats record(const snn::SnnNetwork& net, const data::Dataset& dataset) {
-    if (!replay_) return {};
-    PackedLatentSet latents(net, dataset, insertion_, policy_, method_.batch_size);
-    for (std::size_t i = 0; i < latents.size(); ++i) {
-      const data::Sample& s = latents.fetch(i);
+  snn::SpikeOpStats record(const snn::SnnNetwork& net, data::Dataset dataset) {
+    snn::SpikeOpStats prefix;
+    if (!replay_) return prefix;
+    for (const data::Sample& s : frozen_latents(net, std::move(dataset), insertion_, policy_,
+                                                method_.batch_size, &prefix)) {
       engine_.add(s.raster, s.label);
     }
-    return latents.prefix_stats();
+    return prefix;
   }
 
   /// One CL epoch (Alg. 1 lines 23–31): trains the learning layers on
-  /// A_new ∪ A_LR and adds the epoch's work to `stats`.  Returns its loss.
-  double epoch(snn::SnnNetwork& net, PackedLatentSet& new_latents,
-               snn::AdamOptimizer& optimizer, snn::SpikeOpStats& stats) {
+  /// A_new ∪ A_LR and adds the epoch's work to `stats`.  `new_prefix` is the
+  /// work of the one prefix pass that built `new_latents`.  Returns the loss.
+  double epoch(snn::SnnNetwork& net, const data::Dataset& new_latents,
+               const snn::SpikeOpStats& new_prefix, snn::AdamOptimizer& optimizer,
+               snn::SpikeOpStats& stats) {
     // The device reruns the prefix for A_new every epoch (line 23), so every
     // epoch is charged the memo's prefix pass.
-    stats.add(new_latents.prefix_stats());
+    stats.add(new_prefix);
     snn::TrainOptions opts;
     opts.epochs = 1;
     opts.batch_size = method_.batch_size;
@@ -107,7 +120,7 @@ class ReplayRun {
     snn::SampleSource source;
     source.size = new_count + replay.size();
     source.fetch = [&](std::size_t i) -> const data::Sample& {
-      return i < new_count ? new_latents.fetch(i) : replay.fetch(i - new_count);
+      return i < new_count ? new_latents[i] : replay.fetch(i - new_count);
     };
     const snn::EpochRecord record = snn::train_supervised(net, source, optimizer, opts).front();
     stats.add(record.stats);
@@ -228,22 +241,17 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   }
 
   // The frozen-prefix memos of this run: A_new = inference(net_f, TS_cl)
-  // (Alg. 1 line 23) at the training blocking, and both test sets in the
-  // deployment configuration (Sec. IV: the method's own timestep and
-  // threshold behaviour) at the evaluation blocking.  The sets borrow their
-  // datasets at insertion 0, so the rescaled datasets live as long.
+  // (Alg. 1 line 23) at the training blocking, and both test sets.
   const metrics::EvalSettings eval{.timesteps = method.cl_timesteps,
                                    .rescale = method.rescale,
                                    .policy = run.policy()};
-  const data::Dataset new_train_rescaled =
-      data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale);
-  const data::Dataset old_test =
-      data::time_rescale(tasks.pretrain_test, eval.timesteps, eval.rescale);
-  const data::Dataset new_test = data::time_rescale(tasks.new_test, eval.timesteps, eval.rescale);
-  PackedLatentSet new_latents(net, new_train_rescaled, config.insertion_layer, run.policy(),
-                              method.batch_size);
-  PackedLatentSet old_eval(net, old_test, config.insertion_layer, eval.policy, eval.batch_size);
-  PackedLatentSet new_eval(net, new_test, config.insertion_layer, eval.policy, eval.batch_size);
+  snn::SpikeOpStats new_prefix;
+  const data::Dataset new_latents = frozen_latents(
+      net, data::time_rescale(tasks.new_train, method.cl_timesteps, method.rescale),
+      config.insertion_layer, run.policy(), method.batch_size, &new_prefix);
+  const data::Dataset old_eval =
+      eval_latents(net, tasks.pretrain_test, config.insertion_layer, eval);
+  const data::Dataset new_eval = eval_latents(net, tasks.new_test, config.insertion_layer, eval);
 
   // ---- Phase 2: NCL training (Alg. 1 lines 21–33) ------------------------
   result.rows.reserve(config.epochs);
@@ -253,17 +261,17 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     Stopwatch epoch_watch;
     ClEpochRow row;
     row.epoch = epoch;
-    row.loss = run.epoch(net, new_latents, optimizer, row.stats);
+    row.loss = run.epoch(net, new_latents, new_prefix, optimizer, row.stats);
     row.latency_ms = latency_model.latency_ms(row.stats);
     row.energy_uj = energy_model.energy_uj(row.stats);
 
     const bool evaluate_now =
         (epoch % config.eval_every == 0) || (epoch + 1 == config.epochs);
     if (evaluate_now) {
-      row.acc_old = snn::evaluate(net, old_eval.source(), config.insertion_layer, eval.policy,
-                                  eval.batch_size);
-      row.acc_new = snn::evaluate(net, new_eval.source(), config.insertion_layer, eval.policy,
-                                  eval.batch_size);
+      row.acc_old =
+          snn::evaluate(net, old_eval, config.insertion_layer, eval.policy, eval.batch_size);
+      row.acc_new =
+          snn::evaluate(net, new_eval, config.insertion_layer, eval.policy, eval.batch_size);
       result.final_acc_old = row.acc_old;
       result.final_acc_new = row.acc_new;
     }
@@ -336,28 +344,20 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     result.total_energy_uj += energy_model.energy_uj(prep);
   }
 
-  // Evaluation memos: the base test set and every task's test set, each in
-  // the deployment configuration (Sec. IV) and at the evaluation blocking.
-  // The prefix stays frozen for the whole stream, so one pass per set serves
-  // every task's evaluation.  The sets borrow their datasets at insertion 0,
-  // so the rescaled datasets live as long.
+  // Evaluation memos: the base test set and every task's test set.  The
+  // prefix stays frozen for the whole stream, so one pass per set serves
+  // every task's evaluation.
   const metrics::EvalSettings eval{.timesteps = method.cl_timesteps,
                                    .rescale = method.rescale,
                                    .policy = run.policy()};
-  std::vector<data::Dataset> tests;
-  tests.reserve(1 + tasks.task_test.size());
-  tests.push_back(data::time_rescale(tasks.pretrain_test, eval.timesteps, eval.rescale));
+  std::vector<data::Dataset> test_latents;
+  test_latents.reserve(1 + tasks.task_test.size());
+  test_latents.push_back(eval_latents(net, tasks.pretrain_test, config.insertion_layer, eval));
   for (const data::Dataset& test : tasks.task_test) {
-    tests.push_back(data::time_rescale(test, eval.timesteps, eval.rescale));
+    test_latents.push_back(eval_latents(net, test, config.insertion_layer, eval));
   }
-  std::vector<PackedLatentSet> test_latents;
-  test_latents.reserve(tests.size());
-  for (const data::Dataset& test : tests) {
-    test_latents.emplace_back(net, test, config.insertion_layer, eval.policy, eval.batch_size);
-  }
-  const auto accuracy = [&](PackedLatentSet& test) {
-    return snn::evaluate(net, test.source(), config.insertion_layer, eval.policy,
-                         eval.batch_size);
+  const auto accuracy = [&](const data::Dataset& test) {
+    return snn::evaluate(net, test, config.insertion_layer, eval.policy, eval.batch_size);
   };
 
   for (std::size_t task = first_task; task < num_tasks; ++task) {
@@ -377,21 +377,27 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
           task, num_tasks, method.replay_budget.capacity_bytes));
     }
 
-    const data::Dataset new_rescaled = data::time_rescale(
+    data::Dataset new_rescaled = data::time_rescale(
         tasks.task_train[task], method.cl_timesteps, method.rescale);
-    PackedLatentSet new_latents(net, new_rescaled, config.insertion_layer, run.policy(),
-                                method.batch_size);
+    // The recordings of the just-learned class, taken from its inputs before
+    // they move into the memo; the frozen prefix runs over them after the CL
+    // phase.
+    data::Dataset recordings = data::take_per_class(
+        new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
+        config.replay_per_new_class);
+    snn::SpikeOpStats new_prefix;
+    const data::Dataset new_latents =
+        frozen_latents(net, std::move(new_rescaled), config.insertion_layer, run.policy(),
+                       method.batch_size, &new_prefix);
 
     // CL phase for this task (Alg. 1 lines 21–33 against the current store).
     snn::AdamOptimizer optimizer;
     for (std::size_t epoch = 0; epoch < config.epochs_per_task; ++epoch) {
-      (void)run.epoch(net, new_latents, optimizer, task_stats);
+      (void)run.epoch(net, new_latents, new_prefix, optimizer, task_stats);
     }
 
     // Record the just-learned class into the store (on-device latents).
-    task_stats.add(run.record(
-        net, data::take_per_class(new_rescaled, std::span<const std::int32_t>(&row.class_id, 1),
-                                  config.replay_per_new_class)));
+    task_stats.add(run.record(net, std::move(recordings)));
     const ShardedReplayEngine& store = run.engine();
     row.latent_memory_bytes = store.memory_bytes();
     row.budget_bytes = store.capacity_bytes();

@@ -10,7 +10,7 @@
 //      assembly (core::ReplayStream), and train the learning layers on the
 //      shuffled union A_new ∪ A_LR with the method's η_cl and threshold
 //      policy (lines 24–32).  The host computes A_new once per run
-//      (core::PackedLatentSet) and charges that inference to every epoch.
+//      (core::frozen_latents) and charges that inference to every epoch.
 //
 // run_sequential (core/sequential.hpp) shares this engine's preparation,
 // epoch and checkpoint steps; both are defined in continual_trainer.cpp.

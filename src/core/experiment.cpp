@@ -1,6 +1,8 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <iterator>
 #include <sstream>
 
@@ -252,6 +254,15 @@ std::string summarize(const ClRunResult& result) {
      << "% latency=" << result.total_latency_ms() << "ms energy="
      << result.total_energy_uj() << "uJ latent_mem=" << result.latent_memory_bytes << "B";
   return os.str();
+}
+
+int run_cli(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 }  // namespace r4ncl::core

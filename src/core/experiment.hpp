@@ -130,4 +130,10 @@ void validate_standard_keys(const Config& cfg,
 /// One-line human summary of a CL run (final accs + totals).
 std::string summarize(const ClRunResult& result);
 
+/// The main() of every CLI binary: returns body(argc, argv), or, when it
+/// throws (a malformed or unknown knob, a corrupt checkpoint), prints
+/// "error: <what>" to stderr and returns 2 — an exit code distinct from
+/// crashes and sanitizer aborts, which tools/run_resume_smoke.py keys off.
+int run_cli(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace r4ncl::core

@@ -64,10 +64,10 @@ Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
   // work.  Soft mode (gradcheck) keeps the dense kernels.
   if (mode == SpikeMode::kSoft) return forward_dense(x, mode, policy, cache, stats);
   check_input(x, n_in_);
-  return forward_sparse(compress::events_from_batch(x), policy, cache, stats);
+  return forward_sparse(events_from_batch(x), policy, cache, stats);
 }
 
-Tensor RecurrentLifLayer::forward_sparse(const compress::BatchEventList& events,
+Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
                                          const ThresholdPolicy& policy, LayerCache* cache,
                                          SpikeOpStats* stats) const {
   const std::size_t T = events.timesteps, B = events.batch, N = n_out_;

@@ -15,7 +15,7 @@
 // the non-detached variant exists so finite-difference tests can validate the
 // complete gradient in soft mode.
 // Hot path (hard mode): the forward pass is event-driven — the input cube is
-// turned into per-timestep active-channel lists (compress::BatchEventList)
+// turned into per-timestep active-channel lists (snn::BatchEventList)
 // once, and I(t) accumulates O(events·n_out) weight rows in ascending
 // channel order (the exact accumulation order of kernels::matmul's
 // zero-skipping loop, so sparse ≡ dense bit-for-bit).  Fixed and adaptive θ
@@ -44,7 +44,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "compress/aer.hpp"
+#include "snn/events.hpp"
 #include "snn/surrogate.hpp"
 #include "snn/threshold.hpp"
 #include "tensor/tensor.hpp"
@@ -150,7 +150,7 @@ class RecurrentLifLayer {
  private:
   /// The event-driven, row-parallel path (hard mode): one dispatch per θ
   /// window.
-  Tensor forward_sparse(const compress::BatchEventList& events, const ThresholdPolicy& policy,
+  Tensor forward_sparse(const BatchEventList& events, const ThresholdPolicy& policy,
                         LayerCache* cache, SpikeOpStats* stats) const;
 
   std::size_t n_in_;

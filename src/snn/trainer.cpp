@@ -15,9 +15,10 @@ namespace {
 
 /// Fills `batch` and `labels` with the minibatch of up to `batch_size` rows
 /// that starts at position `lo` of a sweep over `source` (row b is sample
-/// order[lo + b], or lo + b when `order` is null).  Each sample is copied into the batch before the next fetch, so a lazy
-/// source only ever needs its current sample alive — the streaming replay
-/// contract.  Equal-shape minibatches reuse the batch's allocation.
+/// order[lo + b], or lo + b when `order` is null).  Each sample is copied
+/// into the batch before the next fetch, so a lazy source only ever needs its
+/// current sample alive — the streaming replay contract.  Equal-shape
+/// minibatches reuse the batch's allocation.
 void assemble_batch(const SampleSource& source, const std::vector<std::size_t>* order,
                     std::size_t lo, std::size_t batch_size, Tensor& batch,
                     std::vector<std::int32_t>& labels) {
@@ -36,15 +37,18 @@ void assemble_batch(const SampleSource& source, const std::vector<std::size_t>* 
   }
 }
 
+/// `dataset` as a SampleSource; it borrows the dataset.
+SampleSource source_of(const data::Dataset& dataset) {
+  return {dataset.size(),
+          [&dataset](std::size_t i) -> const data::Sample& { return dataset[i]; }};
+}
+
 }  // namespace
 
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const data::Dataset& dataset,
                                           AdamOptimizer& optimizer, const TrainOptions& options,
                                           const EpochHook& hook) {
-  SampleSource source;
-  source.size = dataset.size();
-  source.fetch = [&dataset](std::size_t i) -> const data::Sample& { return dataset[i]; };
-  return train_supervised(net, source, optimizer, options, hook);
+  return train_supervised(net, source_of(dataset), optimizer, options, hook);
 }
 
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& source,
@@ -118,22 +122,13 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
 double evaluate(const SnnNetwork& net, const data::Dataset& dataset,
                 std::size_t insertion_layer, const ThresholdPolicy& policy,
                 std::size_t batch_size, SpikeOpStats* stats) {
-  SampleSource source;
-  source.size = dataset.size();
-  source.fetch = [&dataset](std::size_t i) -> const data::Sample& { return dataset[i]; };
-  return evaluate(net, source, insertion_layer, policy, batch_size, stats);
-}
-
-double evaluate(const SnnNetwork& net, const SampleSource& source, std::size_t insertion_layer,
-                const ThresholdPolicy& policy, std::size_t batch_size, SpikeOpStats* stats) {
-  if (source.size == 0) return 0.0;
+  if (dataset.empty()) return 0.0;
   obs::metrics().counter("trainer.evals").add(1);
   obs::TraceSpan eval_span(obs::metrics(), "trainer.eval_seconds");
-  R4NCL_CHECK(static_cast<bool>(source.fetch), "SampleSource.fetch must be set");
   R4NCL_CHECK(batch_size > 0, "batch_size must be positive");
+  const SampleSource source = source_of(dataset);
   std::size_t correct = 0;
-  // One scratch batch reused across the whole sweep: samples stream through
-  // it one at a time, so peak assembly memory is a single minibatch.
+  // One scratch batch reused across the whole sweep.
   Tensor batch;
   std::vector<std::int32_t> labels;
   for (std::size_t lo = 0; lo < source.size; lo += batch_size) {

@@ -78,17 +78,9 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
                                           AdamOptimizer& optimizer, const TrainOptions& options,
                                           const EpochHook& hook = nullptr);
 
-/// Top-1 accuracy of `net` on `dataset` fed at `insertion_layer`.
+/// Top-1 accuracy of `net` on `dataset` fed at `insertion_layer`, scored in
+/// contiguous batch_size blocks through one reused scratch batch.
 double evaluate(const SnnNetwork& net, const data::Dataset& dataset,
-                std::size_t insertion_layer = 0,
-                const ThresholdPolicy& policy = ThresholdPolicy::fixed(1.0f),
-                std::size_t batch_size = 32, SpikeOpStats* stats = nullptr);
-
-/// evaluate() over a lazily-fetched source: samples stream one at a time
-/// into a single reused scratch batch, so a replay-buffer-backed source is
-/// scored without ever materializing the set densely.  Bit-identical to the
-/// Dataset overload (which is implemented on top of this one).
-double evaluate(const SnnNetwork& net, const SampleSource& source,
                 std::size_t insertion_layer = 0,
                 const ThresholdPolicy& policy = ThresholdPolicy::fixed(1.0f),
                 std::size_t batch_size = 32, SpikeOpStats* stats = nullptr);

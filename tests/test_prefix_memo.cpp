@@ -1,11 +1,12 @@
 // Reference identity for the frozen-prefix memo and the one replay read path.
 //
-// The run engines build one PackedLatentSet per input set per run: TS_cl once
+// The run engines call frozen_latents once per input set per run: TS_cl once
 // per CL phase at the training blocking, each rescaled test set once per run
 // at the evaluation blocking.  Every epoch then streams its draw of A_LR
 // through a ReplayStream.  The references below are the per-epoch engine
 // loops they replaced, without the checkpoint handling: the frozen prefix
-// reruns over TS_cl every epoch (frozen_inference; run_sequential's
+// reruns over TS_cl every epoch (frozen_inference, this file's own copy, so
+// no reference shares code with the memo under test; run_sequential's
 // to_latents was the same function), every evaluation rescales its test
 // sets again and runs the whole network from layer 0 (evaluate_tasks,
 // accuracy_at), and A_LR is assembled one of the ways the engines used to
@@ -26,7 +27,7 @@
 #include <span>
 #include <string>
 #include <tuple>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/latent_source.hpp"
@@ -40,15 +41,6 @@
 
 namespace r4ncl::core {
 namespace {
-
-// A set may borrow its dataset, so it cannot be built from a temporary.
-static_assert(!std::is_constructible_v<PackedLatentSet, const snn::SnnNetwork&, data::Dataset&&,
-                                       std::size_t, const snn::ThresholdPolicy&, std::size_t>);
-static_assert(!std::is_constructible_v<PackedLatentSet, const snn::SnnNetwork&, data::Dataset,
-                                       std::size_t, const snn::ThresholdPolicy&, std::size_t>);
-static_assert(std::is_constructible_v<PackedLatentSet, const snn::SnnNetwork&,
-                                      const data::Dataset&, std::size_t,
-                                      const snn::ThresholdPolicy&, std::size_t>);
 
 // -- the test_cl_accounting micro scenario ------------------------------------
 
@@ -205,20 +197,17 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
     opts.shuffle_seed = epoch_rng();
     std::vector<snn::EpochRecord> history;
     if (method.use_replay && streamed) {
-      // The per-epoch loop rebuilt this set every epoch, charging its prefix.
-      PackedLatentSet latents(net, new_train_rescaled, config.insertion_layer, policy,
-                              method.batch_size);
-      row.stats.add(latents.prefix_stats());
+      const data::Dataset latents = frozen_inference(
+          net, new_train_rescaled, config.insertion_layer, policy, method.batch_size, &row.stats);
       const std::size_t new_count = latents.size();
       const std::size_t draw = method.replay_samples_per_epoch > 0
                                    ? method.replay_samples_per_epoch
                                    : buffer.size();
       ReplayStream stream = buffer.stream(draw, replay_rng, method.batch_size, &row.stats);
       snn::SampleSource source;
-      source.size = latents.size() + stream.size();
-      source.fetch = [&latents, &stream,
-                      n = latents.size()](std::size_t i) -> const data::Sample& {
-        return i < n ? latents.fetch(i) : stream.fetch(i - n);
+      source.size = new_count + stream.size();
+      source.fetch = [&latents, &stream, new_count](std::size_t i) -> const data::Sample& {
+        return i < new_count ? latents[i] : stream.fetch(i - new_count);
       };
       if (importance_feedback) {
         opts.sample_outcome = outcome_hook(buffer, stream.drawn(), new_count);
@@ -316,20 +305,17 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
       opts.shuffle_seed = seed_rng();
       std::vector<snn::EpochRecord> history;
       if (method.use_replay && streamed) {
-        // The per-epoch loop rebuilt this set every epoch, charging its prefix.
-        PackedLatentSet latents(net, new_rescaled, config.insertion_layer, policy,
-                                method.batch_size);
-        task_stats.add(latents.prefix_stats());
+        const data::Dataset latents = frozen_inference(
+            net, new_rescaled, config.insertion_layer, policy, method.batch_size, &task_stats);
         const std::size_t new_count = latents.size();
         const std::size_t draw = method.replay_samples_per_epoch > 0
                                      ? method.replay_samples_per_epoch
                                      : buffer.size();
         ReplayStream stream = buffer.stream(draw, replay_rng, method.batch_size, &task_stats);
         snn::SampleSource source;
-        source.size = latents.size() + stream.size();
-        source.fetch = [&latents, &stream,
-                        n = latents.size()](std::size_t i) -> const data::Sample& {
-          return i < n ? latents.fetch(i) : stream.fetch(i - n);
+        source.size = new_count + stream.size();
+        source.fetch = [&latents, &stream, new_count](std::size_t i) -> const data::Sample& {
+          return i < new_count ? latents[i] : stream.fetch(i - new_count);
         };
         if (importance_feedback) {
           opts.sample_outcome = outcome_hook(buffer, stream.drawn(), new_count);
@@ -653,6 +639,13 @@ TEST(PrefixMemoObs, InsertionZeroRunsNoPrefix) {
   snn::SnnNetwork net = scenario().net.clone();
   const ArmedRegistry armed;
   (void)run_continual_learning(net, scenario().tasks, cfg);
+  // Without a prefix the memo hands the moved-in inputs back: same storage.
+  data::Dataset inputs = data::time_rescale(scenario().tasks.new_train,
+                                            cfg.method.cl_timesteps, cfg.method.rescale);
+  const data::Sample* storage = inputs.data();
+  const data::Dataset latents = frozen_latents(net, std::move(inputs), 0, cfg.method.policy(),
+                                               cfg.method.batch_size, nullptr);
+  EXPECT_EQ(latents.data(), storage);
   EXPECT_EQ(prefix_samples(), 0u);
   EXPECT_EQ(prefix_passes(), 0u);
 }
