@@ -40,7 +40,8 @@ int run_main(int argc, char** argv) {
     core::PretrainConfig pc = core::pretrain_config_from(cfg);
     pc.network.surrogate = {f.kind, f.scale};
     core::PretrainedScenario scenario =
-        core::make_pretrained_scenario(pc, cfg.get_string("cache_dir", "."), true);
+        core::make_pretrained_scenario(pc, cfg.get_string("cache_dir", "."),
+                                       cfg.get_bool("cache", true), cfg.get_bool("verbose", false));
 
     core::ClRunConfig run;
     run.method = core::bench_replay4ncl();

@@ -56,9 +56,10 @@ struct BenchContext {
 };
 
 /// Builds the context (threads/logging init + cached pre-training).  CLI
-/// keys outside the standard vocabulary (core::standard_cli_keys()) plus
-/// `extra_keys` are rejected with an Error listing the valid ones, so knob
-/// typos fail loudly instead of silently running the defaults.
+/// keys outside the knobs every binary reads (core::validate_standard_keys)
+/// plus `extra_keys` are rejected with an Error listing the valid ones, so
+/// knob typos, and replay or checkpoint knobs that no bench of this harness
+/// applies, fail loudly instead of silently running the defaults.
 BenchContext make_context(int argc, char** argv,
                           std::initializer_list<std::string_view> extra_keys = {});
 

@@ -36,8 +36,9 @@
 //                      retain, which would drown the policy deltas in noise)
 //   replay_samples=0   per-epoch sample(k) draw (0 = full materialize)
 //   spiking_lr=1       include the SpikingLR codec path in the bits sweep
-// budget=/policy=/latent_bits= are NOT honoured here — the sweep itself owns
-// those axes.
+// budget=/policy=/latent_bits= are rejected as unknown keys — the sweep itself
+// owns those axes — and so are cache=/cache_dir=, since the sweep pre-trains
+// its own base classes.
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,12 +64,16 @@ std::size_t probe_entry_bytes(const compress::CodecConfig& codec, std::size_t ti
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  core::validate_standard_keys(cfg, {"tasks", "replay_per_task", "spiking_lr"});
+  // This sweep pre-trains its own base classes instead of loading the cached
+  // scenario, so the cache knobs would act on nothing: reject them.
+  core::validate_own_pretraining_keys(cfg,
+                                      {"tasks", "replay_per_task", "replay_samples", "spiking_lr"});
   const core::ScopedMetrics metrics(cfg);
   init_log_level_from_env();
   init_threads_from_env();
   const std::size_t num_tasks = static_cast<std::size_t>(cfg.get_int("tasks", 4));
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 16));
+  const bool verbose = cfg.get_bool("verbose", false);
 
   core::PretrainConfig pc = core::pretrain_config_from(cfg);
   const data::SyntheticShdGenerator generator(pc.data_params);
@@ -83,6 +88,7 @@ int run_main(int argc, char** argv) {
     opts.epochs = pc.epochs;
     opts.batch_size = pc.batch_size;
     opts.lr = pc.lr;
+    opts.verbose = verbose;
     (void)snn::train_supervised(pretrained, tasks.pretrain_train, opt, opts);
   }
 
@@ -96,6 +102,7 @@ int run_main(int argc, char** argv) {
   run.epochs_per_task = epochs;
   run.replay_per_new_class =
       static_cast<std::size_t>(cfg.get_int("replay_per_task", 8));
+  run.verbose = verbose;
 
   const auto run_stream = [&](const core::NclMethodConfig& method, std::size_t capacity,
                               core::ReplayPolicy policy,

@@ -17,12 +17,15 @@ namespace {
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  core::validate_standard_keys(cfg, {"tasks"});
+  // This stream pre-trains its own base classes instead of loading the
+  // cached scenario, so the cache knobs would act on nothing: reject them.
+  core::validate_own_pretraining_keys(cfg, {"tasks"});
   const core::ScopedMetrics metrics(cfg);
   init_log_level_from_env();
   init_threads_from_env();
   const std::size_t num_tasks = static_cast<std::size_t>(cfg.get_int("tasks", 4));
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 20));
+  const bool verbose = cfg.get_bool("verbose", false);
 
   // Build the stream split (the single-task pretrain cache does not apply:
   // the base here is 20 − num_tasks classes).
@@ -39,6 +42,7 @@ int run_main(int argc, char** argv) {
     opts.epochs = pc.epochs;
     opts.batch_size = pc.batch_size;
     opts.lr = pc.lr;
+    opts.verbose = verbose;
     (void)snn::train_supervised(pretrained, tasks.pretrain_train, opt, opts);
   }
 
@@ -59,6 +63,7 @@ int run_main(int argc, char** argv) {
     run.insertion_layer = 2;
     run.epochs_per_task = epochs;
     run.replay_per_new_class = pc.split.replay_per_class;
+    run.verbose = verbose;
     const core::SequentialRunResult res = core::run_sequential(net, tasks, run);
     for (const auto& row : res.rows) {
       table.add_row();

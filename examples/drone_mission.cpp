@@ -33,7 +33,7 @@ namespace {
 
 int run_main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
-  core::validate_standard_keys(cfg, {"stop_after"});
+  core::validate_standard_keys(cfg, {"checkpoint", "checkpoint_every", "resume", "stop_after"});
   const core::ScopedMetrics metrics(cfg);
   // Checkpoint knobs validate eagerly, before the (expensive) pre-training.
   core::CheckpointOptions ckpt = core::checkpoint_options_from(cfg);

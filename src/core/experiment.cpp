@@ -192,6 +192,25 @@ constexpr CliKnob kStandardKnobs[] = {
     {"verbose", "per-epoch progress logging (0|1)", nullptr},
 };
 
+// The knobs every standard binary reads, the vocabulary of
+// validate_standard_keys: the scenario knobs (pretrain_config_from,
+// standard_scenario), the CL epoch count and the telemetry knobs
+// (init_metrics).  A binary that applies a checkpoint or replay knob names it
+// as an extra.
+constexpr std::string_view kEveryBinaryKeys[] = {
+    "cache", "cache_dir", "epochs", "metrics_out", "pretrain_epochs",
+    "scale", "threads",   "trace",  "verbose"};
+
+void validate_keys_plus(const Config& cfg, bool cache_keys,
+                        std::initializer_list<std::string_view> extra) {
+  std::vector<std::string_view> known(std::begin(kEveryBinaryKeys), std::end(kEveryBinaryKeys));
+  if (!cache_keys) {
+    std::erase_if(known, [](std::string_view key) { return key == "cache" || key == "cache_dir"; });
+  }
+  known.insert(known.end(), extra.begin(), extra.end());
+  cfg.validate_keys(known);
+}
+
 }  // namespace
 
 std::span<const CliKnob> standard_cli_knobs() { return kStandardKnobs; }
@@ -242,9 +261,12 @@ std::vector<std::string_view> standard_cli_keys() {
 
 void validate_standard_keys(const Config& cfg,
                             std::initializer_list<std::string_view> extra) {
-  std::vector<std::string_view> known = standard_cli_keys();
-  known.insert(known.end(), extra.begin(), extra.end());
-  cfg.validate_keys(known);
+  validate_keys_plus(cfg, /*cache_keys=*/true, extra);
+}
+
+void validate_own_pretraining_keys(const Config& cfg,
+                                   std::initializer_list<std::string_view> extra) {
+  validate_keys_plus(cfg, /*cache_keys=*/false, extra);
 }
 
 std::string summarize(const ClRunResult& result) {

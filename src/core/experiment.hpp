@@ -111,21 +111,32 @@ class ScopedMetrics {
 /// cadence given without checkpoint= both throw before any training runs.
 [[nodiscard]] CheckpointOptions checkpoint_options_from(const Config& cfg);
 
-/// The CLI vocabulary every standard bench/example understands — the `name`
-/// column of standard_cli_knobs(): the scenario knobs read by
+/// The whole standard CLI vocabulary — the `name` column of
+/// standard_cli_knobs(): the scenario knobs read by
 /// pretrain_config_from()/standard_scenario() (scale, pretrain_epochs,
 /// threads, cache, cache_dir, verbose), the shared CL epoch count (epochs),
 /// the checkpoint/resume knobs, the telemetry knobs (metrics_out, trace),
-/// and the replay knobs of apply_replay_overrides().
+/// and the replay knobs of apply_replay_overrides().  A binary that applies
+/// all of them (budget_stream) validates against this list.
 [[nodiscard]] std::vector<std::string_view> standard_cli_keys();
 
-/// Rejects unrecognized CLI keys: throws Error (naming the offending key and
-/// listing the valid ones) when `cfg` holds an explicitly-set key outside
-/// standard_cli_keys() ∪ `extra`.  Call it right after Config::from_args so
-/// a typo like `latentbits=4` fails loudly instead of silently running the
-/// default configuration.
+/// Rejects the CLI keys a binary does not apply: throws Error (naming the
+/// offending key and listing the valid ones) when `cfg` holds an
+/// explicitly-set key outside the knobs every standard binary reads — the
+/// scenario knobs (scale, pretrain_epochs, threads, cache, cache_dir,
+/// verbose), epochs and the telemetry knobs (metrics_out, trace) — and
+/// `extra`.  A binary that reads a checkpoint or replay knob passes it in
+/// `extra`.  Call it right after Config::from_args, so that a typo like
+/// `latentbits=4`, or `budget=1` given to a binary without a replay budget,
+/// fails loudly instead of silently running the default configuration.
 void validate_standard_keys(const Config& cfg,
                             std::initializer_list<std::string_view> extra = {});
+
+/// validate_standard_keys for a binary that pre-trains its own base classes
+/// instead of loading the cached scenario: cache= and cache_dir= would act
+/// on nothing there, so they are unknown keys too.
+void validate_own_pretraining_keys(const Config& cfg,
+                                   std::initializer_list<std::string_view> extra = {});
 
 /// One-line human summary of a CL run (final accs + totals).
 std::string summarize(const ClRunResult& result);

@@ -17,9 +17,10 @@ namespace r4ncl::snn {
 /// Values are stored alongside the channels so non-binary activations stay
 /// exact; `unit_values` marks the common all-spikes-are-1.0f case, which
 /// lets consumers use add-only kernels.  Iterating a row's events in stored
-/// (ascending-channel) order reproduces kernels::matmul's zero-skipping
-/// accumulation order exactly, which is what makes the event-driven forward
-/// bit-identical to the dense one.
+/// (ascending-channel) order reproduces kernels::matmul's k-ascending
+/// accumulation order (matmul only adds ±0 products for the silent channels
+/// between, an exact no-op on its +0-seeded sums), which is what makes the
+/// event-driven forward bit-identical to the dense one.
 struct BatchEventList {
   std::size_t timesteps = 0;
   std::size_t batch = 0;

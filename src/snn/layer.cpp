@@ -35,6 +35,62 @@ void check_input(const Tensor& x, std::size_t n_in) {
   R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
   R4NCL_CHECK(x.dim(2) == n_in, "input feature dim " << x.dim(2) << " != " << n_in);
 }
+
+using kernels::F32x4;
+
+/// The events that drive one row's I(t): the step's input events
+/// (chan[lo, hi), weighted by `val`, or by 1 when `val` is null) and the
+/// previous step's spikes (indices rec[0, rn)).
+struct RowEvents {
+  const std::uint32_t* chan;
+  const float* val;
+  std::size_t lo, hi;
+  const std::uint32_t* rec;
+  std::size_t rn;
+};
+
+/// I(t) over columns [j, j + 4·V) of one row, summed in V registers and
+/// stored once: +0, then the W_ff rows of the input events, then the W_rec
+/// rows of the spikes, each in ascending index order — forward_dense's
+/// per-element order (its kernels::matmul adds a ±0 product for every
+/// silent channel between them, an exact no-op on these sums).
+template <std::size_t V>
+void current_strip(const RowEvents& ev, const float* wff, const float* wrec, std::size_t N,
+                   std::size_t j, float* crow) noexcept {
+  F32x4 acc[V] = {};
+  for (std::size_t e = ev.lo; e < ev.hi; ++e) {
+    const float* w = wff + ev.chan[e] * N + j;
+    if (ev.val == nullptr) {
+      for (std::size_t v = 0; v < V; ++v) acc[v] += kernels::load4(w + 4 * v);
+    } else {
+      const F32x4 av = kernels::splat4(ev.val[e]);
+      for (std::size_t v = 0; v < V; ++v) acc[v] += av * kernels::load4(w + 4 * v);
+    }
+  }
+  for (std::size_t e = 0; e < ev.rn; ++e) {
+    const float* w = wrec + ev.rec[e] * N + j;
+    for (std::size_t v = 0; v < V; ++v) acc[v] += kernels::load4(w + 4 * v);
+  }
+  for (std::size_t v = 0; v < V; ++v) kernels::store4(crow + j + 4 * v, acc[v]);
+}
+
+/// I(t) of one row: 16-wide register strips, then 4-wide ones, then scalar
+/// columns, each element in current_strip's order.
+void row_current(const RowEvents& ev, const float* wff, const float* wrec, std::size_t N,
+                 float* crow) noexcept {
+  std::size_t j = 0;
+  for (; j + 16 <= N; j += 16) current_strip<4>(ev, wff, wrec, N, j, crow);
+  for (; j + 4 <= N; j += 4) current_strip<1>(ev, wff, wrec, N, j, crow);
+  for (; j < N; ++j) {
+    float acc = 0.0f;
+    for (std::size_t e = ev.lo; e < ev.hi; ++e) {
+      const float w = wff[ev.chan[e] * N + j];
+      acc += ev.val == nullptr ? w : ev.val[e] * w;
+    }
+    for (std::size_t e = 0; e < ev.rn; ++e) acc += wrec[ev.rec[e] * N + j];
+    crow[j] = acc;
+  }
+}
 }  // namespace
 
 RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const LifParams& lif,
@@ -132,30 +188,11 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
           std::uint32_t* row_counts = counts.data() + b * T;
           std::uint32_t rn = t0 > 0 ? row_counts[t0 - 1] : 0;  // events of S(t−1)
           for (std::size_t t = t0; t < t1; ++t) {
-            // I(t) = X(t)·W_ff: accumulate the weight row of every active
-            // input channel, ascending — bit-identical to kernels::matmul's
-            // zero-skipping k loop over the dense slab.
-            std::fill(crow, crow + N, 0.0f);
-            const std::size_t lo = offs[t * B + b], hi = offs[t * B + b + 1];
-            if (unit) {
-              for (std::size_t e = lo; e < hi; ++e) {
-                const float* wrow = wff + chan[e] * N;
-                for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
-              }
-            } else {
-              for (std::size_t e = lo; e < hi; ++e) {
-                const float av = val[e];
-                const float* wrow = wff + chan[e] * N;
-                for (std::size_t j = 0; j < N; ++j) crow[j] += av * wrow[j];
-              }
-            }
-            // I(t) += S(t−1)·W_rec over last step's recorded spike indices.
-            if (ridx != nullptr) {
-              for (std::uint32_t e = 0; e < rn; ++e) {
-                const float* wrow = wrec + ridx[e] * N;
-                for (std::size_t j = 0; j < N; ++j) crow[j] += wrow[j];
-              }
-            }
+            // I(t) = X(t)·W_ff + S(t−1)·W_rec from the step's input events
+            // and last step's recorded spike indices.
+            const RowEvents ev{chan, unit ? nullptr : val, offs[t * B + b], offs[t * B + b + 1],
+                               ridx, ridx != nullptr ? rn : 0};
+            row_current(ev, wff, wrec, N, crow);
             // S(t−1) is row b of the previous output slab.
             const float* srow_prev =
                 t > 0 ? outp + ((t - 1) * B + b) * N : zero_row.data();
@@ -305,16 +342,20 @@ void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const
   Tensor d_v(T, B, N);
   Tensor d_s_rec(B, N);  // per row: recurrent + reset contribution to ∂L/∂S(t−1)
   const bool recurrent = lif_.recurrent;
-  Tensor w_rec_t(recurrent ? N : 0, recurrent ? N : 0);  // W_recᵀ, for i-k-j dV·W_recᵀ
+  Tensor w_rec_t(recurrent ? N : 0, recurrent ? N : 0);  // W_recᵀ, for dV·W_recᵀ
   if (recurrent) kernels::transpose(w_rec_.raw(), N, N, w_rec_t.raw());
 
-  // The BPTT recurrence, row-parallel: θ(t) comes from the cache, so batch
-  // rows are independent under fixed and adaptive thresholds alike, and each
-  // row walks all T steps on one thread.  Per element the FP ops are the
+  // The BPTT recurrence, in tiles of 4 batch rows: θ(t) comes from the
+  // cache, so batch rows are independent under fixed and adaptive thresholds
+  // alike, and each tile walks all T steps on one thread.  Per step the
+  // tile's rows of dV(t) are contiguous, so one kernels::matmul_rows forms
+  // dV(t)·W_recᵀ for the whole tile in registers, and every loaded row of
+  // W_recᵀ serves 4 batch rows.  Per element the FP ops are the
   // per-timestep loop's, in its order:
   //   ∂L/∂S(t) = upstream + d_s_rec;  ∂L/∂V(t) = ∂L/∂S(t)·Θ′(u) + β·∂L/∂V(t+1)
   //   d_s_rec  = ∂L/∂V(t)·W_recᵀ (k ascending) [− θ(t−1)·∂L/∂V(t) unless detached]
   // Locals keep member loads out of the inner loops.
+  constexpr std::size_t kRows = 4;  // batch rows per tile: matmul_rows' register tile
   const float beta = lif_.beta;
   const bool detach_reset = lif_.detach_reset;
   const SurrogateParams surrogate = surrogate_;
@@ -324,31 +365,33 @@ void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const
   const float* wrec_t = w_rec_t.raw();
   float* dvp = d_v.raw();
   float* recp = d_s_rec.raw();
-  const std::vector<float> zero_row(N, 0.0f);  // ∂L/∂V(T)
+  const std::vector<float> zero_rows(kRows * N, 0.0f);  // ∂L/∂V(T)
   parallel_for(
-      0, B,
-      [&](std::size_t b) {
-        float* rec = recp + b * N;
+      0, (B + kRows - 1) / kRows,
+      [&](std::size_t tile) {
+        const std::size_t b0 = tile * kRows, rows = std::min(kRows, B - b0);
+        const std::size_t len = rows * N;  // the tile's elements per step
+        float* rec = recp + b0 * N;
         for (std::size_t t = T; t-- > 0;) {
-          const std::size_t row = (t * B + b) * N;
+          const std::size_t row = (t * B + b0) * N;
           float* dv = dvp + row;
-          const float* dv_next = t + 1 < T ? dv + B * N : zero_row.data();
+          const float* dv_next = t + 1 < T ? dv + B * N : zero_rows.data();
           const float theta_t = theta[t];
-          for (std::size_t j = 0; j < N; ++j) {
-            const float ds = up[row + j] + rec[j];
-            dv[j] = ds * surrogate_grad(vmem[row + j] - theta_t, surrogate) + beta * dv_next[j];
+          for (std::size_t i = 0; i < len; ++i) {
+            const float ds = up[row + i] + rec[i];
+            dv[i] = ds * surrogate_grad(vmem[row + i] - theta_t, surrogate) + beta * dv_next[i];
           }
           if (t == 0) break;
-          std::fill(rec, rec + N, 0.0f);
-          if (recurrent) kernels::matmul_row(dv, N, wrec_t, N, rec);
+          std::fill(rec, rec + len, 0.0f);
+          if (recurrent) kernels::matmul_rows(dv, rows, N, wrec_t, N, rec);
           if (!detach_reset) {
             // V(t) contains −θ(t−1)·S(t−1).
             const float theta_prev = theta[t - 1];
-            for (std::size_t j = 0; j < N; ++j) rec[j] -= theta_prev * dv[j];
+            for (std::size_t i = 0; i < len; ++i) rec[i] -= theta_prev * dv[i];
           }
         }
       },
-      T * N * (recurrent ? N : 4));
+      kRows * T * N * (recurrent ? N : 4));
 
   // Weight gradients, hoisted out of the T loop as one pass each over all
   // T·B rows in the per-timestep order (t descending, rows ascending):

@@ -16,9 +16,13 @@
 // complete gradient in soft mode.
 // Hot path (hard mode): the forward pass is event-driven — the input cube is
 // turned into per-timestep active-channel lists (snn::BatchEventList)
-// once, and I(t) accumulates O(events·n_out) weight rows in ascending
-// channel order (the exact accumulation order of kernels::matmul's
-// zero-skipping loop, so sparse ≡ dense bit-for-bit).  Fixed and adaptive θ
+// once, and I(t) is summed straight from the event lists in register tiles:
+// for each strip of 16 output columns (4 vector registers) the W_ff rows of
+// the step's input events, then the W_rec rows of the previous step's
+// spikes, in ascending index order, and each element of I(t) is stored
+// once.  That is kernels::matmul's per-element order in forward_dense (which
+// only adds ±0 products for the silent channels between), so sparse ≡ dense
+// bit-for-bit.  Fixed and adaptive θ
 // share one loop over θ windows, the runs of steps over which
 // ThresholdState holds θ constant (ThresholdState::window_end): inside a
 // window each batch row walks its steps on one thread (disjoint writes),
@@ -29,9 +33,11 @@
 // event list and the spike counts instead of a per-timestep count_nonzero
 // rescan.
 // Backward hot path: the BPTT recurrence (∂L/∂S, ∂L/∂V, the dV·W_recᵀ and
-// reset terms) runs row-parallel — θ(t) comes from LayerCache::theta, so
-// rows are independent under fixed and adaptive thresholds and each row
-// walks all T steps on one thread — and dW_ff, dW_rec and dX leave the T
+// reset terms) runs in tiles of 4 batch rows — θ(t) comes from
+// LayerCache::theta, so rows are independent under fixed and adaptive
+// thresholds and each tile walks all T steps on one thread, forming
+// dV(t)·W_recᵀ for its 4 rows with one register-tiled
+// kernels::matmul_rows call per step — and dW_ff, dW_rec and dX leave the T
 // loop as one pass each over all T·B rows (kernels::matmul_at_b_accum, and
 // kernels::matmul against a transposed W_ff).  Every output element keeps
 // the per-timestep loop's FP op order (weight gradients: t descending, then

@@ -81,7 +81,7 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
   kernels::matmul_at_b_accum(x.raw(), c.raw(), T, B, n_in_, n_classes_, d_w_.raw());
   std::uint64_t bwd_ops = static_cast<std::uint64_t>(T) * B * n_in_ * n_classes_;
   if (d_in != nullptr) {
-    // dX = c·Wᵀ against the transposed copy, i-k-j.
+    // dX = c·Wᵀ against the transposed copy (register-tiled kernels::matmul).
     Tensor w_t(n_classes_, n_in_);
     kernels::transpose(w_.raw(), n_in_, n_classes_, w_t.raw());
     kernels::matmul(c.raw(), T * B, n_classes_, w_t.raw(), n_in_, d_in->raw(), false);

@@ -9,28 +9,76 @@ namespace r4ncl {
 
 namespace kernels {
 
-void matmul_row(const float* arow, std::size_t k, const float* b, std::size_t n,
-                float* crow) noexcept {
-  // i-k-j order: unit stride on B and C lets the compiler vectorise the
-  // inner loop; zero A entries (no spike event) are skipped entirely.
+namespace {
+
+/// Columns [j, j + 4·V) of R ≤ 4 rows: R·V accumulators that live in
+/// registers (a fixed-size F32x4 array with constant indices; a plain float
+/// array of the same shape stays in memory) while k runs.
+template <std::size_t R, std::size_t V>
+void strip(const float* a, std::size_t k, const float* b, std::size_t n, float* c,
+           std::size_t j) noexcept {
+  F32x4 acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) acc[r][v] = load4(c + r * n + j + 4 * v);
+  }
   for (std::size_t kk = 0; kk < k; ++kk) {
-    const float av = arow[kk];
-    if (av == 0.0f) continue;
-    const float* brow = b + kk * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    const float* brow = b + kk * n + j;
+    F32x4 bv[V];
+    for (std::size_t v = 0; v < V; ++v) bv[v] = load4(brow + 4 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const F32x4 av = splat4(a[r * k + kk]);
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) store4(c + r * n + j + 4 * v, acc[r][v]);
+  }
+}
+
+/// One tile of R ≤ 4 rows over all n columns: 8-wide strips, then a 4-wide
+/// one, then scalar columns.  Every element sums k ascending from its c value.
+template <std::size_t R>
+void tile(const float* a, std::size_t k, const float* b, std::size_t n, float* c) noexcept {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) strip<R, 2>(a, k, b, n, c, j);
+  if (j + 4 <= n) {
+    strip<R, 1>(a, k, b, n, c, j);
+    j += 4;
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      float acc = c[r * n + j];
+      for (std::size_t kk = 0; kk < k; ++kk) acc += a[r * k + kk] * b[kk * n + j];
+      c[r * n + j] = acc;
+    }
+  }
+}
+
+}  // namespace
+
+void matmul_rows(const float* a, std::size_t rows, std::size_t k, const float* b,
+                 std::size_t n, float* c) noexcept {
+  for (; rows >= 4; rows -= 4, a += 4 * k, c += 4 * n) tile<4>(a, k, b, n, c);
+  switch (rows) {
+    case 3: tile<3>(a, k, b, n, c); break;
+    case 2: tile<2>(a, k, b, n, c); break;
+    case 1: tile<1>(a, k, b, n, c); break;
+    default: break;
   }
 }
 
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
             float* c, bool accumulate) {
+  constexpr std::size_t kRows = 4;
   parallel_for(
-      0, m,
-      [&](std::size_t i) {
-        float* crow = c + i * n;
-        if (!accumulate) std::fill(crow, crow + n, 0.0f);
-        matmul_row(a + i * k, k, b, n, crow);
+      0, (m + kRows - 1) / kRows,
+      [&](std::size_t tile_index) {
+        const std::size_t i = tile_index * kRows, rows = std::min(kRows, m - i);
+        float* ctile = c + i * n;
+        if (!accumulate) std::fill(ctile, ctile + rows * n, 0.0f);
+        matmul_rows(a + i * k, rows, k, b, n, ctile);
       },
-      k * n);
+      kRows * k * n);
 }
 
 void matmul_at_b_accum(const float* a, const float* b, std::size_t blocks, std::size_t m,

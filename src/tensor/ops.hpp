@@ -5,12 +5,17 @@
 // BPTT gradient terms of a (T × B × features) pass map onto two kernels:
 //   dW += Σ_t X(t)ᵀ · dY(t)  (matmul_at_b_accum: all T blocks of B rows in
 //                             one call, t descending, rows ascending)
-//   dX  = dY · Wᵀ            (matmul / matmul_row against transpose(W): i-k-j
-//                             order, so the inner loop vectorises across outputs
-//                             while each output still sums k ascending)
-// matmul and matmul_at_b_accum parallelise over output rows via parallel_for;
-// matmul_row and transpose are serial, for callers already inside a parallel
-// loop (or with weight-sized inputs).
+//   dX  = dY · Wᵀ            (matmul / matmul_rows against transpose(W))
+// matmul has one implementation, a register tile: 4 rows of `a` share every
+// loaded row of `b`, and a strip of 8 columns of those 4 output rows stays in
+// vector registers (F32x4 below) while k runs.  Lanes run across independent
+// output elements, never across a reduction, so each element still sums its
+// products k ascending onto its c value, one IEEE multiply and one add per
+// term, as the scalar loop does.  The library compiles with
+// -ffp-contract=off (src/CMakeLists.txt), so no build fuses a multiply-add.
+// matmul and matmul_at_b_accum parallelise over output tiles via
+// parallel_for; matmul_rows and transpose are serial, for callers already
+// inside a parallel loop (or with weight-sized inputs).
 #pragma once
 
 #include <cstdint>
@@ -27,15 +32,34 @@ namespace kernels {
 // the SNN layers call them directly on 3-D spike cubes viewed as (T·B ×
 // features) matrices.
 
-/// crow[n] += arow[k] · b[k×n] for one row, serially, in i-k-j order: each
-/// output sums k ascending and zero arow entries (no spike event) are
-/// skipped.  Skipping is an exact no-op on a sum seeded at +0 (for finite b),
-/// so into a zeroed crow this equals the unskipped k-ascending dot product
-/// bit for bit.  The row body of matmul.
-void matmul_row(const float* arow, std::size_t k, const float* b, std::size_t n,
-                float* crow) noexcept;
+/// Four float lanes (a GCC/Clang vector extension: SSE2 on baseline x86-64,
+/// NEON on AArch64) — the register tile of matmul_rows and of the LIF
+/// forward's I(t) sum.  Arithmetic on it is lane-wise IEEE float arithmetic.
+using F32x4 = float __attribute__((vector_size(16)));
 
-/// c[m×n] = a[m×k] · b[k×n]; accumulates when `accumulate`.
+/// Unaligned load/store of 4 consecutive floats, and x in every lane.
+inline F32x4 load4(const float* p) noexcept {
+  F32x4 v;
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store4(float* p, F32x4 v) noexcept { __builtin_memcpy(p, &v, sizeof v); }
+inline F32x4 splat4(float x) noexcept { return F32x4{x, x, x, x}; }
+
+/// c[rows×n] += a[rows×k] · b[k×n], serially, in tiles of 4 rows: each
+/// element sums k ascending, starting from its c value.  There is no
+/// zero-skip: a zero a entry (no spike event) adds a ±0 product.  For finite
+/// b that is an exact no-op on any sum that is never −0, and every library
+/// caller meets that: its sums start at +0 (a zero-filled c; rounding to
+/// nearest, IEEE addition yields −0 only from −0 + −0), or, in
+/// forward_dense, the recurrent product accumulates onto X(t)·W_ff, itself
+/// such a sum.  So the result equals the zero-skipping k-ascending loop bit
+/// for bit.  The tile body of matmul.
+void matmul_rows(const float* a, std::size_t rows, std::size_t k, const float* b,
+                 std::size_t n, float* c) noexcept;
+
+/// c[m×n] = a[m×k] · b[k×n]; accumulates when `accumulate`, otherwise c is
+/// zero-filled first.  One parallel_for index per 4-row tile (matmul_rows).
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
             float* c, bool accumulate);
 

@@ -6,9 +6,14 @@
 // the two kernels they called.  Every output element of the hoisted code must
 // equal them bit for bit — weight gradients, ∂L/∂X, logits and SpikeOpStats —
 // over recurrent × detach_reset × fixed/adaptive θ × hard/soft mode × d_in
-// null/set × threads 1/4 × B ∈ {1, 6} (B = 1 is fewer rows than threads).
+// null/set × threads 1/4; the layer also over B ∈ {1, 5, 6, 9} × N ∈ {48, 50}
+// (B = 1 is fewer rows than threads; B = 5 and 9 leave a one-row tile after
+// the recurrence's 4-row tiles; N = 50, ncl_stream's learning layer, leaves
+// scalar columns after matmul_rows' 8-wide strips) and the readout over
+// B ∈ {1, 6}.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "snn/layer.hpp"
@@ -236,29 +241,31 @@ constexpr std::size_t kT = 12, kC = 40, kN = 48;
 
 TEST(BpttReference, LayerBackwardMatchesPerTimestepKernels) {
   const ThreadsGuard guard;
-  // One bit per axis of the matrix: 2^7 = 128 cases.
-  for (unsigned mask = 0; mask < 128; ++mask) {
+  // One bit per axis of the matrix, 2^6 = 64 cases, at each of the 8 shapes.
+  for (unsigned mask = 0; mask < 64 * 8; ++mask) {
     const bool recurrent = (mask & 1u) != 0;
     const bool detach_reset = (mask & 2u) != 0;
     const bool adaptive = (mask & 4u) != 0;
     const SpikeMode mode = (mask & 8u) != 0 ? SpikeMode::kSoft : SpikeMode::kHard;
     const bool with_d_in = (mask & 16u) != 0;
     const int threads = (mask & 32u) != 0 ? 4 : 1;
-    const std::size_t B = (mask & 64u) != 0 ? 6 : 1;
+    const std::size_t B = std::array<std::size_t, 4>{1, 5, 6, 9}[(mask >> 6) & 3u];
+    const std::size_t N = (mask & 256u) != 0 ? 50 : kN;
     SCOPED_TRACE(testing::Message() << "recurrent=" << recurrent << " detach_reset="
                                     << detach_reset << " adaptive=" << adaptive
                                     << " soft=" << (mode == SpikeMode::kSoft) << " d_in="
-                                    << with_d_in << " threads=" << threads << " B=" << B);
+                                    << with_d_in << " threads=" << threads << " B=" << B
+                                    << " N=" << N);
     LifParams lif;
     lif.recurrent = recurrent;
     lif.detach_reset = detach_reset;
     Rng rng_ref(31), rng_new(31);
-    RecurrentLifLayer ref(kC, kN, lif, SurrogateParams{}, rng_ref);
-    RecurrentLifLayer hoisted(kC, kN, lif, SurrogateParams{}, rng_new);
+    RecurrentLifLayer ref(kC, N, lif, SurrogateParams{}, rng_ref);
+    RecurrentLifLayer hoisted(kC, N, lif, SurrogateParams{}, rng_new);
     const auto policy = adaptive ? ThresholdPolicy::adaptive(static_cast<int>(kT))
                                  : ThresholdPolicy::fixed(0.8f);
     const Tensor x = random_cube(kT, B, kC, 0.3, mode == SpikeMode::kSoft, 100 + B);
-    const Tensor d_out = random_grad(kT, B, kN, 101 + B);
+    const Tensor d_out = random_grad(kT, B, N, 101 + B);
     LayerCache cache;
     set_num_threads(1);
     (void)ref.forward(x, mode, policy, &cache, nullptr);

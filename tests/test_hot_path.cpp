@@ -95,77 +95,98 @@ snn::RecurrentLifLayer make_layer(std::size_t C, std::size_t n_out, bool recurre
   return snn::RecurrentLifLayer(C, n_out, lif, snn::SurrogateParams{}, rng);
 }
 
+/// (B, N) shapes for the event path's register strips: the original
+/// widths (16-wide strips, 4-wide strips), N = 50 (ncl_stream's learning
+/// layer: three 16-wide strips and 2 scalar columns) and N = 7 (one 4-wide
+/// strip and 3 scalar columns), the last two at B = 5.
+struct Shape {
+  std::size_t B, N;
+};
+
 TEST(SparseForward, MatchesDenseAcrossDensities) {
-  const std::size_t T = 10, B = 4, C = 48, N = 32;
+  const std::size_t T = 10, C = 48;
   const auto policy = snn::ThresholdPolicy::fixed(1.0f);
-  for (const bool recurrent : {true, false}) {
-    const auto layer = make_layer(C, N, recurrent, 7);
-    for (const double density : {0.0, 0.05, 0.3, 1.0}) {
-      SCOPED_TRACE(testing::Message() << "recurrent=" << recurrent
-                                      << " density=" << density);
-      expect_sparse_matches_dense(
-          layer, random_cube(T, B, C, density, 100 + static_cast<int>(density * 100)),
-          policy);
+  for (const Shape shape : {Shape{4, 32}, Shape{5, 50}, Shape{5, 7}}) {
+    for (const bool recurrent : {true, false}) {
+      const auto layer = make_layer(C, shape.N, recurrent, 7);
+      for (const double density : {0.0, 0.05, 0.3, 1.0}) {
+        SCOPED_TRACE(testing::Message() << "B=" << shape.B << " N=" << shape.N
+                                        << " recurrent=" << recurrent << " density=" << density);
+        expect_sparse_matches_dense(
+            layer,
+            random_cube(T, shape.B, C, density, 100 + static_cast<int>(density * 100)),
+            policy);
+      }
     }
   }
 }
 
 TEST(SparseForward, MatchesDenseWithAllZeroAndAllOnesTimesteps) {
-  const std::size_t T = 8, B = 3, C = 40, N = 24;
-  Tensor x = random_cube(T, B, C, 0.2, 55);
-  // Timestep 0 fully silent, timestep 1 fully active: the event list must
-  // handle empty rows and full rows without drifting from the dense kernel.
-  for (std::size_t i = 0; i < B * C; ++i) {
-    x.values()[i] = 0.0f;
-    x.values()[B * C + i] = 1.0f;
-  }
+  const std::size_t T = 8, C = 40;
   const auto policy = snn::ThresholdPolicy::fixed(1.0f);
-  for (const bool recurrent : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "recurrent=" << recurrent);
-    expect_sparse_matches_dense(make_layer(C, N, recurrent, 8), x, policy);
+  for (const Shape shape : {Shape{3, 24}, Shape{5, 50}, Shape{5, 7}}) {
+    const std::size_t B = shape.B;
+    Tensor x = random_cube(T, B, C, 0.2, 55);
+    // Timestep 0 fully silent, timestep 1 fully active: the event list must
+    // handle empty rows and full rows without drifting from the dense kernel.
+    for (std::size_t i = 0; i < B * C; ++i) {
+      x.values()[i] = 0.0f;
+      x.values()[B * C + i] = 1.0f;
+    }
+    for (const bool recurrent : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "B=" << B << " N=" << shape.N
+                                      << " recurrent=" << recurrent);
+      expect_sparse_matches_dense(make_layer(C, shape.N, recurrent, 8), x, policy);
+    }
   }
 }
 
 TEST(SparseForward, MatchesDenseUnderAdaptivePolicy) {
-  const std::size_t T = 12, B = 4, C = 48, N = 32;
+  const std::size_t T = 12, C = 48;
   // The adaptive controller couples timesteps across the batch: the event
   // path runs one row-parallel dispatch per θ window and feeds observe()
   // after it — still bit-identical.  The intervals cover a rule that never
   // adjusts (0), one-step windows (1), a partial last window (5, 7), exactly
   // one window (12) and a window longer than T (15).
-  Tensor binary = random_cube(T, B, C, 0.15, 77);
-  Tensor graded(T, B, C);
-  Rng rng(78);
-  for (auto& v : graded.values()) {
-    if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
-  }
-  for (const bool recurrent : {true, false}) {
-    const auto layer = make_layer(C, N, recurrent, 9);
-    for (const int interval : {0, 1, 5, 7, 12, 15}) {
-      const auto policy =
-          snn::ThresholdPolicy::adaptive(static_cast<int>(T), 1.0f, interval);
-      for (const Tensor* x : {&binary, &graded}) {
-        SCOPED_TRACE(testing::Message() << "recurrent=" << recurrent << " interval=" << interval
-                                        << " graded=" << (x == &graded));
-        expect_sparse_matches_dense(layer, *x, policy);
+  for (const Shape shape : {Shape{4, 32}, Shape{5, 50}, Shape{5, 7}}) {
+    Tensor binary = random_cube(T, shape.B, C, 0.15, 77);
+    Tensor graded(T, shape.B, C);
+    Rng rng(78);
+    for (auto& v : graded.values()) {
+      if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
+    }
+    for (const bool recurrent : {true, false}) {
+      const auto layer = make_layer(C, shape.N, recurrent, 9);
+      for (const int interval : {0, 1, 5, 7, 12, 15}) {
+        const auto policy =
+            snn::ThresholdPolicy::adaptive(static_cast<int>(T), 1.0f, interval);
+        for (const Tensor* x : {&binary, &graded}) {
+          SCOPED_TRACE(testing::Message()
+                       << "B=" << shape.B << " N=" << shape.N << " recurrent=" << recurrent
+                       << " interval=" << interval << " graded=" << (x == &graded));
+          expect_sparse_matches_dense(layer, *x, policy);
+        }
       }
     }
   }
 }
 
 TEST(SparseForward, MatchesDenseOnNonBinaryValues) {
-  const std::size_t T = 6, B = 3, C = 32, N = 20;
-  Tensor x(T, B, C);
-  Rng rng(13);
-  // Graded activations (latent insertions are not always 0/1): the event
-  // list records values, and the value-weighted accumulation must follow the
-  // dense kernel's exact multiply-add order.
-  for (auto& v : x.values()) {
-    if (!rng.bernoulli(0.2)) continue;
-    v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
+  const std::size_t T = 6, C = 32;
+  for (const Shape shape : {Shape{3, 20}, Shape{5, 50}, Shape{5, 7}}) {
+    Tensor x(T, shape.B, C);
+    Rng rng(13);
+    // Graded activations (latent insertions are not always 0/1): the event
+    // list records values, and the value-weighted accumulation must follow
+    // the dense kernel's exact multiply-add order.
+    for (auto& v : x.values()) {
+      if (!rng.bernoulli(0.2)) continue;
+      v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
+    }
+    SCOPED_TRACE(testing::Message() << "B=" << shape.B << " N=" << shape.N);
+    expect_sparse_matches_dense(make_layer(C, shape.N, true, 10), x,
+                                snn::ThresholdPolicy::fixed(1.0f));
   }
-  expect_sparse_matches_dense(make_layer(C, N, true, 10), x,
-                              snn::ThresholdPolicy::fixed(1.0f));
 }
 
 TEST(ThreadIdentity, ForwardBitIdentical) {

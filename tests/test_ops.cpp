@@ -1,7 +1,9 @@
 // Matmul and BPTT gradient kernels against naive references, plus softmax/CE
 // properties.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,11 +22,13 @@ Tensor random_tensor(std::size_t r, std::size_t c, Rng& rng, double sparsity = 0
   return t;
 }
 
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
+/// The k-ascending scalar loop, each element starting from `seed`'s value
+/// (zero when absent) — the order every element of kernels::matmul keeps.
+Tensor naive_matmul(const Tensor& a, const Tensor& b, const Tensor* seed = nullptr) {
   Tensor c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < b.cols(); ++j) {
-      float acc = 0.0f;
+      float acc = seed != nullptr ? (*seed)(i, j) : 0.0f;
       for (std::size_t k = 0; k < a.cols(); ++k) acc += a(i, k) * b(k, j);
       c(i, j) = acc;
     }
@@ -39,8 +43,14 @@ void expect_tensor_near(const Tensor& a, const Tensor& b, float tol = 1e-4f) {
   }
 }
 
-/// Parameterised over (m, k, n, sparsity) so the sparse-skip fast path is
-/// exercised alongside the dense path and both thread regimes.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) && std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
+}
+
+/// Parameterised over (m, k, n, sparsity) so zero a entries (no spike event)
+/// are exercised alongside dense inputs and both thread regimes, and so the
+/// register tile meets every row remainder (m mod 4) and column remainder
+/// (8-wide strips, a 4-wide strip, scalar columns).
 class MatmulSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::size_t, double>> {
 };
@@ -52,7 +62,7 @@ TEST_P(MatmulSweep, MatchesNaiveReference) {
   const Tensor b = random_tensor(k, n, rng);
   Tensor c(m, n);
   matmul(a, b, c);
-  expect_tensor_near(c, naive_matmul(a, b));
+  EXPECT_TRUE(same_bits(c, naive_matmul(a, b)));
 }
 
 TEST_P(MatmulSweep, AccumulateAddsOnTop) {
@@ -60,22 +70,16 @@ TEST_P(MatmulSweep, AccumulateAddsOnTop) {
   Rng rng(m + k + n + 7);
   const Tensor a = random_tensor(m, k, rng, sparsity);
   const Tensor b = random_tensor(k, n, rng);
-  Tensor c(m, n);
-  c.fill(2.0f);
+  Tensor c = random_tensor(m, n, rng);
+  const Tensor expected = naive_matmul(a, b, &c);
   matmul(a, b, c, /*accumulate=*/true);
-  Tensor expected = naive_matmul(a, b);
-  for (auto& v : expected.values()) v += 2.0f;
-  expect_tensor_near(c, expected);
+  EXPECT_TRUE(same_bits(c, expected));
 }
 
 Tensor transposed(const Tensor& t) {
   Tensor out(t.cols(), t.rows());
   kernels::transpose(t.raw(), t.rows(), t.cols(), out.raw());
   return out;
-}
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  return a.same_shape(b) && std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
 }
 
 /// The BPTT weight-gradient kernel over several blocks of m rows (one per
@@ -127,12 +131,16 @@ TEST_P(MatmulSweep, TransposeB) {
   }
   EXPECT_TRUE(same_bits(c, dots));
 
-  // matmul_row is matmul's serial row body.
-  Tensor rows(m, k);
-  for (std::size_t i = 0; i < m; ++i) {
-    kernels::matmul_row(a.row_ptr(i), n, bt.raw(), k, rows.row_ptr(i));
+  // matmul_rows is matmul's serial tile body: called on tiles of 1 to 4
+  // rows into a zeroed output, it gives the same bits.
+  for (std::size_t tile = 1; tile <= 4; ++tile) {
+    Tensor rows(m, k);
+    for (std::size_t i = 0; i < m; i += tile) {
+      kernels::matmul_rows(a.row_ptr(i), std::min(tile, m - i), n, bt.raw(), k,
+                           rows.row_ptr(i));
+    }
+    EXPECT_TRUE(same_bits(c, rows)) << "tiles of " << tile << " rows";
   }
-  EXPECT_TRUE(same_bits(c, rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,6 +148,31 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 1, 1, 0.0), std::make_tuple(3, 5, 2, 0.0),
                       std::make_tuple(8, 16, 8, 0.5), std::make_tuple(17, 33, 9, 0.9),
                       std::make_tuple(64, 128, 32, 0.95), std::make_tuple(2, 700, 200, 0.98)));
+
+// Every row remainder of the 4-row tile (m = 1, 2, 3 and 5, 9 past full
+// tiles) against every column path: n = 1, 3 scalar only; 5 one 4-wide strip
+// + 1 scalar; 17 two 8-wide strips + 1; 50 six 8-wide + 2 (ncl_stream's
+// learning layer); 53 six 8-wide + one 4-wide + 1.  k = 19 leaves the same
+// remainders in TransposeB's and TransposeAAccumulate's outputs.
+INSTANTIATE_TEST_SUITE_P(
+    Remainders, MatmulSweep,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 5, 9),
+                       ::testing::Values<std::size_t>(19),
+                       ::testing::Values<std::size_t>(1, 3, 5, 17, 50, 53),
+                       ::testing::Values(0.0, 0.6)));
+
+TEST(Ops, ProductsRoundBeforeTheSum) {
+  // (1 + 2⁻¹²)² = 1 + 2⁻¹¹ + 2⁻²⁴ rounds to 1 + 2⁻¹¹ as a float product, so
+  // added to −(1 + 2⁻¹¹) it gives exactly 0; one fused multiply-add would
+  // keep the 2⁻²⁴.  5 × 13 reaches the 4-row and 1-row tiles, an 8-wide
+  // strip, a 4-wide strip and a scalar column.
+  constexpr std::size_t m = 5, n = 13;
+  const float x = 1.0f + std::ldexp(1.0f, -12);
+  const std::vector<float> a(m, x), b(n, x);
+  std::vector<float> c(m * n, -(1.0f + std::ldexp(1.0f, -11)));
+  kernels::matmul(a.data(), m, 1, b.data(), n, c.data(), /*accumulate=*/true);
+  for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 0.0f) << "element " << i;
+}
 
 TEST(Ops, MatmulShapeMismatchThrows) {
   Tensor a(2, 3), b(4, 5), c(2, 5);

@@ -418,8 +418,10 @@ TEST(ReplayCliOverrides, PartlyNumericValuesThrowInsteadOfTruncating) {
 TEST(ReplayCliOverrides, UnknownKeyIsRejectedWithValidList) {
   Config cfg;
   cfg.set("latentbits", "4");  // typo for latent_bits
+  // Against the whole vocabulary (what budget_stream, which applies the
+  // replay knobs, validates against) the list names the replay knobs.
   try {
-    validate_standard_keys(cfg);
+    cfg.validate_keys(standard_cli_keys());
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -427,6 +429,8 @@ TEST(ReplayCliOverrides, UnknownKeyIsRejectedWithValidList) {
     EXPECT_NE(what.find("latent_bits"), std::string::npos) << what;
     EXPECT_NE(what.find("replay_samples"), std::string::npos) << what;
   }
+  // validate_standard_keys rejects the typo too.
+  EXPECT_THROW(validate_standard_keys(cfg), Error);
   // The retired prefetch= knob is rejected like any other unknown key.
   Config retired;
   retired.set("prefetch", "1");
@@ -446,6 +450,46 @@ TEST(ReplayCliOverrides, ExtraKeysExtendTheVocabulary) {
   cfg.set("scale", "0.5");
   EXPECT_THROW(validate_standard_keys(cfg), Error);
   EXPECT_NO_THROW(validate_standard_keys(cfg, {"tasks"}));
+}
+
+/// A binary accepts only the knobs it applies: validate_standard_keys takes
+/// the scenario, epoch and telemetry knobs every binary reads, and a replay
+/// or checkpoint knob only as an extra of a binary that reads it, so
+/// `table1_headline budget=1` or `quickstart latent_bits=2` fails instead of
+/// running the defaults.  validate_own_pretraining_keys also rejects the
+/// cache knobs, which act on nothing in a binary that pre-trains its own base.
+TEST(ReplayCliOverrides, StandardKeysAreTheKnobsEveryBinaryApplies) {
+  for (const char* key : {"cache", "cache_dir", "epochs", "metrics_out", "pretrain_epochs",
+                          "scale", "threads", "trace", "verbose"}) {
+    Config cfg;
+    cfg.set(key, "1");
+    EXPECT_NO_THROW(validate_standard_keys(cfg)) << key;
+  }
+  for (const char* key : {"budget", "budget_schedule", "importance_feedback", "latent_bits",
+                          "policy", "replay_samples", "replay_seed", "shard_by", "shards",
+                          "checkpoint", "checkpoint_every", "resume"}) {
+    Config cfg;
+    cfg.set(key, "1");
+    try {
+      validate_standard_keys(cfg);
+      ADD_FAILURE() << key << ": expected Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown config key '" + std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(validate_standard_keys(cfg, {key})) << key;
+  }
+  for (const char* key : {"cache", "cache_dir"}) {
+    Config cfg;
+    cfg.set(key, "0");
+    EXPECT_THROW(validate_own_pretraining_keys(cfg), Error) << key;
+  }
+  Config scenario;
+  scenario.set("scale", "0.5");
+  scenario.set("verbose", "1");
+  scenario.set("tasks", "3");
+  EXPECT_NO_THROW(validate_own_pretraining_keys(scenario, {"tasks"}));
 }
 
 }  // namespace
