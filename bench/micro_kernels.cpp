@@ -119,8 +119,8 @@ void BM_CodecCompress(benchmark::State& state) {
   for (auto& b : r.bits) b = rng.bernoulli(0.1) ? 1 : 0;
   const compress::CodecConfig cfg{.ratio = 2};
   for (auto _ : state) {
-    auto c = compress::compress(r, cfg);
-    benchmark::DoNotOptimize(c.bits.data());
+    auto packed = compress::compress_packed(r, cfg);
+    benchmark::DoNotOptimize(packed.payload.data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(r.bits.size()));
 }
@@ -131,10 +131,12 @@ void BM_CodecDecompress(benchmark::State& state) {
   data::SpikeRaster r(100, 200);
   for (auto& b : r.bits) b = rng.bernoulli(0.1) ? 1 : 0;
   const compress::CodecConfig cfg{.ratio = 2};
-  const auto compressed = compress::compress(r, cfg);
+  const auto packed = compress::compress_packed(r, cfg);
+  data::SpikeRaster out;
+  std::vector<std::uint8_t> levels;
   for (auto _ : state) {
-    auto d = compress::decompress(compressed, 100, cfg);
-    benchmark::DoNotOptimize(d.bits.data());
+    compress::decompress_packed_into(packed, 100, cfg, out, &levels);
+    benchmark::DoNotOptimize(out.bits.data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(r.bits.size()));
 }
@@ -144,10 +146,11 @@ void BM_BitpackRoundTrip(benchmark::State& state) {
   Rng rng(13);
   data::SpikeRaster r(40, 200);
   for (auto& b : r.bits) b = rng.bernoulli(0.1) ? 1 : 0;
+  std::vector<std::uint8_t> back;
   for (auto _ : state) {
-    auto packed = compress::pack(r);
-    auto back = compress::unpack(packed);
-    benchmark::DoNotOptimize(back.bits.data());
+    auto packed = compress::pack_elements(r.bits, r.timesteps, r.channels, 1);
+    compress::unpack_elements_into(packed, back);
+    benchmark::DoNotOptimize(back.data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(r.bits.size()));
 }

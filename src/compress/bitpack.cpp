@@ -89,27 +89,6 @@ std::uint8_t encode_row(const std::uint8_t* src, std::uint8_t* row, std::size_t 
   }
 }
 
-/// Binary pack row: any nonzero source byte becomes a 1 bit (the historical
-/// pack() tolerance, unlike pack_elements which requires in-range values).
-void encode_binary_row(const std::uint8_t* src, std::uint8_t* row, std::size_t channels) {
-  const std::size_t full = channels / 8;
-  for (std::size_t b = 0; b < full; ++b) {
-    unsigned acc = 0;
-    for (std::size_t e = 0; e < 8; ++e) {
-      acc |= (src[b * 8 + e] != 0 ? 1u : 0u) << e;
-    }
-    row[b] = static_cast<std::uint8_t>(acc);
-  }
-  const std::size_t done = full * 8;
-  if (done < channels) {
-    unsigned acc = 0;
-    for (std::size_t e = 0; done + e < channels; ++e) {
-      acc |= (src[done + e] != 0 ? 1u : 0u) << e;
-    }
-    row[full] = static_cast<std::uint8_t>(acc);
-  }
-}
-
 /// Runs `row_fn(t)` over every timestep row, split across OpenMP workers for
 /// large rasters.  Guarded by openmp_enabled(): without OpenMP the
 /// std::thread fallback costs more than the row work it would hide, and the
@@ -136,49 +115,6 @@ void for_each_row(std::size_t timesteps, std::size_t row_elements, const RowFn& 
 }
 
 }  // namespace
-
-PackedRaster pack(const data::SpikeRaster& raster) {
-  PackedRaster out;
-  out.timesteps = static_cast<std::uint32_t>(raster.timesteps);
-  out.channels = static_cast<std::uint32_t>(raster.channels);
-  const std::size_t row_bytes = out.row_bytes();
-  out.payload.assign(raster.timesteps * row_bytes, 0);
-  for_each_row(raster.timesteps, raster.channels, [&](std::size_t t) {
-    encode_binary_row(raster.bits.data() + t * raster.channels,
-                      out.payload.data() + t * row_bytes, raster.channels);
-  });
-  return out;
-}
-
-data::SpikeRaster unpack(const PackedRaster& packed) {
-  data::SpikeRaster out;
-  unpack_into(packed, out);
-  return out;
-}
-
-void unpack_into(const PackedRaster& packed, data::SpikeRaster& out) {
-  R4NCL_CHECK(packed.bits_per_element == 1,
-              "unpack() decodes binary payloads; this raster stores "
-                  << int(packed.bits_per_element) << " bits/element");
-  const std::size_t row_bytes = packed.row_bytes();
-  R4NCL_CHECK(packed.payload.size() == packed.timesteps * row_bytes,
-              "packed payload size mismatch");
-  out.timesteps = packed.timesteps;
-  out.channels = packed.channels;
-  out.bits.resize(static_cast<std::size_t>(packed.timesteps) * packed.channels);
-  for_each_row(packed.timesteps, packed.channels, [&](std::size_t t) {
-    decode_row<1>(packed.payload.data() + t * row_bytes,
-                  out.bits.data() + t * packed.channels, packed.channels);
-  });
-}
-
-void unpack_row(const PackedRaster& packed, std::size_t t, std::uint8_t* dst) {
-  R4NCL_CHECK(packed.bits_per_element == 1,
-              "unpack_row() decodes binary payloads; this raster stores "
-                  << int(packed.bits_per_element) << " bits/element");
-  R4NCL_CHECK(t < packed.timesteps, "row " << t << " out of " << packed.timesteps);
-  decode_row<1>(packed.payload.data() + t * packed.row_bytes(), dst, packed.channels);
-}
 
 PackedRaster pack_elements(std::span<const std::uint8_t> values, std::size_t timesteps,
                            std::size_t channels, unsigned bits) {

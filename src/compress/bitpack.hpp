@@ -1,28 +1,29 @@
-// Bit-packing of spike rasters for latent-memory accounting and storage.
+// Bit-packing of per-cell element values for latent-memory accounting and
+// storage.
 //
-// A raster is stored as `bits_per_element` bits per (timestep × channel)
-// cell, padded to a whole byte per *timestep row* — the layout a DMA engine
-// would use to stream one timestep at a time into a neuromorphic core.  The
-// historical binary path is bits_per_element = 1; the quantized latent-replay
-// path (Ravaglia et al.) stores sub-byte group-count codes at 2/4/8 bits per
-// element through the same container.  The byte-per-row padding is also what
-// makes the paper's latent-memory savings land in the 20–21.88% band instead
-// of exactly 20% (see memory_bytes() in core/latent_buffer.hpp).
+// A grid of element values is stored as `bits_per_element` bits per
+// (timestep × channel) cell, padded to a whole byte per *timestep row* — the
+// layout a DMA engine would use to stream one timestep at a time into a
+// neuromorphic core.  The spike codec (spike_codec.hpp) stores one level code
+// per (group × channel) cell through this one container: 1 bit for the binary
+// strategies (a raw raster at ratio 1), 2/4/8 bits for quantized group counts
+// (Ravaglia et al.).  The byte-per-row padding is also what makes the paper's
+// latent-memory savings land in the 20–21.88% band instead of exactly 20%
+// (see memory_bytes() in core/latent_buffer.hpp).
 //
 // Decode/encode are byte-parallel: a constexpr 256-row table decodes every
-// payload byte's 8/4/2 elements with one small copy, and the encoders fold a
+// payload byte's 8/4/2 elements with one small copy, and the encoder folds a
 // byte's worth of elements per shift/OR pass (SWAR), with an OpenMP row split
-// for large rasters (guarded by openmp_enabled()).  The *_into variants reuse
-// caller-owned allocations — the streaming-replay scratch path.
+// for large decodes (guarded by openmp_enabled()).  unpack_elements_into
+// reuses a caller-owned allocation — the streaming-replay scratch path.
 // tests/test_bitpack_kernels.cpp pins kernel == scalar-reference exhaustively
 // over all byte values at every depth.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "data/spike_data.hpp"
 
 namespace r4ncl::compress {
 
@@ -36,9 +37,9 @@ namespace r4ncl::compress {
 struct PackedRaster {
   std::uint32_t timesteps = 0;
   std::uint32_t channels = 0;
-  /// Stored bits per (timestep × channel) element: 1 (binary, the historical
-  /// layout) or 2/4/8 (quantized payload).  Elements are packed LSB-first
-  /// within each byte.
+  /// Stored bits per (timestep × channel) element: 1 (binary strategy bits)
+  /// or 2/4/8 (quantized group counts).  Elements are packed LSB-first within
+  /// each byte.
   std::uint8_t bits_per_element = 1;
   std::vector<std::uint8_t> payload;
 
@@ -51,22 +52,6 @@ struct PackedRaster {
   /// Total payload bytes.
   [[nodiscard]] std::size_t payload_bytes() const noexcept { return payload.size(); }
 };
-
-/// Packs a binary raster (1 bit per cell, row-padded to bytes).
-PackedRaster pack(const data::SpikeRaster& raster);
-
-/// Unpacks back to a dense raster; exact inverse of pack().  Requires
-/// bits_per_element == 1 (quantized payloads decode via unpack_elements()).
-data::SpikeRaster unpack(const PackedRaster& packed);
-
-/// unpack() into a caller-owned raster, reusing its allocation when the
-/// geometry already matches — the streaming-replay scratch path.
-void unpack_into(const PackedRaster& packed, data::SpikeRaster& out);
-
-/// Decodes one timestep row of a binary (bits_per_element == 1) payload into
-/// `dst` (`channels` bytes) — the row-level building block fused decoders
-/// (spike_codec's decompress_packed_into) are assembled from.
-void unpack_row(const PackedRaster& packed, std::size_t t, std::uint8_t* dst);
 
 /// Packs per-cell element values (row-major, each < 2^bits) at `bits` bits
 /// per element.  Exact inverse of unpack_elements() — no quantization happens

@@ -146,10 +146,7 @@ LatentReplayBuffer::LatentReplayBuffer(const compress::CodecConfig& codec,
       obs_decompress_bits_(&obs::metrics().counter("replay_buffer.decompress_bits")),
       obs_restored_(&obs::metrics().counter("replay_buffer.restored_entries")) {
   R4NCL_CHECK(activation_timesteps > 0, "activation_timesteps must be positive");
-  R4NCL_CHECK(codec.ratio >= 1, "codec ratio must be >= 1");
-  R4NCL_CHECK(codec.latent_bits == 0 || compress::valid_payload_bits(codec.latent_bits),
-              "latent_bits must be 0 (legacy) or 1/2/4/8, got "
-                  << int(codec.latent_bits));
+  compress::check_codec(codec);
 }
 
 std::size_t LatentReplayBuffer::entry_bytes(const Entry& e) const noexcept {

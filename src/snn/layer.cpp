@@ -444,11 +444,18 @@ void RecurrentLifLayer::load(BinaryReader& in) {
   R4NCL_CHECK(n_in == n_in_ && n_out == n_out_,
               "checkpoint layer is " << n_in << "x" << n_out << ", expected " << n_in_ << "x"
                                      << n_out_);
-  lif_.beta = in.read_f32();
-  lif_.detach_reset = in.read_u32() != 0;
-  const bool recurrent = in.read_u32() != 0;
-  R4NCL_CHECK(recurrent == lif_.recurrent, "checkpoint recurrence mismatch");
-  surrogate_.kind = static_cast<SurrogateKind>(in.read_u32());
+  const float beta = in.read_f32();
+  const std::uint32_t detach_reset = in.read_u32();
+  const std::uint32_t recurrent = in.read_u32();
+  const std::uint32_t kind = in.read_u32();
+  R4NCL_CHECK(detach_reset <= 1, "corrupt layer: detach_reset flag is " << detach_reset);
+  R4NCL_CHECK(recurrent <= 1, "corrupt layer: recurrent flag is " << recurrent);
+  R4NCL_CHECK((recurrent != 0) == lif_.recurrent, "checkpoint recurrence mismatch");
+  R4NCL_CHECK(kind <= static_cast<std::uint32_t>(SurrogateKind::kBoxcar),
+              "corrupt layer: surrogate kind is " << kind);
+  lif_.beta = beta;
+  lif_.detach_reset = detach_reset != 0;
+  surrogate_.kind = static_cast<SurrogateKind>(kind);
   surrogate_.scale = in.read_f32();
   const auto ff = in.read_f32_vector();
   R4NCL_CHECK(ff.size() == w_ff_.size(), "w_ff size mismatch");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <vector>
 
 #include "util/error.hpp"
@@ -12,14 +11,6 @@ namespace r4ncl::snn {
 namespace {
 
 constexpr std::uint32_t kAdamTag = make_tag("ADAM");
-constexpr std::uint32_t kSgdTag = make_tag("SGDM");
-
-/// Per-process fallback key for the address-based step() overloads.
-std::string address_key(const Tensor& param) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "addr:%p", static_cast<const void*>(param.raw()));
-  return buf;
-}
 
 std::vector<std::string> sorted_keys_of(const auto& map) {
   std::vector<std::string> keys;
@@ -82,10 +73,6 @@ void AdamOptimizer::step(std::string_view key, Tensor& param, const Tensor& grad
   }
 }
 
-void AdamOptimizer::step(Tensor& param, const Tensor& grad, float lr) {
-  step(address_key(param), param, grad, lr);
-}
-
 void AdamOptimizer::save(BinaryWriter& out) const {
   out.write_tag(kAdamTag);
   out.write_u64(states_.size());
@@ -114,58 +101,6 @@ void AdamOptimizer::load(BinaryReader& in) {
     R4NCL_CHECK(inserted, "corrupt Adam state: duplicate parameter key");
   }
   states_ = std::move(loaded);
-}
-
-void SgdOptimizer::step(std::string_view key, Tensor& param, const Tensor& grad, float lr) {
-  R4NCL_CHECK(param.same_shape(grad), "param/grad shape mismatch");
-  if (param.empty()) return;
-  float* p = param.raw();
-  const float* g = grad.raw();
-  const std::size_t n = param.size();
-  if (momentum_ == 0.0f) {
-    for (std::size_t i = 0; i < n; ++i) p[i] -= lr * g[i];
-    return;
-  }
-  Tensor& vel = velocity_[std::string(key)];
-  if (vel.empty()) vel = Tensor(param.rows(), param.cols());
-  R4NCL_CHECK(vel.same_shape(param),
-              "optimizer velocity shape mismatch for '" << key << "': stored " << vel.rows() << "x"
-                                                        << vel.cols() << ", parameter is "
-                                                        << param.rows() << "x" << param.cols());
-  float* v = vel.raw();
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = momentum_ * v[i] + g[i];
-    p[i] -= lr * v[i];
-  }
-}
-
-void SgdOptimizer::step(Tensor& param, const Tensor& grad, float lr) {
-  step(address_key(param), param, grad, lr);
-}
-
-void SgdOptimizer::save(BinaryWriter& out) const {
-  out.write_tag(kSgdTag);
-  out.write_f32(momentum_);
-  out.write_u64(velocity_.size());
-  for (const std::string& key : sorted_keys_of(velocity_)) {
-    out.write_string(key);
-    write_tensor_2d(out, velocity_.at(key));
-  }
-}
-
-void SgdOptimizer::load(BinaryReader& in) {
-  in.expect_tag(kSgdTag);
-  momentum_ = in.read_f32();
-  const std::uint64_t n = in.read_u64();
-  std::unordered_map<std::string, Tensor> loaded;
-  loaded.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key = in.read_string();
-    Tensor vel = read_tensor_2d(in, "SGD velocity");
-    const bool inserted = loaded.emplace(std::move(key), std::move(vel)).second;
-    R4NCL_CHECK(inserted, "corrupt SGD state: duplicate parameter key");
-  }
-  velocity_ = std::move(loaded);
 }
 
 }  // namespace r4ncl::snn

@@ -1,13 +1,11 @@
 // First-order optimizers for the SNN parameters.
 //
 // Moment state is keyed by a stable *parameter path* (e.g. "readout.w",
-// "hidden1.w_ff") so it survives a checkpoint/restore cycle: the historical
-// storage-address key died with the process, which made warm resume
-// impossible (a reloaded network allocates at different addresses).  The
-// address-based step() overload remains for callers that never persist
-// (it derives a per-process key from the storage address).  The learning
-// rate is passed per step() so the continual-learning phase can use
-// η_cl = η_pre / 100 (paper Sec. III-B) without rebuilding optimizer state.
+// "hidden1.w_ff") so it survives a checkpoint/restore cycle: a reloaded
+// network allocates at different addresses, so a storage-address key would
+// make warm resume impossible.  The learning rate is passed per step() so the
+// continual-learning phase can use η_cl = η_pre / 100 (paper Sec. III-B)
+// without rebuilding optimizer state.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +38,6 @@ class AdamOptimizer {
   /// right tensors on resume.
   void step(std::string_view key, Tensor& param, const Tensor& grad, float lr);
 
-  /// Address-keyed convenience overload for callers that never persist the
-  /// optimizer (the key is derived from the parameter's storage address, so
-  /// it is NOT stable across processes).
-  void step(Tensor& param, const Tensor& grad, float lr);
-
-  /// Drops all moment state (used when switching training phases).
-  void reset() { states_.clear(); }
-
   /// Number of parameter tensors with live moment state.
   [[nodiscard]] std::size_t num_states() const noexcept { return states_.size(); }
 
@@ -67,25 +57,6 @@ class AdamOptimizer {
   };
   AdamParams params_;
   std::unordered_map<std::string, State> states_;
-};
-
-/// Plain SGD (used by tests and the ablation bench as a control).  Keyed and
-/// serialized exactly like AdamOptimizer so either optimizer can back a
-/// checkpointed run.
-class SgdOptimizer {
- public:
-  explicit SgdOptimizer(float momentum = 0.0f) : momentum_(momentum) {}
-
-  void step(std::string_view key, Tensor& param, const Tensor& grad, float lr);
-  void step(Tensor& param, const Tensor& grad, float lr);
-  void reset() { velocity_.clear(); }
-
-  void save(BinaryWriter& out) const;
-  void load(BinaryReader& in);
-
- private:
-  float momentum_;
-  std::unordered_map<std::string, Tensor> velocity_;
 };
 
 }  // namespace r4ncl::snn

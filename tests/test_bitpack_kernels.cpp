@@ -1,7 +1,7 @@
 // Byte-parallel pack/unpack kernels vs scalar references: exhaustive over
 // all 256 payload byte values at every depth, round trips at odd channel
-// counts (partial tail bytes), the binary nonzero-normalisation contract,
-// and serial-vs-parallel decode equality.
+// counts (partial tail bytes), scratch reuse, the range check, and
+// serial-vs-parallel decode equality.
 //
 // The scalar references below are the pre-kernel implementations (one
 // shift/mask per element) — the byte-parallel LUT/SWAR kernels must agree
@@ -128,53 +128,6 @@ TEST(BitpackKernels, TailBytePaddingBitsStayZero) {
   const PackedRaster packed = pack_elements(values, 1, 5, 2);
   ASSERT_EQ(packed.payload.size(), 2u);
   EXPECT_EQ(packed.payload[1] & 0xFCu, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Binary layout (pack/unpack) equivalences
-// ---------------------------------------------------------------------------
-
-TEST(BitpackKernels, BinaryPackNormalizesNonzeroValues) {
-  // pack() historically treats any nonzero byte as a spike; the SWAR row
-  // encoder must preserve that (pack_elements, by contrast, rejects > 1).
-  data::SpikeRaster raster(2, 11);
-  Rng rng(5);
-  for (auto& b : raster.bits) {
-    b = static_cast<std::uint8_t>(rng.uniform_index(5));  // 0..4
-  }
-  const PackedRaster packed = pack(raster);
-  const data::SpikeRaster round = unpack(packed);
-  for (std::size_t i = 0; i < raster.bits.size(); ++i) {
-    EXPECT_EQ(round.bits[i], raster.bits[i] != 0 ? 1 : 0);
-  }
-}
-
-TEST(BitpackKernels, UnpackIntoReusesAllocationAndMatchesUnpack) {
-  data::SpikeRaster raster(13, 77);
-  Rng rng(6);
-  for (auto& b : raster.bits) b = rng.bernoulli(0.3) ? 1 : 0;
-  const PackedRaster packed = pack(raster);
-  data::SpikeRaster out;
-  unpack_into(packed, out);
-  EXPECT_EQ(out, unpack(packed));
-  const std::uint8_t* data_before = out.bits.data();
-  unpack_into(packed, out);  // second decode into the same scratch
-  EXPECT_EQ(out, raster);
-  EXPECT_EQ(out.bits.data(), data_before) << "scratch reallocation on matched geometry";
-}
-
-TEST(BitpackKernels, UnpackRowDecodesSingleRows) {
-  data::SpikeRaster raster(7, 29);
-  Rng rng(8);
-  for (auto& b : raster.bits) b = rng.bernoulli(0.4) ? 1 : 0;
-  const PackedRaster packed = pack(raster);
-  std::vector<std::uint8_t> row(29);
-  for (std::size_t t = 0; t < 7; ++t) {
-    unpack_row(packed, t, row.data());
-    for (std::size_t c = 0; c < 29; ++c) {
-      EXPECT_EQ(row[c], raster.bits[t * 29 + c]) << "t=" << t << " c=" << c;
-    }
-  }
 }
 
 TEST(BitpackKernels, UnpackElementsIntoMatchesAndReusesScratch) {

@@ -680,8 +680,8 @@ TEST(RngSnapshot, SpareNormalIsPartOfTheStream) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer snapshots: a loaded optimizer continues the exact update
-// sequence, for Adam (m, v, t) and SGD momentum alike.
+// Optimizer snapshots: a loaded Adam optimizer continues the exact update
+// sequence (m, v, t).
 
 Tensor filled_tensor(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   Tensor t(rows, cols);
@@ -722,35 +722,6 @@ TEST(OptimizerSnapshot, AdamRoundTripContinuesIdentically) {
   // The restored moment shape is still verified against the live parameter.
   Tensor wrong_shape = filled_tensor(4, 3, 4);
   EXPECT_THROW(b.step("layer.w", wrong_shape, filled_tensor(4, 3, 5), 0.01f), Error);
-}
-
-TEST(OptimizerSnapshot, SgdMomentumRoundTripContinuesIdentically) {
-  const Tensor g1 = filled_tensor(2, 5, 6);
-  const Tensor g2 = filled_tensor(2, 5, 7);
-  Tensor w = filled_tensor(2, 5, 8);
-  snn::SgdOptimizer a(0.9f);
-  a.step("layer.w", w, g1, 0.05f);
-
-  const std::string path = temp_path("sgd.snap");
-  {
-    BinaryWriter out(path);
-    a.save(out);
-    out.close();
-  }
-  snn::SgdOptimizer b(0.9f);
-  {
-    BinaryReader in(path);
-    b.load(in);
-    EXPECT_EQ(in.remaining(), 0u);
-  }
-  std::filesystem::remove(path);
-
-  Tensor wa = w;
-  Tensor wb = w;
-  a.step("layer.w", wa, g2, 0.05f);
-  b.step("layer.w", wb, g2, 0.05f);
-  EXPECT_TRUE(tensor_equal(wa, wb))
-      << "restored momentum must feed the next velocity update";
 }
 
 }  // namespace

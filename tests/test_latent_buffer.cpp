@@ -39,6 +39,16 @@ TEST(LatentBuffer, RejectsWrongTimesteps) {
   EXPECT_THROW(buf.add(random_raster(100, 10, 0.1, 3), 0), Error);
 }
 
+TEST(LatentBuffer, ConstructorRejectsCodecsNoPayloadCanStore) {
+  // compress::check_codec: a quantized ratio past 255 used to construct and
+  // fail only at the first add(); binary codecs take any ratio.
+  EXPECT_THROW(LatentReplayBuffer({.ratio = 0}, 40), Error);
+  EXPECT_THROW(LatentReplayBuffer({.ratio = 2, .latent_bits = 3}, 40), Error);
+  EXPECT_THROW(LatentReplayBuffer({.ratio = 256, .latent_bits = 8}, 40), Error);
+  EXPECT_NO_THROW(LatentReplayBuffer({.ratio = 255, .latent_bits = 8}, 40));
+  EXPECT_NO_THROW(LatentReplayBuffer({.ratio = 256}, 40));
+}
+
 TEST(LatentBuffer, MemoryAccountingRawVsCompressed) {
   // The paper's Fig. 12 comparison: SpikingLR stores codec(r=2) @ T=100
   // (50 packed rows), Replay4NCL stores raw @ T*=40 (40 packed rows) →

@@ -1,7 +1,12 @@
 // SnnNetwork: construction, partial-range execution, insertion widths,
 // training-step mechanics, checkpoint round-trip.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +169,52 @@ TEST(Network, LoadRejectsWrongGeometry) {
   other.layer_sizes = {10, 8, 6, 5};
   SnnNetwork wrong(other);
   EXPECT_THROW(wrong.load(path), Error);
+  std::remove(path.c_str());
+}
+
+TEST(Network, LoadRejectsCorruptLayerWords) {
+  // Each hidden layer stores its detach_reset and recurrent flags and its
+  // surrogate kind as u32 words after the layer tag, n_in, n_out and beta.
+  // A word outside its range must raise the pinned Error: a kind past the
+  // enum would otherwise load and train the layer with zero surrogate
+  // gradients.
+  SnnNetwork net(tiny_config());
+  const std::string path = ::testing::TempDir() + "r4ncl_net_words.ckpt";
+  net.save(path);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const char tag[4] = {'L', 'A', 'Y', 'R'};
+  const auto layer = std::search(bytes.begin(), bytes.end(), std::begin(tag), std::end(tag));
+  ASSERT_NE(layer, bytes.end());
+  const std::size_t words_at = static_cast<std::size_t>(layer - bytes.begin()) + 4 + 8 + 8 + 4;
+  struct Patch {
+    std::size_t word;
+    std::uint32_t value;
+    const char* message;
+  };
+  const Patch patches[] = {{0, 2, "corrupt layer: detach_reset flag is 2"},
+                           {1, 2, "corrupt layer: recurrent flag is 2"},
+                           {2, 3, "corrupt layer: surrogate kind is 3"},
+                           {2, 7, "corrupt layer: surrogate kind is 7"}};
+  for (const Patch& patch : patches) {
+    std::vector<char> mangled = bytes;
+    std::memcpy(mangled.data() + words_at + 4 * patch.word, &patch.value, sizeof patch.value);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(mangled.data(), static_cast<std::streamsize>(mangled.size()));
+    }
+    SnnNetwork restored(tiny_config());
+    try {
+      restored.load(path);
+      ADD_FAILURE() << "expected '" << patch.message << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(patch.message), std::string::npos)
+          << "actual message: " << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

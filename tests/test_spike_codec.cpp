@@ -1,5 +1,7 @@
-// Spike codec: bit-exact reproduction of the paper's Fig. 7 example plus
-// parameterised properties over ratios and strategies.
+// Spike codec: bit-exact reproduction of the paper's Fig. 7 example,
+// parameterised properties over ratios and strategies, and the identity of
+// the stored codec (compress_packed/decompress_packed_into) with the
+// raster-level reference (compress/decompress).
 #include <gtest/gtest.h>
 
 #include "compress/spike_codec.hpp"
@@ -20,6 +22,13 @@ std::vector<int> to_bits(const data::SpikeRaster& r) {
   out.reserve(r.timesteps);
   for (std::size_t t = 0; t < r.timesteps; ++t) out.push_back(r.at(t, 0));
   return out;
+}
+
+data::SpikeRaster random_raster(std::size_t T, std::size_t C, double p, std::uint64_t seed) {
+  data::SpikeRaster r(T, C);
+  Rng rng(seed);
+  for (auto& b : r.bits) b = rng.bernoulli(p) ? 1 : 0;
+  return r;
 }
 
 TEST(SpikeCodec, PaperFig7CompressExample) {
@@ -94,19 +103,28 @@ TEST_P(CodecSweep, DecompressedSpikesSitAtGroupStarts) {
 }
 
 TEST_P(CodecSweep, PackedPathMatchesUnpackedPath) {
+  // The stored payload is compress()'s grid at one bit per cell, and it
+  // decodes to decompress()'s raster.  T = 47 leaves a partial last group at
+  // ratios 2, 3, 4 and 7; one and ten channels pad each payload row.
   const auto [ratio, strategy] = GetParam();
   const CodecConfig cfg{.ratio = ratio, .strategy = strategy};
-  Rng rng(5);
-  data::SpikeRaster r(48, 10);
-  for (auto& b : r.bits) b = rng.bernoulli(0.3) ? 1 : 0;
-  const auto direct = decompress(compress(r, cfg), 48, cfg);
-  const auto packed = decompress_packed(compress_packed(r, cfg), 48, cfg);
-  EXPECT_EQ(direct, packed);
+  for (const std::size_t T : {47u, 48u}) {
+    for (const std::size_t C : {1u, 10u}) {
+      const data::SpikeRaster r = random_raster(T, C, 0.3, 5 + T + C);
+      const data::SpikeRaster grid = compress(r, cfg);
+      const PackedRaster stored = compress_packed(r, cfg);
+      EXPECT_EQ(stored.bits_per_element, 1) << "T=" << T << " C=" << C;
+      EXPECT_EQ(stored.payload, pack_elements(grid.bits, grid.timesteps, C, 1).payload)
+          << "T=" << T << " C=" << C;
+      EXPECT_EQ(decompress_packed(stored, T, cfg), decompress(grid, T, cfg))
+          << "T=" << T << " C=" << C;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RatiosAndStrategies, CodecSweep,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 7u),
                        ::testing::Values(CodecStrategy::kSubsample, CodecStrategy::kGroupOr,
                                          CodecStrategy::kGroupMajority)));
 
@@ -141,6 +159,74 @@ TEST(SpikeCodec, RetentionOfEmptyIsOne) {
 TEST(SpikeCodec, DecompressRejectsWrongLength) {
   const data::SpikeRaster r(5, 2);
   EXPECT_THROW((void)decompress(r, 14, {.ratio = 2}), Error);
+}
+
+TEST(SpikeCodec, NonzeroCellsCountAsOneSpike) {
+  // Any nonzero raster cell is one spike: a raster of 0/2/255 cells stores
+  // the payload of its 0/1 normalization at every codec.  Summing raw cell
+  // values would index past the quantizer's count table and tip majority
+  // votes.
+  Rng rng(31);
+  data::SpikeRaster wide(24, 11);
+  data::SpikeRaster normalized(24, 11);
+  for (std::size_t i = 0; i < wide.bits.size(); ++i) {
+    const std::size_t pick = rng.uniform_index(3);
+    wide.bits[i] = pick == 0 ? 0 : (pick == 1 ? 2 : 255);
+    normalized.bits[i] = pick == 0 ? 0 : 1;
+  }
+  for (const std::uint8_t bits : {0, 1, 2, 4, 8}) {
+    for (const std::uint32_t ratio : {1u, 2u, 4u}) {
+      for (const CodecStrategy strategy : {CodecStrategy::kSubsample, CodecStrategy::kGroupOr,
+                                           CodecStrategy::kGroupMajority}) {
+        const CodecConfig cfg{.ratio = ratio, .strategy = strategy, .latent_bits = bits};
+        EXPECT_EQ(compress_packed(wide, cfg).payload, compress_packed(normalized, cfg).payload)
+            << "latent_bits=" << int(bits) << " ratio=" << ratio
+            << " strategy=" << int(strategy);
+        if (!cfg.quantized()) {
+          EXPECT_EQ(compress(wide, cfg), compress(normalized, cfg))
+              << "ratio=" << ratio << " strategy=" << int(strategy);
+        }
+      }
+    }
+  }
+}
+
+TEST(SpikeCodec, DecompressPackedIntoReusesScratch) {
+  // A second decode into the same raster and level scratch reuses both
+  // allocations and yields the same raster, for the raw, ratio-2 binary and
+  // 2-bit codecs.
+  const data::SpikeRaster r = random_raster(13, 77, 0.3, 6);
+  const CodecConfig codecs[] = {{.ratio = 1}, {.ratio = 2}, {.ratio = 1, .latent_bits = 2}};
+  for (const CodecConfig& cfg : codecs) {
+    const PackedRaster packed = compress_packed(r, cfg);
+    data::SpikeRaster out;
+    std::vector<std::uint8_t> levels;
+    decompress_packed_into(packed, 13, cfg, out, &levels);
+    const data::SpikeRaster first = out;
+    const std::uint8_t* out_before = out.bits.data();
+    const std::uint8_t* levels_before = levels.data();
+    decompress_packed_into(packed, 13, cfg, out, &levels);
+    EXPECT_EQ(out, first) << "ratio=" << cfg.ratio << " bits=" << int(cfg.latent_bits);
+    EXPECT_EQ(out.bits.data(), out_before) << "raster reallocated on matched geometry";
+    EXPECT_EQ(levels.data(), levels_before) << "level scratch reallocated";
+    if (cfg.ratio == 1) EXPECT_EQ(out, r) << "ratio-1 codecs store the raster exactly";
+  }
+}
+
+TEST(SpikeCodec, BinaryRatiosPast255DecodeLikeTheReference) {
+  // Binary codecs take any ratio: at 300 the groups are 300, 300 and 100
+  // steps long, so group slots past 255 must stay silent.
+  const data::SpikeRaster r = random_raster(700, 3, 0.4, 12);
+  for (const CodecStrategy strategy : {CodecStrategy::kSubsample, CodecStrategy::kGroupOr,
+                                       CodecStrategy::kGroupMajority}) {
+    const CodecConfig cfg{.ratio = 300, .strategy = strategy};
+    const data::SpikeRaster grid = compress(r, cfg);
+    const PackedRaster stored = compress_packed(r, cfg);
+    EXPECT_EQ(stored.payload, pack_elements(grid.bits, 3, 3, 1).payload)
+        << "strategy=" << int(strategy);
+    EXPECT_EQ(decompress_packed(stored, 700, cfg), decompress(grid, 700, cfg))
+        << "strategy=" << int(strategy);
+  }
 }
 
 TEST(SpikeCodec, MajorityVotesCorrectly) {
