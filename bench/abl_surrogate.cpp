@@ -8,8 +8,6 @@
 // Note: each surrogate needs its own pre-training run, so this bench keeps
 // the scenario at reduced scale by default (scale=0.5) for runtime.
 #include "common.hpp"
-#include "util/logging.hpp"
-#include "util/parallel.hpp"
 
 using namespace r4ncl;
 
@@ -20,8 +18,7 @@ int run_main(int argc, char** argv) {
   core::validate_standard_keys(cfg);
   const core::ScopedMetrics metrics(cfg);
   if (!cfg.get("scale")) cfg.set("scale", "0.5");
-  init_log_level_from_env();
-  init_threads_from_env();
+  core::init_runtime(cfg);
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 20));
 
   struct Family {
@@ -40,8 +37,7 @@ int run_main(int argc, char** argv) {
     core::PretrainConfig pc = core::pretrain_config_from(cfg);
     pc.network.surrogate = {f.kind, f.scale};
     core::PretrainedScenario scenario =
-        core::make_pretrained_scenario(pc, cfg.get_string("cache_dir", "."),
-                                       cfg.get_bool("cache", true), cfg.get_bool("verbose", false));
+        core::make_pretrained_scenario(pc, cfg.get_bool("verbose", false));
 
     core::ClRunConfig run;
     run.method = core::bench_replay4ncl();

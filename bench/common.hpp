@@ -1,17 +1,16 @@
 // Shared benchmark harness plumbing.
 //
 // Every figure bench: parses key=value CLI overrides (plus R4NCL_* env vars),
-// builds the standard pre-trained scenario (cached on disk, shared by all
-// bench binaries), runs its continual-learning configurations, prints the
-// paper-style rows, and mirrors them into <bench>.csv in the working
-// directory.
+// pre-trains the standard scenario from its configuration, runs its
+// continual-learning configurations, prints the paper-style rows, and
+// mirrors them into <bench>.csv and <bench>.json in the working directory.
 //
 // Common knobs (CLI "key=value" or env R4NCL_<KEY>):
 //   scale=1.0        dataset sample-count scale
 //   epochs=<n>       override the bench's default CL epoch count
 //   pretrain_epochs  pre-training epochs (default 8)
-//   threads=<n>      worker threads
-//   cache=0          disable the pre-trained checkpoint cache
+//   threads=<n>      worker threads, applied before pre-training (0 = default)
+//   verbose=1        per-epoch pre-training progress
 #pragma once
 
 #include <initializer_list>
@@ -55,11 +54,12 @@ struct BenchContext {
   }
 };
 
-/// Builds the context (threads/logging init + cached pre-training).  CLI
-/// keys outside the knobs every binary reads (core::validate_standard_keys)
-/// plus `extra_keys` are rejected with an Error listing the valid ones, so
-/// knob typos, and replay or checkpoint knobs that no bench of this harness
-/// applies, fail loudly instead of silently running the defaults.
+/// Builds the context (core::standard_scenario: threads/logging init, then
+/// pre-training).  CLI keys outside the knobs every binary reads
+/// (core::validate_standard_keys) plus `extra_keys` are rejected with an
+/// Error listing the valid ones, so knob typos, and replay or checkpoint
+/// knobs that no bench of this harness applies, fail loudly instead of
+/// silently running the defaults.
 BenchContext make_context(int argc, char** argv,
                           std::initializer_list<std::string_view> extra_keys = {});
 

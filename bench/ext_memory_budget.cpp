@@ -37,8 +37,7 @@
 //   replay_samples=0   per-epoch sample(k) draw (0 = full materialize)
 //   spiking_lr=1       include the SpikingLR codec path in the bits sweep
 // budget=/policy=/latent_bits= are rejected as unknown keys — the sweep itself
-// owns those axes — and so are cache=/cache_dir=, since the sweep pre-trains
-// its own base classes.
+// owns those axes.
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,7 +45,6 @@
 #include "common.hpp"
 #include "core/sequential.hpp"
 #include "util/logging.hpp"
-#include "util/parallel.hpp"
 
 using namespace r4ncl;
 
@@ -64,13 +62,9 @@ std::size_t probe_entry_bytes(const compress::CodecConfig& codec, std::size_t ti
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  // This sweep pre-trains its own base classes instead of loading the cached
-  // scenario, so the cache knobs would act on nothing: reject them.
-  core::validate_own_pretraining_keys(cfg,
-                                      {"tasks", "replay_per_task", "replay_samples", "spiking_lr"});
+  core::validate_standard_keys(cfg, {"tasks", "replay_per_task", "replay_samples", "spiking_lr"});
   const core::ScopedMetrics metrics(cfg);
-  init_log_level_from_env();
-  init_threads_from_env();
+  core::init_runtime(cfg);
   const std::size_t num_tasks = static_cast<std::size_t>(cfg.get_int("tasks", 4));
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 16));
   const bool verbose = cfg.get_bool("verbose", false);

@@ -9,7 +9,6 @@
 #include "common.hpp"
 #include "core/sequential.hpp"
 #include "util/logging.hpp"
-#include "util/parallel.hpp"
 
 using namespace r4ncl;
 
@@ -17,18 +16,15 @@ namespace {
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  // This stream pre-trains its own base classes instead of loading the
-  // cached scenario, so the cache knobs would act on nothing: reject them.
-  core::validate_own_pretraining_keys(cfg, {"tasks"});
+  core::validate_standard_keys(cfg, {"tasks"});
   const core::ScopedMetrics metrics(cfg);
-  init_log_level_from_env();
-  init_threads_from_env();
+  core::init_runtime(cfg);
   const std::size_t num_tasks = static_cast<std::size_t>(cfg.get_int("tasks", 4));
   const std::size_t epochs = static_cast<std::size_t>(cfg.get_int("epochs", 20));
   const bool verbose = cfg.get_bool("verbose", false);
 
-  // Build the stream split (the single-task pretrain cache does not apply:
-  // the base here is 20 − num_tasks classes).
+  // Build the stream split (the base here is 20 − num_tasks classes, not the
+  // standard scenario's 19).
   core::PretrainConfig pc = core::pretrain_config_from(cfg);
   const data::SyntheticShdGenerator generator(pc.data_params);
   const data::SequentialTasks tasks =

@@ -5,11 +5,11 @@
 #include <benchmark/benchmark.h>
 
 #include "compress/spike_codec.hpp"
+#include "core/experiment.hpp"
 #include "data/shd_synth.hpp"
 #include "snn/layer.hpp"
 #include "snn/readout.hpp"
 #include "tensor/ops.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -169,7 +169,7 @@ BENCHMARK(BM_ShdSampleGeneration);
 }  // namespace
 
 int main(int argc, char** argv) {
-  r4ncl::init_threads_from_env();
+  r4ncl::core::init_runtime(r4ncl::Config{});  // R4NCL_THREADS, R4NCL_LOG
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -35,8 +35,6 @@
 #include "core/experiment.hpp"
 #include "core/sequential.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
-#include "util/parallel.hpp"
 
 using namespace r4ncl;
 
@@ -44,15 +42,11 @@ namespace {
 
 int run_main(int argc, char** argv) {
   Config cfg = Config::from_args(argc, argv);
-  // This stream pre-trains its own base classes instead of loading the
-  // cached scenario, so the cache knobs would act on nothing: reject them.
   std::vector<std::string_view> keys = core::standard_cli_keys();
-  std::erase_if(keys, [](std::string_view key) { return key == "cache" || key == "cache_dir"; });
   keys.insert(keys.end(), {"tasks", "stop_after"});
   cfg.validate_keys(keys);
   const core::ScopedMetrics metrics(cfg);
-  init_log_level_from_env();
-  init_threads_from_env();
+  core::init_runtime(cfg);
   const std::size_t num_tasks = static_cast<std::size_t>(cfg.get_int("tasks", 6));
   const core::ReplayPolicy policy =
       core::parse_replay_policy(cfg.get_string("policy", "reservoir"));

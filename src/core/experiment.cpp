@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <iterator>
-#include <sstream>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -45,15 +45,8 @@ PretrainConfig pretrain_config_from(const Config& cfg) {
 }
 
 PretrainedScenario standard_scenario(const Config& cfg) {
-  init_log_level_from_env();
-  init_threads_from_env();
-  if (const long long threads = cfg.get_int("threads", 0); threads > 0) {
-    set_num_threads(static_cast<int>(threads));
-  }
-  const PretrainConfig config = pretrain_config_from(cfg);
-  const bool use_cache = cfg.get_bool("cache", true);
-  return make_pretrained_scenario(config, cfg.get_string("cache_dir", "."), use_cache,
-                                  cfg.get_bool("verbose", false));
+  init_runtime(cfg);
+  return make_pretrained_scenario(pretrain_config_from(cfg), cfg.get_bool("verbose", false));
 }
 
 NclMethodConfig bench_replay4ncl(std::size_t timesteps) {
@@ -146,14 +139,20 @@ void apply_shards(NclMethodConfig& method, const Config& cfg) {
   method.replay_sharding.shards = static_cast<std::size_t>(shards);
 }
 
+/// The one reader of threads= (the CLI value, or R4NCL_THREADS).  A value
+/// past INT_MAX is rejected too: narrowed to int it would wrap.
+int threads_from(const Config& cfg, int fallback) {
+  const long long threads = cfg.get_int("threads", fallback);
+  R4NCL_CHECK(threads >= 0 && threads <= std::numeric_limits<int>::max(),
+              "threads=" << threads << " must be a non-negative worker count (0 = default)");
+  return static_cast<int>(threads);
+}
+
 void apply_threads(NclMethodConfig& method, const Config& cfg) {
-  // threads= is applied process-wide by standard_scenario; recording it on
-  // the method too lets the run engines re-assert it (library callers that
-  // never go through standard_scenario get the same knob).
-  const long long threads = cfg.get_int("threads", static_cast<long long>(method.threads));
-  R4NCL_CHECK(threads >= 0, "threads=" << threads
-                                       << " must be a non-negative worker count (0 = default)");
-  method.threads = static_cast<int>(threads);
+  // threads= is applied process-wide by init_runtime; recording it on the
+  // method too lets the run engines re-assert it (library callers that
+  // never go through init_runtime get the same knob).
+  method.threads = threads_from(cfg, method.threads);
 }
 
 // Sorted by name: standard_cli_keys() returns this column order verbatim,
@@ -163,8 +162,6 @@ constexpr CliKnob kStandardKnobs[] = {
     {"budget_schedule",
      "per-task budget evolution: const | linear:<start>:<end> | step:<task>:<bytes>",
      apply_budget_schedule},
-    {"cache", "reuse the on-disk pre-trained scenario cache (default 1)", nullptr},
-    {"cache_dir", "directory holding the pre-trained scenario cache (default .)", nullptr},
     {"checkpoint", "write a run checkpoint at every cadence boundary to this path", nullptr},
     {"checkpoint_every", "checkpoint save cadence in completed tasks/epochs (>= 1)", nullptr},
     {"epochs", "continual-learning epoch count (bench default when absent)", nullptr},
@@ -186,7 +183,7 @@ constexpr CliKnob kStandardKnobs[] = {
     {"scale", "dataset sample-count scale (1.0 = paper-faithful counts)", nullptr},
     {"shard_by", "shard routing key for adds: class | hash", apply_shard_by},
     {"shards", "replay-store shard count (1 = bit-identical single-buffer)", apply_shards},
-    {"threads", "worker count the run engines assert at run start (0 = default)",
+    {"threads", "worker count, applied process-wide before pre-training (0 = default)",
      apply_threads},
     {"trace", "wall-clock trace histograms in the metrics registry (default 1)", nullptr},
     {"verbose", "per-epoch progress logging (0|1)", nullptr},
@@ -194,24 +191,18 @@ constexpr CliKnob kStandardKnobs[] = {
 
 // The knobs every standard binary reads, the vocabulary of
 // validate_standard_keys: the scenario knobs (pretrain_config_from,
-// standard_scenario), the CL epoch count and the telemetry knobs
-// (init_metrics).  A binary that applies a checkpoint or replay knob names it
-// as an extra.
+// init_runtime, standard_scenario), the CL epoch count and the telemetry
+// knobs (init_metrics).  A binary that applies a checkpoint or replay knob
+// names it as an extra.
 constexpr std::string_view kEveryBinaryKeys[] = {
-    "cache", "cache_dir", "epochs", "metrics_out", "pretrain_epochs",
-    "scale", "threads",   "trace",  "verbose"};
-
-void validate_keys_plus(const Config& cfg, bool cache_keys,
-                        std::initializer_list<std::string_view> extra) {
-  std::vector<std::string_view> known(std::begin(kEveryBinaryKeys), std::end(kEveryBinaryKeys));
-  if (!cache_keys) {
-    std::erase_if(known, [](std::string_view key) { return key == "cache" || key == "cache_dir"; });
-  }
-  known.insert(known.end(), extra.begin(), extra.end());
-  cfg.validate_keys(known);
-}
+    "epochs", "metrics_out", "pretrain_epochs", "scale", "threads", "trace", "verbose"};
 
 }  // namespace
+
+void init_runtime(const Config& cfg) {
+  init_log_level_from_env();
+  if (const int threads = threads_from(cfg, 0); threads > 0) set_num_threads(threads);
+}
 
 std::span<const CliKnob> standard_cli_knobs() { return kStandardKnobs; }
 
@@ -261,21 +252,9 @@ std::vector<std::string_view> standard_cli_keys() {
 
 void validate_standard_keys(const Config& cfg,
                             std::initializer_list<std::string_view> extra) {
-  validate_keys_plus(cfg, /*cache_keys=*/true, extra);
-}
-
-void validate_own_pretraining_keys(const Config& cfg,
-                                   std::initializer_list<std::string_view> extra) {
-  validate_keys_plus(cfg, /*cache_keys=*/false, extra);
-}
-
-std::string summarize(const ClRunResult& result) {
-  std::ostringstream os;
-  os << result.method_name << " @L" << result.insertion_layer << ": old="
-     << result.final_acc_old * 100.0 << "% new=" << result.final_acc_new * 100.0
-     << "% latency=" << result.total_latency_ms() << "ms energy="
-     << result.total_energy_uj() << "uJ latent_mem=" << result.latent_memory_bytes << "B";
-  return os.str();
+  std::vector<std::string_view> known(std::begin(kEveryBinaryKeys), std::end(kEveryBinaryKeys));
+  known.insert(known.end(), extra.begin(), extra.end());
+  cfg.validate_keys(known);
 }
 
 int run_cli(int argc, char** argv, int (*body)(int, char**)) {

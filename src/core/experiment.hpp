@@ -23,14 +23,20 @@ namespace r4ncl::core {
 /// Values are floored at 4/4/2 so every class stays represented.
 PretrainConfig standard_pretrain_config(double scale = 1.0);
 
-/// Reads the common bench knobs from `cfg` (CLI "key=value" tokens and
-/// R4NCL_* environment variables) and applies them:
-///   scale (double), pretrain_epochs, threads, log — returns the resulting
-///   pretrain configuration.
+/// Reads the scenario knobs from `cfg` (CLI "key=value" tokens and
+/// R4NCL_* environment variables): scale (double) and pretrain_epochs —
+/// returns the resulting pretrain configuration.
 PretrainConfig pretrain_config_from(const Config& cfg);
 
-/// Shared bench boilerplate: init threads/logging from the environment, then
-/// build (or load) the pre-trained scenario honouring `cfg`.
+/// Applies the process-wide knobs before any pre-training: the log
+/// level (R4NCL_LOG) and threads= (the CLI value, or R4NCL_THREADS), a
+/// non-negative worker count where 0 keeps the default.  A negative or
+/// non-numeric threads value throws Error naming it.  Every binary that
+/// takes threads= calls this (standard_scenario does it for its callers).
+void init_runtime(const Config& cfg);
+
+/// Shared bench boilerplate: init_runtime(cfg), then pre-train the standard
+/// scenario honouring `cfg` (scale, pretrain_epochs, verbose).
 PretrainedScenario standard_scenario(const Config& cfg);
 
 /// The two comparison methods as run by every bench.
@@ -112,9 +118,9 @@ class ScopedMetrics {
 [[nodiscard]] CheckpointOptions checkpoint_options_from(const Config& cfg);
 
 /// The whole standard CLI vocabulary — the `name` column of
-/// standard_cli_knobs(): the scenario knobs read by
-/// pretrain_config_from()/standard_scenario() (scale, pretrain_epochs,
-/// threads, cache, cache_dir, verbose), the shared CL epoch count (epochs),
+/// standard_cli_knobs(): the scenario knobs read by pretrain_config_from(),
+/// init_runtime() and standard_scenario() (scale, pretrain_epochs, threads,
+/// verbose), the shared CL epoch count (epochs),
 /// the checkpoint/resume knobs, the telemetry knobs (metrics_out, trace),
 /// and the replay knobs of apply_replay_overrides().  A binary that applies
 /// all of them (budget_stream) validates against this list.
@@ -123,23 +129,14 @@ class ScopedMetrics {
 /// Rejects the CLI keys a binary does not apply: throws Error (naming the
 /// offending key and listing the valid ones) when `cfg` holds an
 /// explicitly-set key outside the knobs every standard binary reads — the
-/// scenario knobs (scale, pretrain_epochs, threads, cache, cache_dir,
-/// verbose), epochs and the telemetry knobs (metrics_out, trace) — and
+/// scenario knobs (scale, pretrain_epochs, threads, verbose), epochs and the
+/// telemetry knobs (metrics_out, trace) — and
 /// `extra`.  A binary that reads a checkpoint or replay knob passes it in
 /// `extra`.  Call it right after Config::from_args, so that a typo like
 /// `latentbits=4`, or `budget=1` given to a binary without a replay budget,
 /// fails loudly instead of silently running the default configuration.
 void validate_standard_keys(const Config& cfg,
                             std::initializer_list<std::string_view> extra = {});
-
-/// validate_standard_keys for a binary that pre-trains its own base classes
-/// instead of loading the cached scenario: cache= and cache_dir= would act
-/// on nothing there, so they are unknown keys too.
-void validate_own_pretraining_keys(const Config& cfg,
-                                   std::initializer_list<std::string_view> extra = {});
-
-/// One-line human summary of a CL run (final accs + totals).
-std::string summarize(const ClRunResult& result);
 
 /// The main() of every CLI binary: returns body(argc, argv), or, when it
 /// throws (a malformed or unknown knob, a corrupt checkpoint), prints

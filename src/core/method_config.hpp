@@ -91,7 +91,7 @@ struct NclMethodConfig {
   /// Worker count the run engines apply via set_num_threads() at run start
   /// (0 = leave the process-wide setting untouched).  The parallel kernels
   /// use fixed reduction orders, so any value is bit-identical to 1.
-  /// CLI knob: threads=<n> (applied by standard_scenario).
+  /// CLI knob: threads=<n> (applied process-wide by core::init_runtime).
   int threads = 0;
   std::size_t batch_size = 16;
 

@@ -1,117 +1,27 @@
 #include "core/pretrain.hpp"
 
-#include <filesystem>
-#include <sstream>
-
 #include "util/logging.hpp"
 
 namespace r4ncl::core {
 
-namespace {
-
-void hash_mix(std::uint64_t& h, std::uint64_t v) {
-  // FNV-1a over the 8 bytes of v.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-}
-
-void hash_mix_f(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof v);
-  __builtin_memcpy(&bits, &v, sizeof bits);
-  hash_mix(h, bits);
-}
-
-}  // namespace
-
-std::uint64_t pretrain_config_hash(const PretrainConfig& config) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t s : config.network.layer_sizes) hash_mix(h, s);
-  hash_mix(h, config.network.num_classes);
-  hash_mix_f(h, config.network.lif.beta);
-  hash_mix(h, config.network.lif.detach_reset ? 1 : 0);
-  hash_mix(h, config.network.lif.recurrent ? 1 : 0);
-  hash_mix(h, static_cast<std::uint64_t>(config.network.surrogate.kind));
-  hash_mix_f(h, config.network.surrogate.scale);
-  hash_mix_f(h, config.network.readout_beta);
-  hash_mix_f(h, config.network.init_gain);
-  hash_mix_f(h, config.network.rec_init_gain);
-  hash_mix(h, config.network.seed);
-  hash_mix(h, config.data_params.channels);
-  hash_mix(h, config.data_params.classes);
-  hash_mix(h, config.data_params.timesteps);
-  hash_mix(h, static_cast<std::uint64_t>(config.data_params.ridges_per_class));
-  hash_mix_f(h, config.data_params.ridge_width);
-  hash_mix_f(h, config.data_params.ridge_peak_rate);
-  hash_mix_f(h, config.data_params.background_rate);
-  hash_mix_f(h, config.data_params.time_jitter);
-  hash_mix_f(h, config.data_params.channel_jitter);
-  hash_mix_f(h, config.data_params.rate_jitter);
-  hash_mix(h, config.data_params.seed);
-  hash_mix(h, config.split.train_per_class);
-  hash_mix(h, config.split.test_per_class);
-  hash_mix(h, config.split.replay_per_class);
-  hash_mix(h, static_cast<std::uint64_t>(config.split.new_class));
-  hash_mix(h, config.split.seed);
-  hash_mix(h, config.epochs);
-  hash_mix(h, config.batch_size);
-  hash_mix_f(h, config.lr);
-  hash_mix(h, config.shuffle_seed);
-  return h;
-}
-
-PretrainedScenario make_pretrained_scenario(const PretrainConfig& config,
-                                            const std::string& cache_dir, bool use_cache,
-                                            bool verbose) {
+PretrainedScenario make_pretrained_scenario(const PretrainConfig& config, bool verbose) {
   const data::SyntheticShdGenerator generator(config.data_params);
-  // The trailing members repeat the struct defaults: -Wextra's
-  // missing-field-initializers fires on designated initializers that omit
-  // members, and the library builds with -Werror.
   PretrainedScenario scenario{
       .net = snn::SnnNetwork(config.network),
       .tasks = data::build_class_incremental(generator, config.split),
       .pretrain_accuracy = 0.0,
-      .history = {},
-      .loaded_from_cache = false,
   };
-
-  std::ostringstream path_os;
-  path_os << cache_dir << "/r4ncl_pretrain_" << std::hex << pretrain_config_hash(config)
-          << ".ckpt";
-  const std::string cache_path = path_os.str();
-
-  if (use_cache && std::filesystem::exists(cache_path)) {
-    // A stale cache from an older checkpoint format (or a torn write) must
-    // not brick every bench that shares the cache dir — fall through to
-    // retraining, which overwrites the bad file.
-    try {
-      scenario.net.load(cache_path);
-      scenario.loaded_from_cache = true;
-      R4NCL_INFO("loaded pre-trained checkpoint: " << cache_path);
-    } catch (const Error& e) {
-      R4NCL_WARN("ignoring unreadable pre-train cache " << cache_path << ": " << e.what());
-    }
-  }
-  if (!scenario.loaded_from_cache) {
-    R4NCL_INFO("pre-training on " << scenario.tasks.pretrain_train.size() << " samples ("
-                                  << scenario.tasks.old_classes.size() << " classes, "
-                                  << config.epochs << " epochs)...");
-    snn::AdamOptimizer optimizer;
-    snn::TrainOptions opts;
-    opts.epochs = config.epochs;
-    opts.batch_size = config.batch_size;
-    opts.lr = config.lr;
-    opts.shuffle_seed = config.shuffle_seed;
-    opts.verbose = verbose;
-    scenario.history =
-        snn::train_supervised(scenario.net, scenario.tasks.pretrain_train, optimizer, opts);
-    if (use_cache) {
-      scenario.net.save(cache_path);
-      R4NCL_INFO("saved pre-trained checkpoint: " << cache_path);
-    }
-  }
+  R4NCL_INFO("pre-training on " << scenario.tasks.pretrain_train.size() << " samples ("
+                                << scenario.tasks.old_classes.size() << " classes, "
+                                << config.epochs << " epochs)...");
+  snn::AdamOptimizer optimizer;
+  snn::TrainOptions opts;
+  opts.epochs = config.epochs;
+  opts.batch_size = config.batch_size;
+  opts.lr = config.lr;
+  opts.shuffle_seed = config.shuffle_seed;
+  opts.verbose = verbose;
+  (void)snn::train_supervised(scenario.net, scenario.tasks.pretrain_train, optimizer, opts);
   scenario.pretrain_accuracy = snn::evaluate(scenario.net, scenario.tasks.pretrain_test);
   R4NCL_INFO("pre-train old-task test accuracy: " << scenario.pretrain_accuracy);
   return scenario;

@@ -30,7 +30,7 @@ std::uint64_t batch_tensor_allocations() noexcept {
 
 std::size_t SpikeRaster::spike_count() const noexcept {
   std::size_t n = 0;
-  for (std::uint8_t b : bits) n += b;
+  for (std::uint8_t b : bits) n += b != 0 ? 1 : 0;
   return n;
 }
 

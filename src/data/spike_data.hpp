@@ -31,7 +31,7 @@ struct SpikeRaster {
     bits[t * channels + c] = v ? 1 : 0;
   }
 
-  /// Total number of spikes.
+  /// Total number of spikes: the nonzero cells, whatever value they hold.
   [[nodiscard]] std::size_t spike_count() const noexcept;
 
   /// Spikes per (timestep × channel) cell, in [0, 1].

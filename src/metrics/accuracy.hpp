@@ -1,5 +1,4 @@
-// Evaluation conditions and forgetting bookkeeping for the class-incremental
-// scenario.
+// Evaluation conditions for the class-incremental scenario.
 #pragma once
 
 #include "data/spike_data.hpp"
@@ -16,21 +15,6 @@ struct EvalSettings {
   data::TimeRescaleMethod rescale = data::TimeRescaleMethod::kGroupOr;
   snn::ThresholdPolicy policy = snn::ThresholdPolicy::fixed(1.0f);
   std::size_t batch_size = 32;
-};
-
-/// Forgetting = best old-task accuracy seen so far − current old-task
-/// accuracy (the standard continual-learning forgetting measure).
-class ForgettingTracker {
- public:
-  /// Records an old-task accuracy; returns current forgetting.
-  double update(double old_task_accuracy) noexcept;
-
-  [[nodiscard]] double best() const noexcept { return best_; }
-  [[nodiscard]] double forgetting() const noexcept { return forgetting_; }
-
- private:
-  double best_ = 0.0;
-  double forgetting_ = 0.0;
 };
 
 }  // namespace r4ncl::metrics

@@ -36,7 +36,7 @@ class Config {
   [[nodiscard]] long long get_int(const std::string& key, long long fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   /// `fallback` when the key is absent; 1/true/yes/on and 0/false/no/off
-  /// parse, and any other value throws the same way (`cache=flase`).
+  /// parse, and any other value throws the same way (`verbose=flase`).
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {

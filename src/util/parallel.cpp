@@ -1,7 +1,6 @@
 #include "util/parallel.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -25,19 +24,19 @@ int default_threads() {
   return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
+#if !defined(R4NCL_HAVE_OPENMP)
 // The serial/std::thread fallback must never be invisible: hot paths like
 // kernels::matmul assume the OpenMP dispatch, so a build without it warns
-// exactly once.
+// exactly once, at the first parallel_for that forks.
 void warn_if_no_openmp() {
-#if !defined(R4NCL_HAVE_OPENMP)
   // r4ncl-lint: allow(static-local) std::call_once's flag is its own synchronization
   static std::once_flag flag;
   std::call_once(flag, [] {
     R4NCL_WARN("r4ncl built without OpenMP: parallel_for uses the std::thread "
                "fallback; rebuild with OpenMP for full matmul throughput");
   });
-#endif
 }
+#endif
 }  // namespace
 
 void set_num_threads(int n) noexcept { g_threads.store(n < 1 ? 1 : n); }
@@ -49,14 +48,6 @@ int num_threads() noexcept {
     g_threads.store(n);
   }
   return n;
-}
-
-void init_threads_from_env() {
-  warn_if_no_openmp();
-  if (const char* env = std::getenv("R4NCL_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) set_num_threads(n);
-  }
 }
 
 bool openmp_enabled() noexcept {

@@ -1,8 +1,9 @@
 // Parallel-for helper used by the tensor kernels.
 //
 // Built on OpenMP when available (R4NCL_HAVE_OPENMP), otherwise a serial
-// fallback.  The thread count is controlled by set_num_threads() or the
-// R4NCL_THREADS environment variable; the default is the hardware concurrency.
+// fallback.  The thread count is controlled by set_num_threads() (the CLI
+// binaries apply their threads= knob, or R4NCL_THREADS, through it); the
+// default is the hardware concurrency.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +16,6 @@ void set_num_threads(int n) noexcept;
 
 /// Current worker count.
 int num_threads() noexcept;
-
-/// Applies R4NCL_THREADS from the environment if present.
-void init_threads_from_env();
 
 /// True when the library was compiled with OpenMP (R4NCL_HAVE_OPENMP);
 /// false means parallel_for uses the std::thread fallback and a one-time

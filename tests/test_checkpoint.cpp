@@ -4,6 +4,7 @@
 // pinned r4ncl::Error with no crash, no silent partial load, and no
 // allocation blow-up.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -23,8 +25,13 @@
 namespace r4ncl::core {
 namespace {
 
+/// `name` in the gtest temp dir, prefixed with this process's id: ctest runs
+/// every case as its own process, so cases running at once never read a
+/// file that another one is rewriting.
 std::string temp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
+  return (std::filesystem::path(::testing::TempDir()) /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
@@ -235,8 +242,7 @@ TEST(CheckpointResume, CadenceSavesOnlyAtEveryKthUnitAndAtTheEnd) {
 TEST(CheckpointResume, ContinualRunResumesWithOptimizerState) {
   PretrainConfig cfg = seq_config();
   cfg.split.new_class = 5;
-  const PretrainedScenario scenario =
-      make_pretrained_scenario(cfg, ::testing::TempDir(), true);
+  const PretrainedScenario scenario = make_pretrained_scenario(cfg);
 
   ClRunConfig run;
   run.method = NclMethodConfig::replay4ncl(10);
@@ -338,6 +344,12 @@ struct TinyCheckpoint {
     ck.seq_total_energy_uj = 2.5;
     save_checkpoint(path, ck, net, nullptr, engine);
   }
+  ~TinyCheckpoint() {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+  }
+  TinyCheckpoint(const TinyCheckpoint&) = delete;
+  TinyCheckpoint& operator=(const TinyCheckpoint&) = delete;
 
   /// Fresh load targets (partially mutated loads are fine to reuse — every
   /// iteration re-parses from the file).

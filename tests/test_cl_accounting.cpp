@@ -32,8 +32,7 @@ PretrainConfig micro_config() {
 }
 
 const PretrainedScenario& scenario() {
-  static PretrainedScenario s =
-      make_pretrained_scenario(micro_config(), ::testing::TempDir(), true);
+  static PretrainedScenario s = make_pretrained_scenario(micro_config());
   return s;
 }
 
@@ -143,6 +142,37 @@ TEST(ClAccounting, NaiveBaselineHasNoPrepWork) {
   EXPECT_EQ(res.prep_stats.neuron_updates, 0u);
   EXPECT_EQ(res.prep_latency_ms, 0.0);
   EXPECT_EQ(res.latent_memory_bytes, 0u);
+}
+
+std::vector<float> all_weights(const snn::SnnNetwork& net) {
+  std::vector<float> w;
+  for (std::size_t i = 0; i < net.num_hidden(); ++i) {
+    const auto ff = net.hidden(i).w_ff().values();
+    const auto rec = net.hidden(i).w_rec().values();
+    w.insert(w.end(), ff.begin(), ff.end());
+    w.insert(w.end(), rec.begin(), rec.end());
+  }
+  const auto ro = net.readout().w().values();
+  w.insert(w.end(), ro.begin(), ro.end());
+  return w;
+}
+
+TEST(Pretraining, WeightsFollowEveryDataParam) {
+  // The pre-trained weights are a function of the whole configuration: the
+  // two ShdSynthParams fields a config hash once skipped each give a
+  // different network, never a copy of another configuration's weights.
+  PretrainConfig pool = micro_config();
+  pool.data_params.position_pool = 2;
+  PretrainConfig shared = micro_config();
+  shared.data_params.shared_position_fraction = 0.5;
+  const std::vector<float> base = all_weights(make_pretrained_scenario(micro_config()).net);
+  const std::vector<float> by_pool = all_weights(make_pretrained_scenario(pool).net);
+  const std::vector<float> by_shared = all_weights(make_pretrained_scenario(shared).net);
+  EXPECT_NE(by_pool, base);
+  EXPECT_NE(by_shared, base);
+  EXPECT_NE(by_shared, by_pool);
+  EXPECT_EQ(all_weights(make_pretrained_scenario(micro_config()).net), base)
+      << "pre-training the same configuration twice must give the same weights";
 }
 
 }  // namespace

@@ -51,8 +51,7 @@ NclMethodConfig small_spiking_lr() {
 
 /// Shared pre-trained scenario (built once; tests clone the network).
 const PretrainedScenario& scenario() {
-  static PretrainedScenario s =
-      make_pretrained_scenario(small_scenario_config(), ::testing::TempDir(), true);
+  static PretrainedScenario s = make_pretrained_scenario(small_scenario_config());
   return s;
 }
 
@@ -180,26 +179,6 @@ TEST(ContinualIntegration, RejectsBadConfig) {
   EXPECT_THROW((void)run_continual_learning(net, scenario().tasks, cfg), Error);
   cfg = run_config(small_replay4ncl(), 2, 0);
   EXPECT_THROW((void)run_continual_learning(net, scenario().tasks, cfg), Error);
-}
-
-TEST(ContinualIntegration, PretrainCacheRoundTrip) {
-  // Second call with the same config must hit the checkpoint cache and yield
-  // an identical network.
-  const PretrainedScenario reloaded =
-      make_pretrained_scenario(small_scenario_config(), ::testing::TempDir(), true);
-  EXPECT_TRUE(reloaded.loaded_from_cache);
-  EXPECT_DOUBLE_EQ(reloaded.pretrain_accuracy, scenario().pretrain_accuracy);
-}
-
-TEST(ContinualIntegration, ConfigHashSensitivity) {
-  const PretrainConfig base = small_scenario_config();
-  PretrainConfig changed = base;
-  changed.network.seed += 1;
-  EXPECT_NE(pretrain_config_hash(base), pretrain_config_hash(changed));
-  changed = base;
-  changed.split.replay_per_class += 1;
-  EXPECT_NE(pretrain_config_hash(base), pretrain_config_hash(changed));
-  EXPECT_EQ(pretrain_config_hash(base), pretrain_config_hash(small_scenario_config()));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Experiment presets: paper geometry, scaling behaviour, bench method
-// factories, summaries.
+// factories, run totals.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -76,19 +76,6 @@ TEST(Experiment, BenchSpikingLrIsPaperExact) {
 
 TEST(Experiment, BenchReplay4NclCustomTimesteps) {
   EXPECT_EQ(bench_replay4ncl(60).cl_timesteps, 60u);
-}
-
-TEST(Experiment, SummarizeMentionsKeyNumbers) {
-  ClRunResult res;
-  res.method_name = "TestMethod";
-  res.insertion_layer = 2;
-  res.final_acc_old = 0.5;
-  res.final_acc_new = 0.25;
-  res.latent_memory_bytes = 1234;
-  const std::string s = summarize(res);
-  EXPECT_NE(s.find("TestMethod"), std::string::npos);
-  EXPECT_NE(s.find("L2"), std::string::npos);
-  EXPECT_NE(s.find("1234"), std::string::npos);
 }
 
 TEST(Experiment, TotalCostAccumulatesPrepAndEpochs) {

@@ -377,15 +377,27 @@ TEST(BatchScratch, EvaluateSourceMatchesDatasetAndReusesScratch) {
 }
 
 TEST(CliKnobs, NegativeThreadsRejectedEagerly) {
-  core::NclMethodConfig method = core::NclMethodConfig::replay4ncl(16);
-  Config cfg;
-  cfg.set("threads", "-1");
-  try {
-    core::apply_replay_overrides(method, cfg);
-    FAIL() << "threads=-1 must throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("non-negative worker count"), std::string::npos);
+  // Both readers of threads= reject a negative count, and a count that
+  // would wrap when narrowed to int (2^32 + 1 would run one worker).
+  const int before = num_threads();
+  for (const char* value : {"-1", "4294967297"}) {
+    core::NclMethodConfig method = core::NclMethodConfig::replay4ncl(16);
+    Config cfg;
+    cfg.set("threads", value);
+    try {
+      core::apply_replay_overrides(method, cfg);
+      ADD_FAILURE() << "threads=" << value << " must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-negative worker count"), std::string::npos);
+    }
+    try {
+      core::init_runtime(cfg);
+      ADD_FAILURE() << "init_runtime: threads=" << value << " must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-negative worker count"), std::string::npos);
+    }
   }
+  EXPECT_EQ(num_threads(), before);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Cost models and accuracy bookkeeping.
+// Cost models and evaluation settings.
 #include <gtest/gtest.h>
 
 #include "metrics/accuracy.hpp"
@@ -71,15 +71,6 @@ TEST(CostModel, StatsAddAccumulates) {
   EXPECT_EQ(a.synops, 11u);
   EXPECT_EQ(a.spikes, 2u);
   EXPECT_EQ(a.backward_synops, 5u);
-}
-
-TEST(Forgetting, TracksBestMinusCurrent) {
-  ForgettingTracker tracker;
-  EXPECT_DOUBLE_EQ(tracker.update(0.8), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.update(0.9), 0.0);
-  EXPECT_DOUBLE_EQ(tracker.update(0.6), 0.3);
-  EXPECT_DOUBLE_EQ(tracker.best(), 0.9);
-  EXPECT_DOUBLE_EQ(tracker.update(0.95), 0.0);
 }
 
 TEST(EvalSettings, DefaultsMatchSota) {

@@ -72,8 +72,7 @@ PretrainConfig micro_config() {
 }
 
 const PretrainedScenario& scenario() {
-  static PretrainedScenario s =
-      make_pretrained_scenario(micro_config(), ::testing::TempDir(), true);
+  static PretrainedScenario s = make_pretrained_scenario(micro_config());
   return s;
 }
 

@@ -456,18 +456,18 @@ TEST(ReplayCliOverrides, ExtraKeysExtendTheVocabulary) {
 /// the scenario, epoch and telemetry knobs every binary reads, and a replay
 /// or checkpoint knob only as an extra of a binary that reads it, so
 /// `table1_headline budget=1` or `quickstart latent_bits=2` fails instead of
-/// running the defaults.  validate_own_pretraining_keys also rejects the
-/// cache knobs, which act on nothing in a binary that pre-trains its own base.
+/// running the defaults.  Pre-training reads and writes no file, so no knob
+/// names a cache: cache= is an unknown key everywhere.
 TEST(ReplayCliOverrides, StandardKeysAreTheKnobsEveryBinaryApplies) {
-  for (const char* key : {"cache", "cache_dir", "epochs", "metrics_out", "pretrain_epochs",
-                          "scale", "threads", "trace", "verbose"}) {
+  for (const char* key : {"epochs", "metrics_out", "pretrain_epochs", "scale", "threads",
+                          "trace", "verbose"}) {
     Config cfg;
     cfg.set(key, "1");
     EXPECT_NO_THROW(validate_standard_keys(cfg)) << key;
   }
   for (const char* key : {"budget", "budget_schedule", "importance_feedback", "latent_bits",
                           "policy", "replay_samples", "replay_seed", "shard_by", "shards",
-                          "checkpoint", "checkpoint_every", "resume"}) {
+                          "checkpoint", "checkpoint_every", "resume", "cache"}) {
     Config cfg;
     cfg.set(key, "1");
     try {
@@ -480,16 +480,9 @@ TEST(ReplayCliOverrides, StandardKeysAreTheKnobsEveryBinaryApplies) {
     }
     EXPECT_NO_THROW(validate_standard_keys(cfg, {key})) << key;
   }
-  for (const char* key : {"cache", "cache_dir"}) {
-    Config cfg;
-    cfg.set(key, "0");
-    EXPECT_THROW(validate_own_pretraining_keys(cfg), Error) << key;
+  for (const CliKnob& knob : standard_cli_knobs()) {
+    EXPECT_EQ(knob.name.find("cache"), std::string_view::npos) << knob.name;
   }
-  Config scenario;
-  scenario.set("scale", "0.5");
-  scenario.set("verbose", "1");
-  scenario.set("tasks", "3");
-  EXPECT_NO_THROW(validate_own_pretraining_keys(scenario, {"tasks"}));
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
-// Spike raster utilities: rescaling, batching, filtering.
+// Spike raster utilities: counting, rescaling, batching, filtering.
 #include <gtest/gtest.h>
 
+#include "compress/spike_codec.hpp"
+#include "core/latent_buffer.hpp"
 #include "data/spike_data.hpp"
 
 namespace r4ncl::data {
@@ -17,6 +19,25 @@ TEST(SpikeRaster, CountAndDensity) {
   const SpikeRaster r = make_raster(4, 5, {{0, 0}, {1, 2}, {3, 4}});
   EXPECT_EQ(r.spike_count(), 3u);
   EXPECT_DOUBLE_EQ(r.density(), 3.0 / 20.0);
+}
+
+TEST(SpikeRaster, NonzeroCellsCountOnce) {
+  // Any nonzero cell is one spike, as in the codec: a cell holding 2 or 255
+  // counts like a cell holding 1.
+  SpikeRaster wide(4, 2);
+  wide.bits = {2, 0, 0, 255, 1, 0, 0, 1};
+  SpikeRaster normalized(4, 2);
+  normalized.bits = {1, 0, 0, 1, 1, 0, 0, 1};
+  EXPECT_EQ(wide.spike_count(), 4u);
+  EXPECT_DOUBLE_EQ(wide.density(), 0.5);
+  EXPECT_DOUBLE_EQ(compress::spike_retention(wide, {.ratio = 1}), 1.0);
+  // The buffer's importance proxy is the raster's density at add() time.
+  core::LatentReplayBuffer wide_buffer(compress::CodecConfig{.ratio = 1}, 4);
+  core::LatentReplayBuffer normalized_buffer(compress::CodecConfig{.ratio = 1}, 4);
+  wide_buffer.add(wide, 0);
+  normalized_buffer.add(normalized, 0);
+  EXPECT_EQ(wide_buffer.density_at(0), normalized_buffer.density_at(0));
+  EXPECT_FLOAT_EQ(wide_buffer.density_at(0), 0.5f);
 }
 
 TEST(SpikeRaster, EmptyDensityIsZero) {
