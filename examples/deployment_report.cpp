@@ -10,7 +10,7 @@
 // must resume from its checkpoint and finish bit-identical to a run that
 // was never interrupted.  The drill executes a tiny sequential scenario
 // three ways (uninterrupted / killed-after-one-task / resumed-from-disk),
-// compares every result row exactly, and reports the checkpoint footprint
+// compares the whole result exactly, and reports the checkpoint footprint
 // against the chip's shared SRAM.  The report exits 1 on any divergence,
 // so CI runs it as a self-checking test (ctest -L resume_smoke).
 //
@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
@@ -89,29 +88,6 @@ core::SequentialRunConfig drill_run() {
   return cfg;
 }
 
-/// Exact comparison of two result-row tables.  Every field participates —
-/// accuracies, buffer accounting, and the modelled latency/energy are all
-/// deterministic functions of the restored state, so "close enough" would
-/// hide a real divergence.
-bool rows_identical(const std::vector<core::SequentialTaskRow>& a,
-                    const std::vector<core::SequentialTaskRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (x.task_index != y.task_index || x.class_id != y.class_id ||
-        x.acc_base != y.acc_base || x.acc_learned != y.acc_learned ||
-        x.acc_current != y.acc_current ||
-        x.latent_memory_bytes != y.latent_memory_bytes ||
-        x.budget_bytes != y.budget_bytes || x.buffer_entries != y.buffer_entries ||
-        x.buffer_evictions != y.buffer_evictions || x.latency_ms != y.latency_ms ||
-        x.energy_uj != y.energy_uj) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool tensor_equal(const Tensor& a, const Tensor& b) {
   return a.same_shape(b) &&
          std::equal(a.values().begin(), a.values().end(), b.values().begin());
@@ -172,13 +148,11 @@ int run_drill(const metrics::ChipBudget& chip) {
     std::printf("  FAIL: interrupted leg ran %zu task(s), expected 1\n", partial.rows.size());
     ok = false;
   }
-  if (!rows_identical(resumed.rows, ref.rows)) {
-    std::printf("  FAIL: resumed rows diverge from the uninterrupted run\n");
-    ok = false;
-  }
-  if (resumed.total_latency_ms != ref.total_latency_ms ||
-      resumed.total_energy_uj != ref.total_energy_uj) {
-    std::printf("  FAIL: resumed cost totals diverge from the uninterrupted run\n");
+  // Every result field is a deterministic function of the restored state,
+  // so the whole result must compare equal: "close enough" would hide a
+  // real divergence.
+  if (resumed != ref) {
+    std::printf("  FAIL: resumed result diverges from the uninterrupted run\n");
     ok = false;
   }
   if (!weights_identical(second, ref_net)) {

@@ -15,7 +15,7 @@ constexpr std::uint32_t kOptimTag = make_tag("OPTM");
 constexpr std::uint32_t kRngsTag = make_tag("RNGS");
 constexpr std::uint32_t kProgTag = make_tag("PROG");
 constexpr std::uint32_t kEndTag = make_tag("KEND");
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 void write_rng_state(BinaryWriter& out, const Rng::State& s) {
   out.write_u64(s.state);
@@ -141,8 +141,9 @@ void verify_meta(const CheckpointMeta& stored, const CheckpointMeta& expected) {
 void write_progress(BinaryWriter& out, const Checkpoint& ck) {
   out.write_tag(kProgTag);
   if (ck.meta.kind == CheckpointKind::kSequential) {
-    out.write_u64(ck.seq_rows.size());
-    for (const SequentialTaskRow& r : ck.seq_rows) {
+    const SequentialRunResult& result = ck.sequential;
+    out.write_u64(result.rows.size());
+    for (const SequentialTaskRow& r : result.rows) {
       out.write_u64(r.task_index);
       out.write_u32(static_cast<std::uint32_t>(r.class_id));
       out.write_f64(r.acc_base);
@@ -155,39 +156,42 @@ void write_progress(BinaryWriter& out, const Checkpoint& ck) {
       out.write_f64(r.latency_ms);
       out.write_f64(r.energy_uj);
     }
-    out.write_f64(ck.seq_total_latency_ms);
-    out.write_f64(ck.seq_total_energy_uj);
+    out.write_f64(result.total_latency_ms);
+    out.write_f64(result.total_energy_uj);
   } else {
-    out.write_u64(ck.cl_rows.size());
-    for (const ClEpochRow& r : ck.cl_rows) {
+    const ClRunResult& result = ck.continual;
+    out.write_u64(result.rows.size());
+    for (const ClEpochRow& r : result.rows) {
       out.write_u64(r.epoch);
       out.write_f64(r.loss);
       out.write_f64(r.acc_old);
       out.write_f64(r.acc_new);
       out.write_f64(r.latency_ms);
       out.write_f64(r.energy_uj);
-      out.write_f64(r.wall_seconds);
       write_stats(out, r.stats);
     }
-    write_stats(out, ck.prep_stats);
-    out.write_f64(ck.prep_latency_ms);
-    out.write_f64(ck.prep_energy_uj);
-    out.write_u64(ck.latent_memory_bytes);
-    out.write_f64(ck.final_acc_old);
-    out.write_f64(ck.final_acc_new);
-    out.write_f64(ck.total_wall_seconds);
+    write_stats(out, result.prep_stats);
+    out.write_f64(result.prep_latency_ms);
+    out.write_f64(result.prep_energy_uj);
+    out.write_u64(result.latent_memory_bytes);
+    out.write_f64(result.final_acc_old);
+    out.write_f64(result.final_acc_new);
   }
 }
 
+/// Reads the PROG section into the result of ck.meta.kind.  The method name
+/// and insertion layer are not stored: the verified META already pins them.
 void read_progress(BinaryReader& in, Checkpoint& ck) {
   in.expect_tag(kProgTag);
   if (ck.meta.kind == CheckpointKind::kSequential) {
+    SequentialRunResult& result = ck.sequential;
+    result.method_name = ck.meta.method_name;
     const std::uint64_t n = in.read_u64();
     // A sequential row serializes to 84 bytes; bound the count before the
     // reserve so a corrupt prefix cannot trigger a huge allocation.
     R4NCL_CHECK(n <= in.remaining() / 84,
                 "corrupt checkpoint: " << n << " task rows exceed the file");
-    ck.seq_rows.reserve(n);
+    result.rows.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       SequentialTaskRow r;
       r.task_index = in.read_u64();
@@ -201,16 +205,19 @@ void read_progress(BinaryReader& in, Checkpoint& ck) {
       r.buffer_evictions = in.read_u64();
       r.latency_ms = in.read_f64();
       r.energy_uj = in.read_f64();
-      ck.seq_rows.push_back(r);
+      result.rows.push_back(r);
     }
-    ck.seq_total_latency_ms = in.read_f64();
-    ck.seq_total_energy_uj = in.read_f64();
+    result.total_latency_ms = in.read_f64();
+    result.total_energy_uj = in.read_f64();
   } else {
+    ClRunResult& result = ck.continual;
+    result.method_name = ck.meta.method_name;
+    result.insertion_layer = ck.meta.insertion_layer;
     const std::uint64_t n = in.read_u64();
-    // A continual row serializes to 104 bytes.
-    R4NCL_CHECK(n <= in.remaining() / 104,
+    // A continual row serializes to 96 bytes.
+    R4NCL_CHECK(n <= in.remaining() / 96,
                 "corrupt checkpoint: " << n << " epoch rows exceed the file");
-    ck.cl_rows.reserve(n);
+    result.rows.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       ClEpochRow r;
       r.epoch = in.read_u64();
@@ -219,17 +226,15 @@ void read_progress(BinaryReader& in, Checkpoint& ck) {
       r.acc_new = in.read_f64();
       r.latency_ms = in.read_f64();
       r.energy_uj = in.read_f64();
-      r.wall_seconds = in.read_f64();
       r.stats = read_stats(in);
-      ck.cl_rows.push_back(r);
+      result.rows.push_back(r);
     }
-    ck.prep_stats = read_stats(in);
-    ck.prep_latency_ms = in.read_f64();
-    ck.prep_energy_uj = in.read_f64();
-    ck.latent_memory_bytes = in.read_u64();
-    ck.final_acc_old = in.read_f64();
-    ck.final_acc_new = in.read_f64();
-    ck.total_wall_seconds = in.read_f64();
+    result.prep_stats = read_stats(in);
+    result.prep_latency_ms = in.read_f64();
+    result.prep_energy_uj = in.read_f64();
+    result.latent_memory_bytes = in.read_u64();
+    result.final_acc_old = in.read_f64();
+    result.final_acc_new = in.read_f64();
   }
 }
 

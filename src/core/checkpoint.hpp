@@ -13,19 +13,21 @@
 //   * every Rng stream (SplitMix64 state plus the Box–Muller spare-normal
 //     flag/value — dropping the spare would shift all subsequent draws).
 // A run killed at any task/epoch boundary therefore resumes and finishes
-// bit-identical to an uninterrupted run, across every eviction policy and
-// shard count (pinned in tests/test_checkpoint.cpp).
+// bit-identical to an uninterrupted run: equal weights, and a result that
+// compares equal (==) as a whole, across every eviction policy and shard
+// count (pinned in tests/test_checkpoint.cpp).
 //
-// Format: util/serialize tagged sections — "R4CK" + version (2: the META
-// without the retired replay_stream flag; version-1 files are rejected with
-// the pinned "unsupported checkpoint version" error), "META"
+// Format: util/serialize tagged sections — "R4CK" + version (3: the result
+// rows without wall-clock seconds; version 2 still carried them and version 1
+// the retired replay_stream flag, and both are rejected with the pinned
+// "unsupported checkpoint version" error), "META"
 // (config fingerprint, verified field-by-field with pinned mismatch errors
 // before any state is touched), network ("SNET"/"ARCH"), "OPTM" (optional
 // Adam moments), engine ("SRLE" + per-shard "LRBF"), "RNGS", "PROG"
-// (completed result rows + cost totals), "KEND".  Loads validate every
-// length and count against the remaining file size, so corrupt or truncated
-// checkpoints fail with the pinned r4ncl::Error — no crash, no silent
-// partial load, no allocation blow-up.
+// (the run result so far: rows and cost totals), "KEND".  Loads validate
+// every length and count against the remaining file size, so corrupt or
+// truncated checkpoints fail with the pinned r4ncl::Error — no crash, no
+// silent partial load, no allocation blow-up.
 #pragma once
 
 #include <cstdint>
@@ -84,31 +86,17 @@ struct CheckpointMeta {
 
 /// Everything save_checkpoint()/load_checkpoint() carry besides the network,
 /// optimizer, and engine (which serialize themselves): the fingerprint, the
-/// run's Rng streams, and the completed portion of the run result.  The
-/// sequential and continual payloads share the struct; only the fields of
-/// meta.kind are serialized.
+/// run's Rng streams, and the completed portion of the run result.  Only the
+/// result of meta.kind is serialized; its method name (and, for a continual
+/// run, its insertion layer) load from the verified META.
 struct Checkpoint {
   CheckpointMeta meta;
   /// The per-unit stream (seed_rng / epoch_rng) and the replay-draw stream.
   Rng::State unit_rng;
   Rng::State replay_rng;
 
-  // --- kSequential payload ---
-  std::vector<SequentialTaskRow> seq_rows;
-  double seq_total_latency_ms = 0.0;
-  double seq_total_energy_uj = 0.0;
-
-  // --- kContinual payload ---
-  std::vector<ClEpochRow> cl_rows;
-  snn::SpikeOpStats prep_stats{};
-  double prep_latency_ms = 0.0;
-  double prep_energy_uj = 0.0;
-  std::uint64_t latent_memory_bytes = 0;
-  double final_acc_old = 0.0;
-  double final_acc_new = 0.0;
-  /// Wall seconds accumulated across all prior processes of this run (wall
-  /// time is the one result field exempt from the bit-identity contract).
-  double total_wall_seconds = 0.0;
+  SequentialRunResult sequential;  // kSequential payload
+  ClRunResult continual;           // kContinual payload
 };
 
 /// Writes one complete checkpoint.  `optimizer` may be null (run_sequential

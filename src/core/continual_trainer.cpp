@@ -19,7 +19,6 @@
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 
 namespace r4ncl::core {
 
@@ -204,7 +203,6 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   R4NCL_CHECK(ckpt.every >= 1, "checkpoint_every must be >= 1");
   if (method.threads > 0) set_num_threads(method.threads);
 
-  Stopwatch total_watch;
   const metrics::EnergyModel energy_model(config.energy_params);
   const metrics::LatencyModel latency_model(config.latency_params);
 
@@ -217,20 +215,12 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
                 config.epochs);
   snn::AdamOptimizer optimizer;
   std::size_t first_epoch = 0;
-  double prior_wall_seconds = 0.0;
   if (ckpt.resuming()) {
     // The restored engine already holds the prepared latents, prep costs
-    // live in the restored result fields, and the run-long optimizer + rng
-    // streams continue exactly where the killed run left them.
+    // live in the restored result, and the run-long optimizer + rng streams
+    // continue exactly where the killed run left them.
     Checkpoint loaded = run.resume(ckpt.resume_path, net, &optimizer);
-    result.rows = std::move(loaded.cl_rows);
-    result.prep_stats = loaded.prep_stats;
-    result.prep_latency_ms = loaded.prep_latency_ms;
-    result.prep_energy_uj = loaded.prep_energy_uj;
-    result.latent_memory_bytes = static_cast<std::size_t>(loaded.latent_memory_bytes);
-    result.final_acc_old = loaded.final_acc_old;
-    result.final_acc_new = loaded.final_acc_new;
-    prior_wall_seconds = loaded.total_wall_seconds;
+    result = std::move(loaded.continual);
     first_epoch = static_cast<std::size_t>(loaded.meta.next_unit);
   } else {
     result.prep_stats = run.record(
@@ -258,7 +248,6 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   for (std::size_t epoch = first_epoch; epoch < config.epochs; ++epoch) {
     obs::metrics().counter("core.cl_epochs").add(1);
     obs::TraceSpan epoch_span(obs::metrics(), "core.cl_epoch_seconds");
-    Stopwatch epoch_watch;
     ClEpochRow row;
     row.epoch = epoch;
     row.loss = run.epoch(net, new_latents, new_prefix, optimizer, row.stats);
@@ -275,29 +264,19 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
       result.final_acc_old = row.acc_old;
       result.final_acc_new = row.acc_new;
     }
-    row.wall_seconds = epoch_watch.elapsed_seconds();
     if (config.verbose) {
       R4NCL_INFO(method.name << " L" << config.insertion_layer << " epoch " << epoch
                              << ": loss=" << row.loss << " old=" << row.acc_old
-                             << " new=" << row.acc_new << " (" << row.wall_seconds << "s)");
+                             << " new=" << row.acc_new);
     }
     result.rows.push_back(std::move(row));
 
     // Epoch boundary; the run-long Adam moments ride along.
-    const bool stopping = run.end_unit(
-        ckpt, epoch + 1, epoch + 1 - first_epoch, net, &optimizer, [&](Checkpoint& ck) {
-          ck.cl_rows = result.rows;
-          ck.prep_stats = result.prep_stats;
-          ck.prep_latency_ms = result.prep_latency_ms;
-          ck.prep_energy_uj = result.prep_energy_uj;
-          ck.latent_memory_bytes = result.latent_memory_bytes;
-          ck.final_acc_old = result.final_acc_old;
-          ck.final_acc_new = result.final_acc_new;
-          ck.total_wall_seconds = prior_wall_seconds + total_watch.elapsed_seconds();
-        });
+    const bool stopping =
+        run.end_unit(ckpt, epoch + 1, epoch + 1 - first_epoch, net, &optimizer,
+                     [&](Checkpoint& ck) { ck.continual = result; });
     if (stopping) break;
   }
-  result.total_wall_seconds = prior_wall_seconds + total_watch.elapsed_seconds();
   return result;
 }
 
@@ -332,10 +311,8 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     // The restored engine already holds the seeded (and since-evolved)
     // latents, the restored totals already include the prep charge, and the
     // restored rng streams put every later draw where the killed run left it.
-    const Checkpoint loaded = run.resume(ckpt.resume_path, net, nullptr);
-    result.rows = loaded.seq_rows;
-    result.total_latency_ms = loaded.seq_total_latency_ms;
-    result.total_energy_uj = loaded.seq_total_energy_uj;
+    Checkpoint loaded = run.resume(ckpt.resume_path, net, nullptr);
+    result = std::move(loaded.sequential);
     first_task = static_cast<std::size_t>(loaded.meta.next_unit);
   } else {
     const snn::SpikeOpStats prep = run.record(
@@ -427,11 +404,8 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     // Task boundary.  Per-task Adam state dies here anyway, so no optimizer
     // is saved.
     const bool stopping =
-        run.end_unit(ckpt, task + 1, task + 1 - first_task, net, nullptr, [&](Checkpoint& ck) {
-          ck.seq_rows = result.rows;
-          ck.seq_total_latency_ms = result.total_latency_ms;
-          ck.seq_total_energy_uj = result.total_energy_uj;
-        });
+        run.end_unit(ckpt, task + 1, task + 1 - first_task, net, nullptr,
+                     [&](Checkpoint& ck) { ck.sequential = result; });
     if (stopping) break;
   }
   return result;

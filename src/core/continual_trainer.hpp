@@ -57,11 +57,14 @@ struct ClEpochRow {
   /// Modelled cost of this epoch's training work.
   double latency_ms = 0.0;
   double energy_uj = 0.0;
-  double wall_seconds = 0.0;
   snn::SpikeOpStats stats;
+
+  [[nodiscard]] bool operator==(const ClEpochRow&) const noexcept = default;
 };
 
-/// Complete result of a continual-learning run.
+/// Complete result of a continual-learning run.  Every field is a
+/// deterministic function of the configuration, so a resumed run equals an
+/// uninterrupted one as a whole (epoch times live in the obs registry).
 struct ClRunResult {
   std::string method_name;
   std::size_t insertion_layer = 0;
@@ -75,12 +78,13 @@ struct ClRunResult {
   /// Final accuracies (last evaluated epoch).
   double final_acc_old = 0.0;
   double final_acc_new = 0.0;
-  double total_wall_seconds = 0.0;
 
   /// Sum of per-epoch modelled training latency (ms) / energy (µJ),
   /// including the preparation phase.
   [[nodiscard]] double total_latency_ms() const noexcept;
   [[nodiscard]] double total_energy_uj() const noexcept;
+
+  [[nodiscard]] bool operator==(const ClRunResult&) const = default;
 };
 
 /// Runs one continual-learning scenario on a *copy*-modifiable network.

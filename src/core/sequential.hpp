@@ -52,14 +52,19 @@ struct SequentialTaskRow {
   std::size_t buffer_evictions = 0;
   double latency_ms = 0.0;  // modelled cost of this task's CL phase
   double energy_uj = 0.0;
+
+  [[nodiscard]] bool operator==(const SequentialTaskRow&) const noexcept = default;
 };
 
-/// Complete sequential-run record.
+/// Complete sequential-run record; a resumed stream equals an uninterrupted
+/// one as a whole.
 struct SequentialRunResult {
   std::string method_name;
   std::vector<SequentialTaskRow> rows;
   double total_latency_ms = 0.0;
   double total_energy_uj = 0.0;
+
+  [[nodiscard]] bool operator==(const SequentialRunResult&) const = default;
 };
 
 /// Runs the task stream on a pre-trained network (mutated in place).

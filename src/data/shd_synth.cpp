@@ -52,20 +52,6 @@ const std::vector<Ridge>& SyntheticShdGenerator::class_prototype(std::int32_t cl
   return prototypes_[static_cast<std::size_t>(class_id)];
 }
 
-double SyntheticShdGenerator::class_rate(std::int32_t class_id, double t,
-                                         double channel) const {
-  const auto& ridges = class_prototype(class_id);
-  double rate = params_.background_rate;
-  const double inv_two_sigma2 = 1.0 / (2.0 * params_.ridge_width * params_.ridge_width);
-  for (const Ridge& ridge : ridges) {
-    if (t < ridge.t_on || t > ridge.t_off) continue;
-    const double centre = ridge.start_channel + ridge.velocity * (t - ridge.t_on);
-    const double d = channel - centre;
-    rate += params_.ridge_peak_rate * ridge.rate_scale * std::exp(-d * d * inv_two_sigma2);
-  }
-  return rate > 1.0 ? 1.0 : rate;
-}
-
 Sample SyntheticShdGenerator::make_sample(std::int32_t class_id, Rng& rng) const {
   const auto& ridges = class_prototype(class_id);
   Sample sample;

@@ -82,10 +82,6 @@ class SyntheticShdGenerator {
   /// Ridge prototypes of one class (exposed for tests/inspection).
   [[nodiscard]] const std::vector<Ridge>& class_prototype(std::int32_t class_id) const;
 
-  /// Spike rate (Bernoulli probability) of the class field at (t, channel),
-  /// before per-sample jitter.  In [0, 1].
-  [[nodiscard]] double class_rate(std::int32_t class_id, double t, double channel) const;
-
   /// Draws one sample of the given class.
   [[nodiscard]] Sample make_sample(std::int32_t class_id, Rng& rng) const;
 

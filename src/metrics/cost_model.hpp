@@ -13,7 +13,9 @@
 // ratios are driven by timestep counts, spike counts and codec work — the
 // quantities the paper's own savings derive from.  Default constants are
 // Loihi-class per-op costs (Davies et al., IEEE Micro 2018, order-of-
-// magnitude); wall-clock seconds are additionally recorded by the trainers.
+// magnitude).  Measured wall-clock seconds stay out of every result; the obs
+// registry's trace histograms (trainer.epoch_seconds, core.cl_epoch_seconds)
+// hold them.
 #pragma once
 
 #include "snn/layer.hpp"

@@ -93,6 +93,8 @@ struct SpikeOpStats {
     backward_synops += other.backward_synops;
     decompress_bits += other.decompress_bits;
   }
+
+  [[nodiscard]] bool operator==(const SpikeOpStats&) const noexcept = default;
 };
 
 /// Per-pass tensors retained for the backward pass.

@@ -142,17 +142,6 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
   return result;
 }
 
-void SnnNetwork::save(const std::string& path) const {
-  BinaryWriter out(path);
-  save(out);
-  out.close();
-}
-
-void SnnNetwork::load(const std::string& path) {
-  BinaryReader in(path);
-  load(in);
-}
-
 void SnnNetwork::save(BinaryWriter& out) const {
   out.write_tag(kNetTag);
   out.write_tag(kArchTag);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "snn/layer.hpp"
@@ -84,14 +83,10 @@ class SnnNetwork {
   /// Deep copy (fresh optimizer state required afterwards).
   [[nodiscard]] SnnNetwork clone() const { return *this; }
 
-  void save(const std::string& path) const;
-  /// Loads weights into this network; shapes must match the checkpoint.
-  void load(const std::string& path);
-
-  /// Stream forms used when the network is one section of a larger
-  /// checkpoint.  The format carries an architecture header (layer sizes +
-  /// class count); load() verifies it against this network and throws a
-  /// pinned "architecture mismatch" Error before touching any weight.
+  /// Writes the network as one section of a checkpoint.  The format carries
+  /// an architecture header (layer sizes + class count); load() verifies it
+  /// against this network and throws a pinned "architecture mismatch" Error
+  /// before touching any weight.
   void save(BinaryWriter& out) const;
   void load(BinaryReader& in);
 

@@ -46,14 +46,12 @@ SampleSource source_of(const data::Dataset& dataset) {
 }  // namespace
 
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const data::Dataset& dataset,
-                                          AdamOptimizer& optimizer, const TrainOptions& options,
-                                          const EpochHook& hook) {
-  return train_supervised(net, source_of(dataset), optimizer, options, hook);
+                                          AdamOptimizer& optimizer, const TrainOptions& options) {
+  return train_supervised(net, source_of(dataset), optimizer, options);
 }
 
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& source,
-                                          AdamOptimizer& optimizer, const TrainOptions& options,
-                                          const EpochHook& hook) {
+                                          AdamOptimizer& optimizer, const TrainOptions& options) {
   R4NCL_CHECK(source.size > 0, "cannot train on an empty dataset");
   R4NCL_CHECK(static_cast<bool>(source.fetch), "SampleSource.fetch must be set");
   R4NCL_CHECK(options.batch_size > 0, "batch_size must be positive");
@@ -84,10 +82,9 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
       Stopwatch assembly;
       assemble_batch(source, &order, lo, options.batch_size, batch, labels);
       // The train loop waits for the whole assembly, so it is all stall.
-      const double assembly_seconds = assembly.elapsed_seconds();
-      obs_assemble.record(assembly_seconds);
-      obs_stall.record(assembly_seconds);
-      rec.assembly_seconds += assembly_seconds;
+      const double seconds = assembly.elapsed_seconds();
+      obs_assemble.record(seconds);
+      obs_stall.record(seconds);
       const StepResult step =
           net.train_step(batch, labels, options.insertion_layer, options.policy, optimizer,
                          options.lr, options.mode, &rec.stats,
@@ -104,16 +101,14 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
     rec.loss = batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
     rec.train_accuracy =
         static_cast<double>(correct) / static_cast<double>(source.size);
-    rec.wall_seconds = watch.elapsed_seconds();
-    obs_epoch.record(rec.wall_seconds);
+    const double epoch_seconds = watch.elapsed_seconds();
+    obs_epoch.record(epoch_seconds);
     obs_epochs.add(1);
     if (options.verbose) {
       R4NCL_INFO("epoch " << epoch << ": loss=" << rec.loss
-                          << " train_acc=" << rec.train_accuracy << " ("
-                          << rec.wall_seconds << "s, assembly "
-                          << rec.assembly_seconds << "s)");
+                          << " train_acc=" << rec.train_accuracy << " (" << epoch_seconds
+                          << "s)");
     }
-    if (hook) hook(rec);
     history.push_back(std::move(rec));
   }
   return history;

@@ -34,20 +34,16 @@ struct TrainOptions {
   std::function<void(std::size_t index, float error)> sample_outcome;
 };
 
-/// Per-epoch record of a training run.
+/// Per-epoch record of a training run: a value, deterministic for a given
+/// seed (epoch times live in the obs registry, not here).
 struct EpochRecord {
   std::size_t epoch = 0;
   double loss = 0.0;
   double train_accuracy = 0.0;
-  double wall_seconds = 0.0;
-  /// Seconds spent decoding samples + filling batch tensors this epoch.
-  /// Assembly is synchronous, so the train loop waits for all of it.
-  double assembly_seconds = 0.0;
   SpikeOpStats stats;  // forward+backward work of this epoch
-};
 
-/// Per-epoch hook: called after each epoch (e.g. to evaluate held-out sets).
-using EpochHook = std::function<void(const EpochRecord&)>;
+  [[nodiscard]] bool operator==(const EpochRecord&) const noexcept = default;
+};
 
 /// Random-access view over a virtual training set: `size` samples produced
 /// on demand.  fetch(i) may return a reference into an internal scratch slot
@@ -63,20 +59,19 @@ struct SampleSource {
 /// Trains `net` on `dataset` (spike cubes at `insertion_layer`).  Returns the
 /// per-epoch history.  The caller owns the optimizer so moment state can
 /// persist across phases when desired.  Each shuffled minibatch is assembled
-/// on the calling thread into one scratch batch reused for the whole run;
-/// with the registry armed, every batch records its assembly time once into
+/// on the calling thread into one scratch batch reused for the whole run.
+/// With the registry armed, every epoch records its time into
+/// `trainer.epoch_seconds`, and every batch its assembly time once into
 /// `pipeline.assemble_seconds` and once into `pipeline.stall_seconds` (the
 /// train loop waits for all of it).
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const data::Dataset& dataset,
-                                          AdamOptimizer& optimizer, const TrainOptions& options,
-                                          const EpochHook& hook = nullptr);
+                                          AdamOptimizer& optimizer, const TrainOptions& options);
 
 /// train_supervised over a lazily-fetched source.  Bit-identical to the
 /// Dataset overload for the same shuffle seed and sample values — the
 /// Dataset overload is implemented on top of this one.
 std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& source,
-                                          AdamOptimizer& optimizer, const TrainOptions& options,
-                                          const EpochHook& hook = nullptr);
+                                          AdamOptimizer& optimizer, const TrainOptions& options);
 
 /// Top-1 accuracy of `net` on `dataset` fed at `insertion_layer`, scored in
 /// contiguous batch_size blocks through one reused scratch batch.

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <system_error>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -15,11 +16,10 @@ Config Config::from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
     const std::size_t eq = tok.find('=');
-    if (eq != std::string::npos && eq > 0) {
-      cfg.set(tok.substr(0, eq), tok.substr(eq + 1));
-    } else {
-      cfg.positionals_.push_back(tok);
+    if (eq == std::string::npos || eq == 0) {
+      throw Error("argument '" + tok + "' is not a key=value token");
     }
+    cfg.set(tok.substr(0, eq), tok.substr(eq + 1));
   }
   return cfg;
 }

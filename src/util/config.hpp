@@ -12,7 +12,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace r4ncl {
 
@@ -22,7 +21,8 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses "key=value" tokens; other tokens are collected as positionals.
+  /// Parses "key=value" tokens.  Any other token (`drill`, `=5`) throws an
+  /// Error naming it, so a positional argument cannot be dropped silently.
   static Config from_args(int argc, char** argv);
 
   void set(const std::string& key, const std::string& value);
@@ -39,10 +39,6 @@ class Config {
   /// parse, and any other value throws the same way (`verbose=flase`).
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
-    return positionals_;
-  }
-
   /// Throws Error when any explicitly-set key (a parsed CLI token or set()
   /// call) is not in `known`; the message names the first offending key and
   /// lists the valid ones sorted, so a typo like `latentbits=4` fails loudly
@@ -55,7 +51,6 @@ class Config {
   [[nodiscard]] std::string source_name(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positionals_;
 };
 
 /// "epochs" → "R4NCL_EPOCHS".

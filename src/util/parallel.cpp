@@ -25,7 +25,7 @@ int default_threads() {
 }
 
 #if !defined(R4NCL_HAVE_OPENMP)
-// The serial/std::thread fallback must never be invisible: hot paths like
+// The std::thread fallback must never be invisible: hot paths like
 // kernels::matmul assume the OpenMP dispatch, so a build without it warns
 // exactly once, at the first parallel_for that forks.
 void warn_if_no_openmp() {

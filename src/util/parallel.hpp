@@ -1,9 +1,9 @@
 // Parallel-for helper used by the tensor kernels.
 //
-// Built on OpenMP when available (R4NCL_HAVE_OPENMP), otherwise a serial
-// fallback.  The thread count is controlled by set_num_threads() (the CLI
-// binaries apply their threads= knob, or R4NCL_THREADS, through it); the
-// default is the hardware concurrency.
+// Built on OpenMP when available (R4NCL_HAVE_OPENMP), otherwise a
+// std::thread fallback.  The thread count is controlled by
+// set_num_threads() (the CLI binaries apply their threads= knob, or
+// R4NCL_THREADS, through it); the default is the hardware concurrency.
 #pragma once
 
 #include <cstddef>

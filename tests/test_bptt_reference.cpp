@@ -198,15 +198,6 @@ bool same_bits(const Tensor& a, const Tensor& b) {
          (a.empty() || std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0);
 }
 
-void expect_same_stats(const SpikeOpStats& a, const SpikeOpStats& b) {
-  EXPECT_EQ(a.synops, b.synops);
-  EXPECT_EQ(a.neuron_updates, b.neuron_updates);
-  EXPECT_EQ(a.spikes, b.spikes);
-  EXPECT_EQ(a.timestep_slots, b.timestep_slots);
-  EXPECT_EQ(a.backward_synops, b.backward_synops);
-  EXPECT_EQ(a.decompress_bits, b.decompress_bits);
-}
-
 /// Binary spikes at `density`, with graded values mixed in when `graded`
 /// (soft-mode activations and latent insertions are not always 0/1).
 Tensor random_cube(std::size_t T, std::size_t B, std::size_t C, double density, bool graded,
@@ -285,7 +276,7 @@ TEST(BpttReference, LayerBackwardMatchesPerTimestepKernels) {
       EXPECT_TRUE(same_bits(ref.grad_w_ff(), hoisted.grad_w_ff())) << "pass " << pass;
       EXPECT_TRUE(same_bits(ref.grad_w_rec(), hoisted.grad_w_rec())) << "pass " << pass;
       EXPECT_TRUE(same_bits(d_in_ref, d_in_new)) << "pass " << pass;
-      expect_same_stats(stats_ref, stats_new);
+      EXPECT_EQ(stats_ref, stats_new);
     }
   }
 }
@@ -313,7 +304,7 @@ TEST(BpttReference, ReadoutMatchesPerTimestepKernels) {
     set_num_threads(threads);
     const Tensor logits_new = hoisted.forward(x, &stats_new);
     EXPECT_TRUE(same_bits(logits_ref, logits_new));
-    expect_same_stats(stats_ref, stats_new);
+    EXPECT_EQ(stats_ref, stats_new);
 
     Tensor d_in_ref(kT, B, kN), d_in_new(kT, B, kN);
     for (int pass = 0; pass < 2; ++pass) {
@@ -323,7 +314,7 @@ TEST(BpttReference, ReadoutMatchesPerTimestepKernels) {
       hoisted.backward(x, d_logits, with_d_in ? &d_in_new : nullptr, &stats_new);
       EXPECT_TRUE(same_bits(ref.grad_w(), hoisted.grad_w())) << "pass " << pass;
       EXPECT_TRUE(same_bits(d_in_ref, d_in_new)) << "pass " << pass;
-      expect_same_stats(stats_ref, stats_new);
+      EXPECT_EQ(stats_ref, stats_new);
     }
   }
 }

@@ -138,31 +138,12 @@ std::size_t seq_budget() {
   return budget;
 }
 
-bool seq_rows_identical(const std::vector<SequentialTaskRow>& a,
-                        const std::vector<SequentialTaskRow>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (x.task_index != y.task_index || x.class_id != y.class_id ||
-        x.acc_base != y.acc_base || x.acc_learned != y.acc_learned ||
-        x.acc_current != y.acc_current ||
-        x.latent_memory_bytes != y.latent_memory_bytes ||
-        x.budget_bytes != y.budget_bytes || x.buffer_entries != y.buffer_entries ||
-        x.buffer_evictions != y.buffer_evictions || x.latency_ms != y.latency_ms ||
-        x.energy_uj != y.energy_uj) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // The bit-identity matrix: every eviction policy × shards {1, 4}.  Each
 // cell runs the stream three ways — full,
 // killed after task 1 (checkpoint forced), resumed from disk into a *blank*
-// network — and requires every row field, both cost totals, and every weight
-// to match the uninterrupted run exactly.
+// network — and requires the whole result and every weight to match the
+// uninterrupted run exactly.
 
 TEST(CheckpointResume, BitIdenticalAcrossPoliciesShardsAndStreaming) {
   const ReplayPolicy policies[] = {
@@ -187,7 +168,7 @@ TEST(CheckpointResume, BitIdenticalAcrossPoliciesShardsAndStreaming) {
       const SequentialRunResult partial =
           run_sequential(killed_net, seq_tasks(), cfg, save_opts);
       ASSERT_EQ(partial.rows.size(), 1u);
-      EXPECT_TRUE(seq_rows_identical(partial.rows, {full.rows.front()}));
+      EXPECT_EQ(partial.rows.front(), full.rows.front());
 
       snn::SnnNetwork resumed_net(seq_config().network);  // blank weights
       CheckpointOptions resume_opts;
@@ -195,9 +176,7 @@ TEST(CheckpointResume, BitIdenticalAcrossPoliciesShardsAndStreaming) {
       const SequentialRunResult resumed =
           run_sequential(resumed_net, seq_tasks(), cfg, resume_opts);
 
-      EXPECT_TRUE(seq_rows_identical(resumed.rows, full.rows));
-      EXPECT_EQ(resumed.total_latency_ms, full.total_latency_ms);
-      EXPECT_EQ(resumed.total_energy_uj, full.total_energy_uj);
+      EXPECT_EQ(resumed, full);
       EXPECT_TRUE(weights_identical(resumed_net, ref_net));
       std::filesystem::remove(path);
     }
@@ -211,7 +190,7 @@ TEST(CheckpointResume, DefaultOptionsMatchThreeArgForm) {
   const SequentialRunResult plain = run_sequential(a, seq_tasks(), cfg);
   const SequentialRunResult with_opts =
       run_sequential(b, seq_tasks(), cfg, CheckpointOptions{});
-  EXPECT_TRUE(seq_rows_identical(plain.rows, with_opts.rows));
+  EXPECT_EQ(plain, with_opts);
   EXPECT_TRUE(weights_identical(a, b));
 }
 
@@ -272,29 +251,8 @@ TEST(CheckpointResume, ContinualRunResumesWithOptimizerState) {
       run_continual_learning(resumed_net, scenario.tasks, run, resume_opts);
   std::filesystem::remove(path);
 
-  ASSERT_EQ(resumed.rows.size(), full.rows.size());
-  for (std::size_t e = 0; e < full.rows.size(); ++e) {
-    SCOPED_TRACE("epoch " + std::to_string(e));
-    const ClEpochRow& x = full.rows[e];
-    const ClEpochRow& y = resumed.rows[e];
-    // Wall seconds are the one field exempt from the bit-identity contract.
-    EXPECT_EQ(x.epoch, y.epoch);
-    EXPECT_EQ(x.loss, y.loss);
-    EXPECT_EQ(x.acc_old, y.acc_old);
-    EXPECT_EQ(x.acc_new, y.acc_new);
-    EXPECT_EQ(x.latency_ms, y.latency_ms);
-    EXPECT_EQ(x.energy_uj, y.energy_uj);
-    EXPECT_EQ(x.stats.synops, y.stats.synops);
-    EXPECT_EQ(x.stats.neuron_updates, y.stats.neuron_updates);
-    EXPECT_EQ(x.stats.spikes, y.stats.spikes);
-    EXPECT_EQ(x.stats.backward_synops, y.stats.backward_synops);
-    EXPECT_EQ(x.stats.decompress_bits, y.stats.decompress_bits);
-  }
-  EXPECT_EQ(resumed.final_acc_old, full.final_acc_old);
-  EXPECT_EQ(resumed.final_acc_new, full.final_acc_new);
-  EXPECT_EQ(resumed.latent_memory_bytes, full.latent_memory_bytes);
-  EXPECT_EQ(resumed.prep_latency_ms, full.prep_latency_ms);
-  EXPECT_EQ(resumed.prep_energy_uj, full.prep_energy_uj);
+  // Every field, the method name, insertion layer and prep stats included.
+  EXPECT_EQ(resumed, full);
   EXPECT_TRUE(weights_identical(resumed_net, ref_net));
 }
 
@@ -339,9 +297,9 @@ struct TinyCheckpoint {
     row.task_index = 0;
     row.class_id = 2;
     row.acc_base = 0.5;
-    ck.seq_rows.push_back(row);
-    ck.seq_total_latency_ms = 1.5;
-    ck.seq_total_energy_uj = 2.5;
+    ck.sequential.rows.push_back(row);
+    ck.sequential.total_latency_ms = 1.5;
+    ck.sequential.total_energy_uj = 2.5;
     save_checkpoint(path, ck, net, nullptr, engine);
   }
   ~TinyCheckpoint() {
@@ -382,11 +340,12 @@ void expect_load_error(const CheckpointMeta& expected, const std::string& needle
 TEST(CheckpointMismatch, RoundTripRestoresCarriedState) {
   const Checkpoint ck = tiny().load(tiny().meta);
   EXPECT_EQ(ck.meta.next_unit, 1u);
-  ASSERT_EQ(ck.seq_rows.size(), 1u);
-  EXPECT_EQ(ck.seq_rows[0].class_id, 2);
-  EXPECT_EQ(ck.seq_rows[0].acc_base, 0.5);
-  EXPECT_EQ(ck.seq_total_latency_ms, 1.5);
-  EXPECT_EQ(ck.seq_total_energy_uj, 2.5);
+  ASSERT_EQ(ck.sequential.rows.size(), 1u);
+  EXPECT_EQ(ck.sequential.rows[0].class_id, 2);
+  EXPECT_EQ(ck.sequential.rows[0].acc_base, 0.5);
+  EXPECT_EQ(ck.sequential.total_latency_ms, 1.5);
+  EXPECT_EQ(ck.sequential.total_energy_uj, 2.5);
+  EXPECT_EQ(ck.sequential.method_name, tiny().method.name);
   EXPECT_EQ(ck.unit_rng, Rng(11).state());
   EXPECT_EQ(ck.replay_rng, Rng(13).state());
 }
@@ -412,30 +371,34 @@ TEST(CheckpointMismatch, KindPolicyAndSeedAllPinned) {
   expect_load_error(m, "checkpoint mismatch: total_units");
 }
 
-TEST(CheckpointMismatch, VersionOneFilesAreRejected) {
-  // Version 1 carried a replay_stream flag in META; this build reads 2.  The
-  // version word follows the 4-byte file tag.
+TEST(CheckpointMismatch, OlderVersionsAreRejected) {
+  // Version 1 carried a replay_stream flag in META and version 2 wall-clock
+  // seconds in PROG; this build reads 3.  The version word follows the
+  // 4-byte file tag.
   std::vector<std::uint8_t> bytes = read_file(tiny().path);
   ASSERT_GE(bytes.size(), 8u);
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  ASSERT_EQ(version, 2u);
-  version = 1;
-  std::memcpy(bytes.data() + 4, &version, sizeof(version));
-  const std::string old = temp_path("version1.ckpt");
-  write_file(old, bytes.data(), bytes.size());
-  snn::SnnNetwork net(tiny().net_config);
-  ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                             tiny().method.replay_budget.with_run_seed(9),
-                             tiny().method.replay_sharding);
-  try {
-    (void)load_checkpoint(old, tiny().meta, net, nullptr, engine);
-    FAIL() << "expected a version error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported checkpoint version 1 in " + old), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("(this build reads 2)"), std::string::npos) << what;
+  ASSERT_EQ(version, 3u);
+  const std::string old = temp_path("old_version.ckpt");
+  for (const std::uint32_t older : {1u, 2u}) {
+    std::memcpy(bytes.data() + 4, &older, sizeof(older));
+    write_file(old, bytes.data(), bytes.size());
+    snn::SnnNetwork net(tiny().net_config);
+    ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
+                               tiny().method.replay_budget.with_run_seed(9),
+                               tiny().method.replay_sharding);
+    try {
+      (void)load_checkpoint(old, tiny().meta, net, nullptr, engine);
+      ADD_FAILURE() << "expected a version error for version " << older;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported checkpoint version " + std::to_string(older) + " in " +
+                          old),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("(this build reads 3)"), std::string::npos) << what;
+    }
   }
   std::filesystem::remove(old);
 }

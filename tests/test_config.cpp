@@ -27,13 +27,6 @@ TEST(Config, ParsesKeyValueTokens) {
   EXPECT_EQ(cfg.get_string("name", ""), "test");
 }
 
-TEST(Config, CollectsPositionals) {
-  const Config cfg = parse({"run", "epochs=3", "fast"});
-  ASSERT_EQ(cfg.positionals().size(), 2u);
-  EXPECT_EQ(cfg.positionals()[0], "run");
-  EXPECT_EQ(cfg.positionals()[1], "fast");
-}
-
 TEST(Config, FallbacksWhenMissing) {
   const Config cfg = parse({});
   EXPECT_EQ(cfg.get_int("missing", 42), 42);
@@ -123,9 +116,20 @@ TEST(Config, ExplicitValueBeatsEnvironment) {
   ::unsetenv("R4NCL_PRIORITY_KEY");
 }
 
-TEST(Config, ValidateKeysAcceptsKnownAndPositionals) {
-  const Config cfg = parse({"alpha=1", "a-positional", "beta=x"});
-  const std::string_view known[] = {"alpha", "beta", "gamma"};
+TEST(Config, RejectsPositionalTokens) {
+  // A token without a key must not be dropped: `deployment_report drill 0`
+  // would run the drill and `budget_stream budget 4096` the default budget.
+  for (const char* token : {"drill", "0", "=5", "budget"}) {
+    const std::string what = error_of([&] { return parse({"epochs=3", token}); });
+    EXPECT_NE(what.find(std::string("argument '") + token + "' is not a key=value token"),
+              std::string::npos)
+        << token << ": " << what;
+  }
+}
+
+TEST(Config, ValidateKeysAcceptsKnown) {
+  const Config cfg = parse({"alpha=1", "beta=x", "empty="});
+  const std::string_view known[] = {"alpha", "beta", "empty", "gamma"};
   EXPECT_NO_THROW(cfg.validate_keys(known));
 }
 

@@ -165,12 +165,8 @@ TEST(ContinualIntegration, DeterministicAcrossRuns) {
   snn::SnnNetwork net_a = scenario().net.clone();
   snn::SnnNetwork net_b = scenario().net.clone();
   const ClRunConfig cfg = run_config(small_replay4ncl(), 2, 3);
-  const ClRunResult a = run_continual_learning(net_a, scenario().tasks, cfg);
-  const ClRunResult b = run_continual_learning(net_b, scenario().tasks, cfg);
-  for (std::size_t e = 0; e < a.rows.size(); ++e) {
-    EXPECT_DOUBLE_EQ(a.rows[e].loss, b.rows[e].loss);
-    EXPECT_DOUBLE_EQ(a.rows[e].acc_old, b.rows[e].acc_old);
-  }
+  EXPECT_EQ(run_continual_learning(net_a, scenario().tasks, cfg),
+            run_continual_learning(net_b, scenario().tasks, cfg));
 }
 
 TEST(ContinualIntegration, RejectsBadConfig) {

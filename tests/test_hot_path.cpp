@@ -43,15 +43,6 @@ bool same_bits(const Tensor& a, const Tensor& b) {
                      a.values().size() * sizeof(float)) == 0;
 }
 
-void expect_same_stats(const snn::SpikeOpStats& a, const snn::SpikeOpStats& b) {
-  EXPECT_EQ(a.synops, b.synops);
-  EXPECT_EQ(a.neuron_updates, b.neuron_updates);
-  EXPECT_EQ(a.spikes, b.spikes);
-  EXPECT_EQ(a.timestep_slots, b.timestep_slots);
-  EXPECT_EQ(a.backward_synops, b.backward_synops);
-  EXPECT_EQ(a.decompress_bits, b.decompress_bits);
-}
-
 std::vector<float> all_weights(const snn::SnnNetwork& net) {
   std::vector<float> w;
   for (std::size_t i = 0; i < net.num_hidden(); ++i) {
@@ -84,7 +75,7 @@ void expect_sparse_matches_dense(const snn::RecurrentLifLayer& layer, const Tens
   EXPECT_TRUE(same_bits(dense_cache.membrane, sparse_cache.membrane));
   EXPECT_TRUE(same_bits(dense_cache.spikes, sparse_cache.spikes));
   EXPECT_EQ(dense_cache.theta, sparse_cache.theta);
-  expect_same_stats(dense_stats, sparse_stats);
+  EXPECT_EQ(dense_stats, sparse_stats);
 }
 
 snn::RecurrentLifLayer make_layer(std::size_t C, std::size_t n_out, bool recurrent,
@@ -212,7 +203,7 @@ TEST(ThreadIdentity, ForwardBitIdentical) {
     EXPECT_TRUE(same_bits(cache1.membrane, cache4.membrane));
     EXPECT_TRUE(same_bits(cache1.spikes, cache4.spikes));
     EXPECT_EQ(cache1.theta, cache4.theta);
-    expect_same_stats(stats1, stats4);
+    EXPECT_EQ(stats1, stats4);
   }
   set_num_threads(base);
 }
@@ -296,17 +287,6 @@ core::SequentialRunConfig tiny_run() {
   return cfg;
 }
 
-void expect_same_rows(const core::SequentialRunResult& a,
-                      const core::SequentialRunResult& b) {
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].acc_base, b.rows[i].acc_base);
-    EXPECT_EQ(a.rows[i].acc_learned, b.rows[i].acc_learned);
-    EXPECT_EQ(a.rows[i].acc_current, b.rows[i].acc_current);
-    EXPECT_EQ(a.rows[i].latent_memory_bytes, b.rows[i].latent_memory_bytes);
-  }
-}
-
 TEST(ThreadIdentity, SequentialEngineBitIdentical) {
   const auto tasks = tiny_stream(2);
   const int saved = num_threads();
@@ -328,7 +308,7 @@ TEST(ThreadIdentity, SequentialEngineBitIdentical) {
   const auto r4 = run(4, &w4);
   set_num_threads(saved);
   EXPECT_TRUE(same_weights(w1, w4));
-  expect_same_rows(r1, r4);
+  EXPECT_EQ(r1, r4);
 }
 
 TEST(BatchScratch, TrainerAllocationsPinnedPerSlot) {

@@ -576,17 +576,7 @@ TEST(BudgetSchedule, SequentialRunHonorsPerTaskBudgetsDeterministically) {
 
   // Same config, same seeds: bit-identical rows (schedule re-eviction and
   // outcome feedback included).
-  const SequentialRunResult b = run_once();
-  ASSERT_EQ(b.rows.size(), a.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(a.rows[i].acc_base, b.rows[i].acc_base);
-    EXPECT_EQ(a.rows[i].acc_learned, b.rows[i].acc_learned);
-    EXPECT_EQ(a.rows[i].latent_memory_bytes, b.rows[i].latent_memory_bytes);
-    EXPECT_EQ(a.rows[i].budget_bytes, b.rows[i].budget_bytes);
-    EXPECT_EQ(a.rows[i].buffer_entries, b.rows[i].buffer_entries);
-    EXPECT_EQ(a.rows[i].buffer_evictions, b.rows[i].buffer_evictions);
-    EXPECT_EQ(a.rows[i].latency_ms, b.rows[i].latency_ms);
-  }
+  EXPECT_EQ(run_once(), a);
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "snn/network.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace r4ncl::snn {
 namespace {
@@ -22,6 +24,19 @@ NetworkConfig tiny_config() {
   cfg.num_classes = 3;
   cfg.seed = 21;
   return cfg;
+}
+
+/// The network as the only section of a file at `path`, through the
+/// BinaryWriter/BinaryReader forms the checkpoint uses.
+void save_to(const SnnNetwork& net, const std::string& path) {
+  BinaryWriter out(path);
+  net.save(out);
+  out.close();
+}
+
+void load_from(SnnNetwork& net, const std::string& path) {
+  BinaryReader in(path);
+  net.load(in);
 }
 
 Tensor random_spikes(std::size_t T, std::size_t B, std::size_t N, double p, std::uint64_t seed) {
@@ -148,11 +163,11 @@ TEST(Network, TrainStepMidInsertionFreezesPrefixTrainsSuffix) {
 TEST(Network, SaveLoadRoundTrip) {
   SnnNetwork net(tiny_config());
   const std::string path = ::testing::TempDir() + "r4ncl_net.ckpt";
-  net.save(path);
+  save_to(net, path);
   NetworkConfig cfg2 = tiny_config();
   cfg2.seed = 1234;  // different init
   SnnNetwork restored(cfg2);
-  restored.load(path);
+  load_from(restored, path);
   const Tensor x = random_spikes(5, 2, 10, 0.4, 12);
   const ThresholdPolicy p = ThresholdPolicy::fixed(1.0f);
   const Tensor a = net.forward_logits(x, 0, p);
@@ -164,11 +179,11 @@ TEST(Network, SaveLoadRoundTrip) {
 TEST(Network, LoadRejectsWrongGeometry) {
   SnnNetwork net(tiny_config());
   const std::string path = ::testing::TempDir() + "r4ncl_net2.ckpt";
-  net.save(path);
+  save_to(net, path);
   NetworkConfig other = tiny_config();
   other.layer_sizes = {10, 8, 6, 5};
   SnnNetwork wrong(other);
-  EXPECT_THROW(wrong.load(path), Error);
+  EXPECT_THROW(load_from(wrong, path), Error);
   std::remove(path.c_str());
 }
 
@@ -180,7 +195,7 @@ TEST(Network, LoadRejectsCorruptLayerWords) {
   // gradients.
   SnnNetwork net(tiny_config());
   const std::string path = ::testing::TempDir() + "r4ncl_net_words.ckpt";
-  net.save(path);
+  save_to(net, path);
   std::vector<char> bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -208,7 +223,7 @@ TEST(Network, LoadRejectsCorruptLayerWords) {
     }
     SnnNetwork restored(tiny_config());
     try {
-      restored.load(path);
+      load_from(restored, path);
       ADD_FAILURE() << "expected '" << patch.message << "'";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find(patch.message), std::string::npos)

@@ -380,16 +380,6 @@ void expect_same_bits(double a, double b, const std::string& what) {
       << what << ": " << a << " vs " << b;
 }
 
-void expect_same_stats(const snn::SpikeOpStats& a, const snn::SpikeOpStats& b,
-                       const std::string& what) {
-  EXPECT_EQ(a.synops, b.synops) << what;
-  EXPECT_EQ(a.neuron_updates, b.neuron_updates) << what;
-  EXPECT_EQ(a.spikes, b.spikes) << what;
-  EXPECT_EQ(a.timestep_slots, b.timestep_slots) << what;
-  EXPECT_EQ(a.backward_synops, b.backward_synops) << what;
-  EXPECT_EQ(a.decompress_bits, b.decompress_bits) << what;
-}
-
 void expect_same_tensor(const Tensor& a, const Tensor& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)), 0) << what;
@@ -413,11 +403,11 @@ void expect_same_result(const ClRunResult& got, const ClRunResult& ref) {
     expect_same_bits(g.loss, r.loss, at + " loss");
     expect_same_bits(g.acc_old, r.acc_old, at + " acc_old");
     expect_same_bits(g.acc_new, r.acc_new, at + " acc_new");
-    expect_same_stats(g.stats, r.stats, at + " stats");
+    EXPECT_EQ(g.stats, r.stats) << at;
     expect_same_bits(g.latency_ms, r.latency_ms, at + " latency_ms");
     expect_same_bits(g.energy_uj, r.energy_uj, at + " energy_uj");
   }
-  expect_same_stats(got.prep_stats, ref.prep_stats, "prep stats");
+  EXPECT_EQ(got.prep_stats, ref.prep_stats);
   expect_same_bits(got.prep_latency_ms, ref.prep_latency_ms, "prep latency_ms");
   expect_same_bits(got.prep_energy_uj, ref.prep_energy_uj, "prep energy_uj");
   expect_same_bits(got.final_acc_old, ref.final_acc_old, "final_acc_old");

@@ -1,5 +1,8 @@
 // Synthetic SHD generator: determinism, geometry, class structure.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -91,14 +94,32 @@ TEST(ShdSynth, SubsetDatasetOnlyHasRequestedClasses) {
 }
 
 TEST(ShdSynth, RidgeActivityAboveBackground) {
-  // The class rate field at a ridge centre must clearly exceed background.
-  const SyntheticShdGenerator gen(small_params());
-  const auto& ridges = gen.class_prototype(0);
-  const Ridge& ridge = ridges[0];
+  // Generated class-0 samples must spike near the centre of a class-0 ridge
+  // far more often than the background rate: a window of ±1 timestep and
+  // ±2 channels around the ridge's mid-window centre, over 40 samples.
+  const ShdSynthParams params = small_params();
+  const SyntheticShdGenerator gen(params);
+  const Ridge& ridge = gen.class_prototype(0)[0];
   const double t_mid = 0.5 * (ridge.t_on + ridge.t_off);
   const double centre = ridge.start_channel + ridge.velocity * (t_mid - ridge.t_on);
-  const double at_ridge = gen.class_rate(0, t_mid, centre);
-  EXPECT_GT(at_ridge, 10.0 * small_params().background_rate);
+  const auto t0 = static_cast<std::ptrdiff_t>(std::lround(t_mid));
+  const auto c0 = static_cast<std::ptrdiff_t>(std::lround(centre));
+  const auto T = static_cast<std::ptrdiff_t>(params.timesteps);
+  const auto C = static_cast<std::ptrdiff_t>(params.channels);
+  std::size_t spikes = 0, cells = 0;
+  for (const Sample& s : gen.make_dataset(std::vector<std::int32_t>{0}, 40, 5)) {
+    for (std::ptrdiff_t t = std::max<std::ptrdiff_t>(0, t0 - 1);
+         t <= std::min<std::ptrdiff_t>(T - 1, t0 + 1); ++t) {
+      for (std::ptrdiff_t c = std::max<std::ptrdiff_t>(0, c0 - 2);
+           c <= std::min<std::ptrdiff_t>(C - 1, c0 + 2); ++c) {
+        spikes += s.raster.bits[static_cast<std::size_t>(t * C + c)] != 0 ? 1 : 0;
+        ++cells;
+      }
+    }
+  }
+  ASSERT_GT(cells, 0u);
+  const double rate = static_cast<double>(spikes) / static_cast<double>(cells);
+  EXPECT_GT(rate, 10.0 * params.background_rate) << spikes << " spikes in " << cells << " cells";
 }
 
 TEST(ShdSynth, SamplesCarryClassSignal) {

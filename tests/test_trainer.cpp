@@ -68,22 +68,9 @@ TEST(Trainer, HistoryRecordsWork) {
   for (const auto& rec : history) {
     EXPECT_GT(rec.stats.neuron_updates, 0u);
     EXPECT_GT(rec.stats.backward_synops, 0u);
-    EXPECT_GE(rec.wall_seconds, 0.0);
     EXPECT_GE(rec.train_accuracy, 0.0);
     EXPECT_LE(rec.train_accuracy, 1.0);
   }
-}
-
-TEST(Trainer, HookSeesEveryEpoch) {
-  const auto train = banded_dataset(2, 4, 8, 4);
-  SnnNetwork net(small_net(8, 2));
-  AdamOptimizer opt;
-  TrainOptions opts;
-  opts.epochs = 3;
-  std::vector<std::size_t> seen;
-  (void)train_supervised(net, train, opt, opts,
-                         [&](const EpochRecord& r) { seen.push_back(r.epoch); });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Trainer, DeterministicGivenSeeds) {
@@ -93,11 +80,8 @@ TEST(Trainer, DeterministicGivenSeeds) {
   TrainOptions opts;
   opts.epochs = 3;
   opts.shuffle_seed = 11;
-  const auto ha = train_supervised(net_a, train, opt_a, opts);
-  const auto hb = train_supervised(net_b, train, opt_b, opts);
-  for (std::size_t e = 0; e < ha.size(); ++e) {
-    EXPECT_DOUBLE_EQ(ha[e].loss, hb[e].loss) << "epoch " << e;
-  }
+  EXPECT_EQ(train_supervised(net_a, train, opt_a, opts),
+            train_supervised(net_b, train, opt_b, opts));
 }
 
 TEST(Trainer, EmptyDatasetThrows) {
