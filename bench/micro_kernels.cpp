@@ -1,4 +1,4 @@
-// google-benchmark micro-benchmarks of the hot kernels: dense/sparse matmul,
+// google-benchmark micro-benchmarks of the hot kernels: dense matmul, the
 // LIF layer step, spike codec, bit-packing, and the synthetic generator.
 // These bound the substrate's throughput and document the event-driven
 // sparsity speedup the cost models assume.
@@ -23,13 +23,6 @@ Tensor random_dense(std::size_t r, std::size_t c, std::uint64_t seed) {
   return t;
 }
 
-Tensor random_spikes_2d(std::size_t r, std::size_t c, double p, std::uint64_t seed) {
-  Tensor t(r, c);
-  Rng rng(seed);
-  for (auto& v : t.values()) v = rng.bernoulli(p) ? 1.0f : 0.0f;
-  return t;
-}
-
 void BM_MatmulDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Tensor a = random_dense(16, n, 1);
@@ -42,22 +35,6 @@ void BM_MatmulDense(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16 * n * (n / 2));
 }
 BENCHMARK(BM_MatmulDense)->Arg(128)->Arg(256)->Arg(700);
-
-void BM_MatmulSparseSpikes(benchmark::State& state) {
-  // Input sparsity matching event data (~5% density).  matmul has no
-  // zero-skip, so this tracks BM_MatmulDense; the event-driven path is
-  // BM_LifLayerForward.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Tensor a = random_spikes_2d(16, n, 0.05, 3);
-  const Tensor b = random_dense(n, n / 2, 4);
-  Tensor c(16, n / 2);
-  for (auto _ : state) {
-    matmul(a, b, c);
-    benchmark::DoNotOptimize(c.raw());
-  }
-  state.SetItemsProcessed(state.iterations() * 16 * n * (n / 2));
-}
-BENCHMARK(BM_MatmulSparseSpikes)->Arg(128)->Arg(256)->Arg(700);
 
 void BM_LifLayerForward(benchmark::State& state) {
   const auto T = static_cast<std::size_t>(state.range(0));

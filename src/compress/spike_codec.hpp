@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "compress/bitpack.hpp"
 #include "data/spike_data.hpp"
@@ -37,6 +38,12 @@ enum class CodecStrategy : std::uint8_t {
   kGroupOr,        // OR over the group
   kGroupMajority,  // 1 iff more than half the group spiked
 };
+
+/// Canonical lowercase name.
+[[nodiscard]] constexpr std::string_view to_string(CodecStrategy strategy) noexcept {
+  constexpr std::string_view kNames[] = {"subsample", "group_or", "group_majority"};
+  return kNames[static_cast<std::size_t>(strategy)];
+}
 
 /// Codec configuration.
 struct CodecConfig {

@@ -1,5 +1,9 @@
 #include "core/checkpoint.hpp"
 
+#include <charconv>
+#include <concepts>
+#include <string_view>
+
 #include "obs/metrics.hpp"
 
 #include "util/error.hpp"
@@ -15,23 +19,7 @@ constexpr std::uint32_t kOptimTag = make_tag("OPTM");
 constexpr std::uint32_t kRngsTag = make_tag("RNGS");
 constexpr std::uint32_t kProgTag = make_tag("PROG");
 constexpr std::uint32_t kEndTag = make_tag("KEND");
-constexpr std::uint32_t kVersion = 3;
-
-void write_rng_state(BinaryWriter& out, const Rng::State& s) {
-  out.write_u64(s.state);
-  out.write_u32(s.have_spare_normal ? 1u : 0u);
-  out.write_f64(s.spare_normal);
-}
-
-Rng::State read_rng_state(BinaryReader& in) {
-  Rng::State s;
-  s.state = in.read_u64();
-  const std::uint32_t have_spare = in.read_u32();
-  R4NCL_CHECK(have_spare <= 1, "corrupt rng snapshot: spare-normal flag is " << have_spare);
-  s.have_spare_normal = have_spare != 0;
-  s.spare_normal = in.read_f64();
-  return s;
-}
+constexpr std::uint32_t kVersion = 4;
 
 void write_stats(BinaryWriter& out, const snn::SpikeOpStats& s) {
   out.write_u64(s.synops);
@@ -53,94 +41,115 @@ snn::SpikeOpStats read_stats(BinaryReader& in) {
   return s;
 }
 
+constexpr std::string_view kSequentialKind = "sequential";
+constexpr std::string_view kContinualKind = "continual";
+constexpr std::string_view kUnitsKey = "total_units";
+
+/// Whether a fingerprint is a continual run's (run_fingerprint() puts the
+/// kind first).
+bool is_continual(const RunFingerprint& fingerprint) {
+  return !fingerprint.empty() && fingerprint.front().second == kContinualKind;
+}
+
+/// A field's fingerprint text: floats in their shortest form that reads
+/// back exactly, bools as true/false.
+std::string text(std::string_view v) { return std::string(v); }
+std::string text(bool v) { return v ? "true" : "false"; }
+std::string text(float v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), v).ptr};
+}
+std::string text(std::integral auto v) { return std::to_string(v); }
+
+std::string sample_counts(const std::vector<data::Dataset>& sets) {
+  std::string out;
+  for (const data::Dataset& set : sets) {
+    if (!out.empty()) out += ',';
+    out += text(set.size());
+  }
+  return out;
+}
+
+/// The run's kind and unit count, then every pinned NclMethodConfig field.
+RunFingerprint method_fingerprint(std::string_view kind, std::size_t units,
+                                  const NclMethodConfig& m) {
+  return {
+      {"kind", text(kind)},
+      {std::string(kUnitsKey), text(units)},
+      {"method_name", m.name},
+      {"cl_timesteps", text(m.cl_timesteps)},
+      {"codec_ratio", text(m.storage_codec.ratio)},
+      {"codec_strategy", text(compress::to_string(m.storage_codec.strategy))},
+      {"latent_bits", text(m.storage_codec.latent_bits)},
+      {"lr_cl", text(m.lr_cl)},
+      {"adaptive_threshold", text(m.adaptive_threshold)},
+      {"adjust_interval", text(m.adjust_interval)},
+      {"rescale", text(data::to_string(m.rescale))},
+      {"use_replay", text(m.use_replay)},
+      {"capacity_bytes", text(m.replay_budget.capacity_bytes)},
+      {"policy", text(to_string(m.replay_budget.policy))},
+      {"eviction_seed", text(m.replay_budget.seed)},
+      {"schedule", m.budget_schedule.spec()},
+      {"importance_feedback", text(m.importance_feedback)},
+      {"replay_samples", text(m.replay_samples_per_epoch)},
+      {"shards", text(m.replay_sharding.shards)},
+      {"shard_by", text(to_string(m.replay_sharding.shard_by))},
+      {"batch_size", text(m.batch_size)},
+  };
+}
+
 void write_meta(BinaryWriter& out, const CheckpointMeta& m) {
   out.write_tag(kMetaTag);
-  out.write_u32(static_cast<std::uint32_t>(m.kind));
-  out.write_string(m.method_name);
-  out.write_string(m.policy);
-  out.write_string(m.schedule);
-  out.write_u64(m.capacity_bytes);
-  out.write_u32(m.codec_ratio);
-  out.write_u32(m.codec_strategy);
-  out.write_u32(m.latent_bits);
-  out.write_u64(m.cl_timesteps);
-  out.write_u64(m.shards);
-  out.write_string(m.shard_by);
-  out.write_u64(m.replay_samples);
-  out.write_u32(m.importance_feedback ? 1u : 0u);
-  out.write_u64(m.batch_size);
-  out.write_u64(m.insertion_layer);
-  out.write_u64(m.seed);
-  out.write_u64(m.total_units);
+  out.write_u64(m.fingerprint.size());
+  for (const auto& [key, value] : m.fingerprint) {
+    out.write_string(key);
+    out.write_string(value);
+  }
   out.write_u64(m.next_unit);
 }
 
 CheckpointMeta read_meta(BinaryReader& in) {
   in.expect_tag(kMetaTag);
   CheckpointMeta m;
-  const std::uint32_t kind = in.read_u32();
-  R4NCL_CHECK(kind <= 1, "corrupt checkpoint: unknown kind " << kind);
-  m.kind = static_cast<CheckpointKind>(kind);
-  m.method_name = in.read_string();
-  m.policy = in.read_string();
-  m.schedule = in.read_string();
-  m.capacity_bytes = in.read_u64();
-  m.codec_ratio = in.read_u32();
-  m.codec_strategy = in.read_u32();
-  m.latent_bits = in.read_u32();
-  m.cl_timesteps = in.read_u64();
-  m.shards = in.read_u64();
-  m.shard_by = in.read_string();
-  m.replay_samples = in.read_u64();
-  const std::uint32_t feedback = in.read_u32();
-  R4NCL_CHECK(feedback <= 1, "corrupt checkpoint: importance_feedback flag is " << feedback);
-  m.importance_feedback = feedback != 0;
-  m.batch_size = in.read_u64();
-  m.insertion_layer = in.read_u64();
-  m.seed = in.read_u64();
-  m.total_units = in.read_u64();
+  const std::uint64_t n = in.read_u64();
+  // A pair is two length-prefixed strings, at least 16 bytes.
+  R4NCL_CHECK(n <= in.remaining() / 16,
+              "corrupt checkpoint: " << n << " fingerprint pairs exceed the file");
+  m.fingerprint.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key = in.read_string();
+    m.fingerprint.emplace_back(std::move(key), in.read_string());
+  }
   m.next_unit = in.read_u64();
-  R4NCL_CHECK(m.next_unit <= m.total_units, "corrupt checkpoint: next unit "
-                                                << m.next_unit << " beyond the "
-                                                << m.total_units << "-unit run");
   return m;
 }
 
-/// One pinned "checkpoint mismatch" comparison; streams both values.
-#define R4NCL_META_MATCH(field)                                                        \
-  R4NCL_CHECK(stored.field == expected.field,                                          \
-              "checkpoint mismatch: " #field " was '" << stored.field << "', this run " \
-                                                      << "expects '" << expected.field \
-                                                      << "'")
-
-void verify_meta(const CheckpointMeta& stored, const CheckpointMeta& expected) {
-  R4NCL_CHECK(stored.kind == expected.kind,
-              "checkpoint mismatch: kind was "
-                  << static_cast<std::uint32_t>(stored.kind) << " (0=sequential, 1=continual), "
-                  << "this run expects " << static_cast<std::uint32_t>(expected.kind));
-  R4NCL_META_MATCH(method_name);
-  R4NCL_META_MATCH(policy);
-  R4NCL_META_MATCH(schedule);
-  R4NCL_META_MATCH(capacity_bytes);
-  R4NCL_META_MATCH(codec_ratio);
-  R4NCL_META_MATCH(codec_strategy);
-  R4NCL_META_MATCH(latent_bits);
-  R4NCL_META_MATCH(cl_timesteps);
-  R4NCL_META_MATCH(shards);
-  R4NCL_META_MATCH(shard_by);
-  R4NCL_META_MATCH(replay_samples);
-  R4NCL_META_MATCH(importance_feedback);
-  R4NCL_META_MATCH(batch_size);
-  R4NCL_META_MATCH(insertion_layer);
-  R4NCL_META_MATCH(seed);
-  R4NCL_META_MATCH(total_units);
+/// Compares the stored fingerprint with this run's pair by pair, where the
+/// first difference is the pinned "checkpoint mismatch" error, then bounds
+/// the unit cursor by the verified unit count.
+void verify_meta(const CheckpointMeta& stored, const RunFingerprint& expected) {
+  std::uint64_t units = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& [key, value] = expected[i];
+    const bool present = i < stored.fingerprint.size() && stored.fingerprint[i].first == key;
+    R4NCL_CHECK(present && stored.fingerprint[i].second == value,
+                "checkpoint mismatch: " << key << " was '"
+                                        << (present ? stored.fingerprint[i].second : "(absent)")
+                                        << "', this run expects '" << value << "'");
+    if (key == kUnitsKey) std::from_chars(value.data(), value.data() + value.size(), units);
+  }
+  R4NCL_CHECK(stored.fingerprint.size() == expected.size(),
+              "checkpoint mismatch: " << stored.fingerprint.size()
+                                      << " fingerprint pairs, this run expects "
+                                      << expected.size());
+  R4NCL_CHECK(stored.next_unit <= units, "corrupt checkpoint: next unit "
+                                             << stored.next_unit << " beyond the " << units
+                                             << "-unit run");
 }
-
-#undef R4NCL_META_MATCH
 
 void write_progress(BinaryWriter& out, const Checkpoint& ck) {
   out.write_tag(kProgTag);
-  if (ck.meta.kind == CheckpointKind::kSequential) {
+  if (!is_continual(ck.meta.fingerprint)) {
     const SequentialRunResult& result = ck.sequential;
     out.write_u64(result.rows.size());
     for (const SequentialTaskRow& r : result.rows) {
@@ -179,13 +188,11 @@ void write_progress(BinaryWriter& out, const Checkpoint& ck) {
   }
 }
 
-/// Reads the PROG section into the result of ck.meta.kind.  The method name
-/// and insertion layer are not stored: the verified META already pins them.
+/// Reads the PROG section into the result of the fingerprint's kind.
 void read_progress(BinaryReader& in, Checkpoint& ck) {
   in.expect_tag(kProgTag);
-  if (ck.meta.kind == CheckpointKind::kSequential) {
+  if (!is_continual(ck.meta.fingerprint)) {
     SequentialRunResult& result = ck.sequential;
-    result.method_name = ck.meta.method_name;
     const std::uint64_t n = in.read_u64();
     // A sequential row serializes to 84 bytes; bound the count before the
     // reserve so a corrupt prefix cannot trigger a huge allocation.
@@ -211,8 +218,6 @@ void read_progress(BinaryReader& in, Checkpoint& ck) {
     result.total_energy_uj = in.read_f64();
   } else {
     ClRunResult& result = ck.continual;
-    result.method_name = ck.meta.method_name;
-    result.insertion_layer = ck.meta.insertion_layer;
     const std::uint64_t n = in.read_u64();
     // A continual row serializes to 96 bytes.
     R4NCL_CHECK(n <= in.remaining() / 96,
@@ -240,29 +245,32 @@ void read_progress(BinaryReader& in, Checkpoint& ck) {
 
 }  // namespace
 
-CheckpointMeta make_checkpoint_meta(CheckpointKind kind, const NclMethodConfig& method,
-                                    std::size_t insertion_layer, std::uint64_t seed,
-                                    std::size_t total_units) {
-  CheckpointMeta m;
-  m.kind = kind;
-  m.method_name = method.name;
-  m.policy = std::string(to_string(method.replay_budget.policy));
-  m.schedule = method.budget_schedule.spec();
-  m.capacity_bytes = method.replay_budget.capacity_bytes;
-  m.codec_ratio = method.storage_codec.ratio;
-  m.codec_strategy = static_cast<std::uint32_t>(method.storage_codec.strategy);
-  m.latent_bits = method.storage_codec.latent_bits;
-  m.cl_timesteps = method.cl_timesteps;
-  m.shards = method.replay_sharding.shards;
-  m.shard_by = std::string(to_string(method.replay_sharding.shard_by));
-  m.replay_samples = method.replay_samples_per_epoch;
-  m.importance_feedback = method.importance_feedback;
-  m.batch_size = method.batch_size;
-  m.insertion_layer = insertion_layer;
-  m.seed = seed;
-  m.total_units = total_units;
-  m.next_unit = 0;
-  return m;
+RunFingerprint run_fingerprint(const ClRunConfig& config,
+                               const data::ClassIncrementalTasks& tasks) {
+  RunFingerprint f = method_fingerprint(kContinualKind, config.epochs, config.method);
+  f.insert(f.end(), {{"insertion_layer", text(config.insertion_layer)},
+                     {"eval_every", text(config.eval_every)},
+                     {"seed", text(config.seed)},
+                     {"replay_subset_samples", text(tasks.replay_subset.size())},
+                     {"new_train_samples", text(tasks.new_train.size())},
+                     {"pretrain_test_samples", text(tasks.pretrain_test.size())},
+                     {"new_test_samples", text(tasks.new_test.size())}});
+  return f;
+}
+
+RunFingerprint run_fingerprint(const SequentialRunConfig& config,
+                               const data::SequentialTasks& tasks) {
+  RunFingerprint f =
+      method_fingerprint(kSequentialKind, tasks.task_classes.size(), config.method);
+  f.insert(f.end(), {{"insertion_layer", text(config.insertion_layer)},
+                     {"epochs_per_task", text(config.epochs_per_task)},
+                     {"replay_per_new_class", text(config.replay_per_new_class)},
+                     {"seed", text(config.seed)},
+                     {"replay_subset_samples", text(tasks.replay_subset.size())},
+                     {"pretrain_test_samples", text(tasks.pretrain_test.size())},
+                     {"task_train_samples", sample_counts(tasks.task_train)},
+                     {"task_test_samples", sample_counts(tasks.task_test)}});
+  return f;
 }
 
 void save_checkpoint(const std::string& path, const Checkpoint& ck,
@@ -287,7 +295,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck,
   out.close();
 }
 
-Checkpoint load_checkpoint(const std::string& path, const CheckpointMeta& expected,
+Checkpoint load_checkpoint(const std::string& path, const RunFingerprint& expected,
                            snn::SnnNetwork& net, snn::AdamOptimizer* optimizer,
                            ShardedReplayEngine& engine) {
   obs::metrics().counter("checkpoint.loads").add(1);

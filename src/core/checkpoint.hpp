@@ -17,21 +17,22 @@
 // compares equal (==) as a whole, across every eviction policy and shard
 // count (pinned in tests/test_checkpoint.cpp).
 //
-// Format: util/serialize tagged sections — "R4CK" + version (3: the result
-// rows without wall-clock seconds; version 2 still carried them and version 1
-// the retired replay_stream flag, and both are rejected with the pinned
-// "unsupported checkpoint version" error), "META"
-// (config fingerprint, verified field-by-field with pinned mismatch errors
-// before any state is touched), network ("SNET"/"ARCH"), "OPTM" (optional
-// Adam moments), engine ("SRLE" + per-shard "LRBF"), "RNGS", "PROG"
-// (the run result so far: rows and cost totals), "KEND".  Loads validate
-// every length and count against the remaining file size, so corrupt or
-// truncated checkpoints fail with the pinned r4ncl::Error — no crash, no
-// silent partial load, no allocation blow-up.
+// Format: util/serialize tagged sections — "R4CK" + version (4: META is the
+// run_fingerprint() pair list; versions 1–3 stored a typed field list and
+// are rejected with the pinned "unsupported checkpoint version" error),
+// "META" (the fingerprint and the unit cursor, compared pair by pair with a
+// pinned mismatch error before any state is touched), network
+// ("SNET"/"ARCH"), "OPTM" (optional Adam moments), engine ("SRLE" +
+// per-shard "LRBF"), "RNGS", "PROG" (the run result so far: rows and cost
+// totals), "KEND".  Loads validate every length and count against the
+// remaining file size, so corrupt or truncated checkpoints fail with the
+// pinned r4ncl::Error — no crash, no silent partial load, no allocation
+// blow-up.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sequential.hpp"
@@ -42,61 +43,42 @@
 
 namespace r4ncl::core {
 
-/// Which run engine produced a checkpoint; a sequential checkpoint cannot
-/// resume a continual run (and vice versa).
-enum class CheckpointKind : std::uint32_t {
-  kSequential = 0,  // run_sequential — units are tasks
-  kContinual = 1,   // run_continual_learning — units are epochs
-};
+/// Everything that pins a run, as ordered (key, value) text pairs.
+using RunFingerprint = std::vector<std::pair<std::string, std::string>>;
 
-/// Configuration fingerprint stored in (and verified against) a checkpoint.
-/// Every field that changes the run's future behaviour is pinned: resuming
-/// under a different policy, codec, shard layout, seed, or draw size is a
-/// configuration error the loader rejects up front with a pinned
-/// "checkpoint mismatch" Error, not a silently diverging run.
+/// The fingerprint a run's checkpoints carry and a resume must match: every
+/// run-config field that changes the run's future, and the size of the data
+/// it runs on.  It holds the run kind ("sequential" or "continual") and unit
+/// count (tasks or epochs); every NclMethodConfig field except threads
+/// (threads=N is bit-identical to 1) and the retired replay_stream and
+/// prefetch; every run-config field except verbose; and the sample count of
+/// each task set the engine reads, which scale= moves.  Floats print in
+/// their shortest exact form, enums by their to_string() names.
+[[nodiscard]] RunFingerprint run_fingerprint(const ClRunConfig& config,
+                                             const data::ClassIncrementalTasks& tasks);
+[[nodiscard]] RunFingerprint run_fingerprint(const SequentialRunConfig& config,
+                                             const data::SequentialTasks& tasks);
+
+/// What a checkpoint's META section holds.
 struct CheckpointMeta {
-  CheckpointKind kind = CheckpointKind::kSequential;
-  std::string method_name;
-  std::string policy;    // canonical eviction-policy name
-  std::string schedule;  // BudgetSchedule::spec()
-  std::uint64_t capacity_bytes = 0;
-  std::uint32_t codec_ratio = 1;
-  std::uint32_t codec_strategy = 0;
-  std::uint32_t latent_bits = 0;
-  std::uint64_t cl_timesteps = 0;
-  std::uint64_t shards = 1;
-  std::string shard_by;
-  std::uint64_t replay_samples = 0;
-  bool importance_feedback = false;
-  std::uint64_t batch_size = 0;
-  std::uint64_t insertion_layer = 0;
-  std::uint64_t seed = 0;
-  /// Units (tasks/epochs) in the whole run.
-  std::uint64_t total_units = 0;
+  RunFingerprint fingerprint;
   /// First unit the resumed process must execute (== units completed).
   std::uint64_t next_unit = 0;
 };
 
-/// Builds the fingerprint for a run; next_unit starts at 0.
-[[nodiscard]] CheckpointMeta make_checkpoint_meta(CheckpointKind kind,
-                                                  const NclMethodConfig& method,
-                                                  std::size_t insertion_layer,
-                                                  std::uint64_t seed,
-                                                  std::size_t total_units);
-
 /// Everything save_checkpoint()/load_checkpoint() carry besides the network,
-/// optimizer, and engine (which serialize themselves): the fingerprint, the
-/// run's Rng streams, and the completed portion of the run result.  Only the
-/// result of meta.kind is serialized; its method name (and, for a continual
-/// run, its insertion layer) load from the verified META.
+/// optimizer, and engine (which serialize themselves): the META, the run's
+/// Rng streams, and the completed portion of the run result.  Only the
+/// result of the fingerprint's kind is serialized, without its method name
+/// and insertion layer: the resuming engine sets those from its config.
 struct Checkpoint {
   CheckpointMeta meta;
   /// The per-unit stream (seed_rng / epoch_rng) and the replay-draw stream.
   Rng::State unit_rng;
   Rng::State replay_rng;
 
-  SequentialRunResult sequential;  // kSequential payload
-  ClRunResult continual;           // kContinual payload
+  SequentialRunResult sequential;  // a sequential run's payload
+  ClRunResult continual;           // a continual run's payload
 };
 
 /// Writes one complete checkpoint.  `optimizer` may be null (run_sequential
@@ -106,47 +88,17 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck,
                      const snn::SnnNetwork& net, const snn::AdamOptimizer* optimizer,
                      const ShardedReplayEngine& engine);
 
-/// Reads a checkpoint back: verifies the stored fingerprint against
-/// `expected` (all fields except next_unit; pinned mismatch errors), then
-/// restores the network, optimizer (when non-null — must match the saved
-/// presence), and engine in place and returns the carried state.  Corrupt or
-/// truncated files throw r4ncl::Error before any multi-GB allocation.
+/// Reads a checkpoint back: compares the stored fingerprint with `expected`
+/// pair by pair and throws "checkpoint mismatch: <key> was '<stored>', this
+/// run expects '<expected>'" at the first difference, checks the unit
+/// cursor against the verified unit count, then restores the
+/// network, optimizer (when non-null — must match the saved presence), and
+/// engine in place and returns the carried state.  Corrupt or truncated
+/// files throw r4ncl::Error before any multi-GB allocation.
 [[nodiscard]] Checkpoint load_checkpoint(const std::string& path,
-                                         const CheckpointMeta& expected,
+                                         const RunFingerprint& expected,
                                          snn::SnnNetwork& net,
                                          snn::AdamOptimizer* optimizer,
                                          ShardedReplayEngine& engine);
-
-/// Checkpoint/resume knobs of a run — the CLI's checkpoint=, resume=, and
-/// checkpoint_every= map straight onto these.
-struct CheckpointOptions {
-  /// Write a checkpoint here at every `every`-th completed unit (and at run
-  /// end).  Empty = never save.
-  std::string save_path;
-  /// Resume from this checkpoint before executing any unit.  Empty = fresh
-  /// run.  Resume and save may be combined (resume, then keep snapshotting).
-  std::string resume_path;
-  /// Save cadence in completed units; must be >= 1.
-  std::size_t every = 1;
-  /// Power-cycle drill: after completing this many units *in this process*,
-  /// force a save (to save_path) and return the partial result — the caller
-  /// restarts via resume=.  0 = run to completion.
-  std::size_t stop_after_units = 0;
-
-  [[nodiscard]] bool saving() const noexcept { return !save_path.empty(); }
-  [[nodiscard]] bool resuming() const noexcept { return !resume_path.empty(); }
-};
-
-/// run_sequential / run_continual_learning with checkpoint/resume wired in.
-/// With default-constructed options these are bit-identical to the 3-arg
-/// forms.  When options.stop_after_units cuts the run short, the returned
-/// result holds only the completed rows (the checkpoint carries them too).
-SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
-                                   const SequentialRunConfig& config,
-                                   const CheckpointOptions& options);
-ClRunResult run_continual_learning(snn::SnnNetwork& net,
-                                   const data::ClassIncrementalTasks& tasks,
-                                   const ClRunConfig& config,
-                                   const CheckpointOptions& options);
 
 }  // namespace r4ncl::core

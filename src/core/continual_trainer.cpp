@@ -14,6 +14,7 @@
 #include "core/replay_stream.hpp"
 #include "core/sequential.hpp"
 #include "core/sharded_engine.hpp"
+#include "metrics/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -54,9 +55,10 @@ data::Dataset eval_latents(const snn::SnnNetwork& net, const data::Dataset& test
 class ReplayRun {
  public:
   /// `tasks` sizes the budget schedule (run_continual_learning is a 1-task
-  /// stream); `units` (epochs or tasks) goes into the checkpoint fingerprint.
-  ReplayRun(CheckpointKind kind, const NclMethodConfig& method, std::size_t insertion,
-            std::uint64_t seed, std::size_t tasks, std::size_t units)
+  /// stream); the run has `units` units (epochs or tasks), and its
+  /// checkpoints carry `fingerprint`.
+  ReplayRun(const NclMethodConfig& method, std::size_t insertion, std::uint64_t seed,
+            std::size_t tasks, std::size_t units, RunFingerprint fingerprint)
       : method_(method),
         insertion_(insertion),
         policy_(method.policy()),
@@ -65,7 +67,8 @@ class ReplayRun {
                   is_importance_policy(method.replay_budget.policy)),
         engine_(method.storage_codec, method.cl_timesteps, task0_budget(method, seed, tasks),
                 method.replay_sharding),
-        meta_(make_checkpoint_meta(kind, method, insertion, seed, units)),
+        units_(units),
+        fingerprint_(std::move(fingerprint)),
         unit_rng_(seed),
         replay_rng_(seed ^ kReplayDrawSeedSalt) {}
 
@@ -131,7 +134,7 @@ class ReplayRun {
   /// returns the checkpoint's carried state.
   Checkpoint resume(const std::string& path, snn::SnnNetwork& net,
                     snn::AdamOptimizer* optimizer) {
-    Checkpoint loaded = load_checkpoint(path, meta_, net, optimizer, engine_);
+    Checkpoint loaded = load_checkpoint(path, fingerprint_, net, optimizer, engine_);
     unit_rng_.restore(loaded.unit_rng);
     replay_rng_.restore(loaded.replay_rng);
     return loaded;
@@ -145,13 +148,12 @@ class ReplayRun {
   bool end_unit(const CheckpointOptions& ckpt, std::size_t done, std::size_t completed_here,
                 const snn::SnnNetwork& net, const snn::AdamOptimizer* optimizer,
                 const std::function<void(Checkpoint&)>& payload) const {
-    const bool finished = done == meta_.total_units;
+    const bool finished = done == units_;
     const bool stopping =
         ckpt.stop_after_units > 0 && completed_here >= ckpt.stop_after_units && !finished;
     if (ckpt.saving() && (finished || stopping || done % ckpt.every == 0)) {
       Checkpoint ck;
-      ck.meta = meta_;
-      ck.meta.next_unit = done;
+      ck.meta = {fingerprint_, done};
       ck.unit_rng = unit_rng_.state();
       ck.replay_rng = replay_rng_.state();
       payload(ck);
@@ -167,7 +169,8 @@ class ReplayRun {
   bool replay_;
   bool feedback_;
   ShardedReplayEngine engine_;
-  CheckpointMeta meta_;
+  std::size_t units_;
+  RunFingerprint fingerprint_;
   Rng unit_rng_;
   Rng replay_rng_;
 };
@@ -188,12 +191,6 @@ double ClRunResult::total_energy_uj() const noexcept {
 
 ClRunResult run_continual_learning(snn::SnnNetwork& net,
                                    const data::ClassIncrementalTasks& tasks,
-                                   const ClRunConfig& config) {
-  return run_continual_learning(net, tasks, config, CheckpointOptions{});
-}
-
-ClRunResult run_continual_learning(snn::SnnNetwork& net,
-                                   const data::ClassIncrementalTasks& tasks,
                                    const ClRunConfig& config, const CheckpointOptions& ckpt) {
   const NclMethodConfig& method = config.method;
   R4NCL_CHECK(config.insertion_layer <= net.num_hidden(),
@@ -203,16 +200,14 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
   R4NCL_CHECK(ckpt.every >= 1, "checkpoint_every must be >= 1");
   if (method.threads > 0) set_num_threads(method.threads);
 
-  const metrics::EnergyModel energy_model(config.energy_params);
-  const metrics::LatencyModel latency_model(config.latency_params);
+  const metrics::EnergyModel energy_model{};
+  const metrics::LatencyModel latency_model{};
 
   ClRunResult result;
-  result.method_name = method.name;
-  result.insertion_layer = config.insertion_layer;
 
   // ---- Phase 1: network preparation (Alg. 1 lines 6–20) -----------------
-  ReplayRun run(CheckpointKind::kContinual, method, config.insertion_layer, config.seed, 1,
-                config.epochs);
+  ReplayRun run(method, config.insertion_layer, config.seed, 1, config.epochs,
+                run_fingerprint(config, tasks));
   snn::AdamOptimizer optimizer;
   std::size_t first_epoch = 0;
   if (ckpt.resuming()) {
@@ -229,6 +224,8 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
     result.prep_latency_ms = latency_model.latency_ms(result.prep_stats);
     result.prep_energy_uj = energy_model.energy_uj(result.prep_stats);
   }
+  result.method_name = method.name;
+  result.insertion_layer = config.insertion_layer;
 
   // The frozen-prefix memos of this run: A_new = inference(net_f, TS_cl)
   // (Alg. 1 line 23) at the training blocking, and both test sets.
@@ -281,11 +278,6 @@ ClRunResult run_continual_learning(snn::SnnNetwork& net,
 }
 
 SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
-                                   const SequentialRunConfig& config) {
-  return run_sequential(net, tasks, config, CheckpointOptions{});
-}
-
-SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
                                    const SequentialRunConfig& config,
                                    const CheckpointOptions& ckpt) {
   const NclMethodConfig& method = config.method;
@@ -295,17 +287,16 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
   R4NCL_CHECK(ckpt.every >= 1, "checkpoint_every must be >= 1");
   if (method.threads > 0) set_num_threads(method.threads);
 
-  const metrics::EnergyModel energy_model(config.energy_params);
-  const metrics::LatencyModel latency_model(config.latency_params);
+  const metrics::EnergyModel energy_model{};
+  const metrics::LatencyModel latency_model{};
   const std::size_t num_tasks = tasks.task_classes.size();
 
   SequentialRunResult result;
-  result.method_name = method.name;
 
   // Base-class latents seed the store (Alg. 1 network preparation) under the
   // task-0 cap, so the task-0 boundary set_capacity below is a no-op.
-  ReplayRun run(CheckpointKind::kSequential, method, config.insertion_layer, config.seed,
-                num_tasks, num_tasks);
+  ReplayRun run(method, config.insertion_layer, config.seed, num_tasks, num_tasks,
+                run_fingerprint(config, tasks));
   std::size_t first_task = 0;
   if (ckpt.resuming()) {
     // The restored engine already holds the seeded (and since-evolved)
@@ -320,6 +311,7 @@ SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialT
     result.total_latency_ms += latency_model.latency_ms(prep);
     result.total_energy_uj += energy_model.energy_uj(prep);
   }
+  result.method_name = method.name;
 
   // Evaluation memos: the base test set and every task's test set.  The
   // prefix stays frozen for the whole stream, so one pass per set serves

@@ -21,13 +21,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/latent_buffer.hpp"
 #include "core/method_config.hpp"
 #include "data/tasks.hpp"
 #include "metrics/accuracy.hpp"
-#include "metrics/cost_model.hpp"
 #include "snn/trainer.hpp"
 
 namespace r4ncl::core {
@@ -42,8 +42,6 @@ struct ClRunConfig {
   /// epoch is always evaluated.
   std::size_t eval_every = 1;
   std::uint64_t seed = 2024;
-  metrics::EnergyModelParams energy_params{};
-  metrics::LatencyModelParams latency_params{};
   bool verbose = false;
 };
 
@@ -87,11 +85,35 @@ struct ClRunResult {
   [[nodiscard]] bool operator==(const ClRunResult&) const = default;
 };
 
+/// Checkpoint/resume knobs of a run — the CLI's checkpoint=, resume=, and
+/// checkpoint_every= map straight onto these.
+struct CheckpointOptions {
+  /// Write a checkpoint here at every `every`-th completed unit (and at run
+  /// end).  Empty = never save.
+  std::string save_path;
+  /// Resume from this checkpoint before executing any unit.  Empty = fresh
+  /// run.  Resume and save may be combined (resume, then keep snapshotting).
+  std::string resume_path;
+  /// Save cadence in completed units; must be >= 1.
+  std::size_t every = 1;
+  /// Power-cycle drill: after completing this many units *in this process*,
+  /// force a save (to save_path) and return the partial result — the caller
+  /// restarts via resume=.  0 = run to completion.
+  std::size_t stop_after_units = 0;
+
+  [[nodiscard]] bool saving() const noexcept { return !save_path.empty(); }
+  [[nodiscard]] bool resuming() const noexcept { return !resume_path.empty(); }
+};
+
 /// Runs one continual-learning scenario on a *copy*-modifiable network.
 /// The network must already be pre-trained on the old classes; it is mutated
 /// in place (clone it first to compare methods from the same checkpoint).
+/// `ckpt` saves and resumes the run at epoch boundaries
+/// (core/checkpoint.hpp); when its stop_after_units cuts the run short, the
+/// result holds only the completed rows (the checkpoint carries them too).
 ClRunResult run_continual_learning(snn::SnnNetwork& net,
                                    const data::ClassIncrementalTasks& tasks,
-                                   const ClRunConfig& config);
+                                   const ClRunConfig& config,
+                                   const CheckpointOptions& ckpt = {});
 
 }  // namespace r4ncl::core

@@ -377,10 +377,7 @@ void LatentReplayBuffer::save(BinaryWriter& out) const {
   out.write_u64(memory_bytes_);
   out.write_u64(stream_seen_);
   out.write_u64(evictions_);
-  const Rng::State rng = rng_.state();
-  out.write_u64(rng.state);
-  out.write_u32(rng.have_spare_normal ? 1u : 0u);
-  out.write_f64(rng.spare_normal);
+  write_rng_state(out, rng_.state());
   out.write_u64(entries_.size());
   for (const Entry& e : entries_) {
     out.write_tag(kEntryTag);
@@ -412,12 +409,7 @@ void LatentReplayBuffer::load(BinaryReader& in) {
   const std::uint64_t memory_bytes = in.read_u64();
   const std::uint64_t stream_seen = in.read_u64();
   const std::uint64_t evictions = in.read_u64();
-  Rng::State rng;
-  rng.state = in.read_u64();
-  const std::uint32_t have_spare = in.read_u32();
-  R4NCL_CHECK(have_spare <= 1, "corrupt rng snapshot: spare-normal flag is " << have_spare);
-  rng.have_spare_normal = have_spare != 0;
-  rng.spare_normal = in.read_f64();
+  const Rng::State rng = read_rng_state(in);
   const std::uint64_t n = in.read_u64();
 
   // Decode into scratch first: a corrupt snapshot must throw without leaving

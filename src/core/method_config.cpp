@@ -4,10 +4,10 @@ namespace r4ncl::core {
 
 snn::ThresholdPolicy NclMethodConfig::policy() const {
   if (adaptive_threshold) {
-    return snn::ThresholdPolicy::adaptive(static_cast<int>(cl_timesteps), threshold_base,
+    return snn::ThresholdPolicy::adaptive(static_cast<int>(cl_timesteps), 1.0f,
                                           adjust_interval);
   }
-  return snn::ThresholdPolicy::fixed(threshold_base);
+  return snn::ThresholdPolicy::fixed(1.0f);
 }
 
 NclMethodConfig NclMethodConfig::with_latent_bits(std::uint8_t bits) const {

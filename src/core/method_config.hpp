@@ -41,8 +41,6 @@ struct NclMethodConfig {
   float lr_cl = kEtaPre;
   /// Whether the Alg. 1 adaptive threshold controller is active.
   bool adaptive_threshold = false;
-  /// Fixed threshold value / adaptive-rule base.
-  float threshold_base = 1.0f;
   /// Adaptive-rule adjustment interval (Alg. 1: 5).
   int adjust_interval = 5;
   /// How input data is re-binned onto cl_timesteps.

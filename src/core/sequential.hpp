@@ -26,8 +26,6 @@ struct SequentialRunConfig {
   /// Latent samples recorded per newly learned class.
   std::size_t replay_per_new_class = 2;
   std::uint64_t seed = 4242;
-  metrics::EnergyModelParams energy_params{};
-  metrics::LatencyModelParams latency_params{};
   bool verbose = false;
 };
 
@@ -68,7 +66,10 @@ struct SequentialRunResult {
 };
 
 /// Runs the task stream on a pre-trained network (mutated in place).
+/// `ckpt` saves and resumes the run at task boundaries, as for
+/// run_continual_learning.
 SequentialRunResult run_sequential(snn::SnnNetwork& net, const data::SequentialTasks& tasks,
-                                   const SequentialRunConfig& config);
+                                   const SequentialRunConfig& config,
+                                   const CheckpointOptions& ckpt = {});
 
 }  // namespace r4ncl::core

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -54,6 +55,12 @@ enum class TimeRescaleMethod {
   kGroupOr,    // OR over each source bin group — preserves every spike burst
   kSubsample,  // keep one representative source step per target step
 };
+
+/// Canonical lowercase name.
+[[nodiscard]] constexpr std::string_view to_string(TimeRescaleMethod method) noexcept {
+  constexpr std::string_view kNames[] = {"group_or", "subsample"};
+  return kNames[static_cast<std::size_t>(method)];
+}
 
 /// Re-bins `raster` onto `new_timesteps` steps.  Used to run the continual-
 /// learning phase at a reduced timestep (paper Sec. III-A): target step t*

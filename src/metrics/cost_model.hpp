@@ -47,7 +47,6 @@ class EnergyModel {
  public:
   explicit EnergyModel(const EnergyModelParams& params = {}) : params_(params) {}
   [[nodiscard]] double energy_uj(const snn::SpikeOpStats& stats) const noexcept;
-  [[nodiscard]] const EnergyModelParams& params() const noexcept { return params_; }
 
  private:
   EnergyModelParams params_;
@@ -58,7 +57,6 @@ class LatencyModel {
  public:
   explicit LatencyModel(const LatencyModelParams& params = {}) : params_(params) {}
   [[nodiscard]] double latency_ms(const snn::SpikeOpStats& stats) const noexcept;
-  [[nodiscard]] const LatencyModelParams& params() const noexcept { return params_; }
 
  private:
   LatencyModelParams params_;

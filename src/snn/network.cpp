@@ -71,8 +71,7 @@ Tensor SnnNetwork::forward_logits(const Tensor& x, std::size_t from,
 
 StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t> labels,
                                   std::size_t from, const ThresholdPolicy& policy,
-                                  AdamOptimizer& optimizer, float lr, SpikeMode mode,
-                                  SpikeOpStats* stats,
+                                  AdamOptimizer& optimizer, float lr, SpikeOpStats* stats,
                                   std::vector<std::uint8_t>* row_correct) {
   R4NCL_CHECK(x.rank() == 3, "input must be (T × B × C)");
   R4NCL_CHECK(from <= num_hidden(), "insertion layer out of range");
@@ -91,7 +90,8 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
     return k == 0 ? x : outputs[k - 1];
   };
   for (std::size_t k = 0; k < trained; ++k) {
-    outputs.push_back(hidden_[from + k].forward(input_of(k), mode, policy, &caches[k], stats));
+    outputs.push_back(
+        hidden_[from + k].forward(input_of(k), SpikeMode::kHard, policy, &caches[k], stats));
   }
   const Tensor& readout_in = input_of(trained);
   Tensor logits = readout_.forward(readout_in, stats);

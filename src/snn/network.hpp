@@ -76,8 +76,7 @@ class SnnNetwork {
   /// signal importance-aware replay feeds back to its buffer.
   StepResult train_step(const Tensor& x, std::span<const std::int32_t> labels,
                         std::size_t from, const ThresholdPolicy& policy,
-                        AdamOptimizer& optimizer, float lr,
-                        SpikeMode mode = SpikeMode::kHard, SpikeOpStats* stats = nullptr,
+                        AdamOptimizer& optimizer, float lr, SpikeOpStats* stats = nullptr,
                         std::vector<std::uint8_t>* row_correct = nullptr);
 
   /// Deep copy (fresh optimizer state required afterwards).

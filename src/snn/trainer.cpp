@@ -87,8 +87,7 @@ std::vector<EpochRecord> train_supervised(SnnNetwork& net, const SampleSource& s
       obs_stall.record(seconds);
       const StepResult step =
           net.train_step(batch, labels, options.insertion_layer, options.policy, optimizer,
-                         options.lr, options.mode, &rec.stats,
-                         options.sample_outcome ? &row_correct : nullptr);
+                         options.lr, &rec.stats, options.sample_outcome ? &row_correct : nullptr);
       loss_sum += step.loss;
       correct += step.correct;
       if (options.sample_outcome) {

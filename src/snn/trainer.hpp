@@ -23,7 +23,6 @@ struct TrainOptions {
   /// Hidden-layer index the inputs are injected at (0 = raw input).
   std::size_t insertion_layer = 0;
   ThresholdPolicy policy = ThresholdPolicy::fixed(1.0f);
-  SpikeMode mode = SpikeMode::kHard;
   std::uint64_t shuffle_seed = 99;
   bool verbose = false;
   /// Optional per-sample outcome hook: called once per trained sample per

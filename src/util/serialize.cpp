@@ -149,6 +149,22 @@ void BinaryReader::expect_tag(std::uint32_t expected) {
                                                   << tag_name(got));
 }
 
+void write_rng_state(BinaryWriter& out, const Rng::State& s) {
+  out.write_u64(s.state);
+  out.write_u32(s.have_spare_normal ? 1u : 0u);
+  out.write_f64(s.spare_normal);
+}
+
+Rng::State read_rng_state(BinaryReader& in) {
+  Rng::State s;
+  s.state = in.read_u64();
+  const std::uint32_t have_spare = in.read_u32();
+  R4NCL_CHECK(have_spare <= 1, "corrupt rng snapshot: spare-normal flag is " << have_spare);
+  s.have_spare_normal = have_spare != 0;
+  s.spare_normal = in.read_f64();
+  return s;
+}
+
 std::string tag_name(std::uint32_t tag) {
   std::string out = "'";
   for (int shift = 0; shift < 32; shift += 8) {

@@ -1,9 +1,8 @@
 // Tagged binary serialization for model checkpoints and latent buffers.
 //
-// Format: little-endian, each field written as <u32 tag><payload>.  Tags make
-// the checkpoint self-describing enough to fail loudly on format drift
-// (instead of silently mis-reading), which matters because benches share a
-// pre-trained model cache across binaries.
+// Format: little-endian, each section opened by a <u32 tag>.  Tags make a
+// checkpoint self-describing enough to fail loudly on format drift instead
+// of silently mis-reading it.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace r4ncl {
 
@@ -86,6 +86,12 @@ class BinaryReader {
   std::string path_;
   std::uint64_t file_size_ = 0;
 };
+
+/// The one Rng::State codec of a checkpoint: SplitMix64 state, spare-normal
+/// flag (u32) and spare value.  A flag other than 0 or 1 reads as
+/// "corrupt rng snapshot: spare-normal flag is <n>".
+void write_rng_state(BinaryWriter& out, const Rng::State& s);
+[[nodiscard]] Rng::State read_rng_state(BinaryReader& in);
 
 /// Builds a four-character tag, e.g. make_tag("WGHT").
 constexpr std::uint32_t make_tag(const char (&s)[5]) {

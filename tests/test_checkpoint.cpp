@@ -7,12 +7,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -260,37 +264,81 @@ TEST(CheckpointResume, ContinualRunResumesWithOptimizerState) {
 // Fingerprint verification: resuming under any changed configuration is a
 // pinned error, not a silently diverging run.
 
-/// A small hand-built checkpoint (tiny net + 2-entry engine) shared by the
-/// mismatch and corruption suites; ~a few KB so the exhaustive sweeps stay
-/// fast even under sanitizers.
+/// Tiny run configs and task sets for the hand-built checkpoints below.
+/// Only the sample counts of the task sets enter a fingerprint, so their
+/// samples stay empty.
+SequentialRunConfig tiny_seq_run() {
+  SequentialRunConfig run;
+  run.method = NclMethodConfig::replay4ncl(6);
+  run.method.batch_size = 4;
+  run.insertion_layer = 1;
+  run.seed = 9;
+  return run;
+}
+
+data::SequentialTasks tiny_seq_tasks() {
+  data::SequentialTasks tasks;
+  tasks.task_classes = {2, 3, 4};
+  tasks.pretrain_test.resize(6);
+  tasks.replay_subset.resize(4);
+  tasks.task_train.assign(3, data::Dataset(5));
+  tasks.task_test.assign(3, data::Dataset(2));
+  return tasks;
+}
+
+ClRunConfig tiny_cl_run() {
+  ClRunConfig run;
+  run.method = tiny_seq_run().method;
+  run.insertion_layer = 1;
+  run.epochs = 3;
+  run.seed = 9;
+  return run;
+}
+
+data::ClassIncrementalTasks tiny_cl_tasks() {
+  data::ClassIncrementalTasks tasks;
+  tasks.pretrain_test.resize(6);
+  tasks.replay_subset.resize(4);
+  tasks.new_train.resize(5);
+  tasks.new_test.resize(2);
+  return tasks;
+}
+
+/// A small hand-built checkpoint (tiny net + 2-entry engine, one completed
+/// unit) shared by the mismatch and corruption suites; ~a few KB so the
+/// exhaustive sweeps stay fast even under sanitizers.  A continual one also
+/// carries Adam moments, as run_continual_learning's do.
 struct TinyCheckpoint {
   snn::NetworkConfig net_config;
-  NclMethodConfig method;
-  CheckpointMeta meta;
+  NclMethodConfig method = tiny_seq_run().method;
+  RunFingerprint fingerprint;
+  bool with_optimizer;
   std::string path;
 
-  TinyCheckpoint() {
+  TinyCheckpoint(const std::string& name, RunFingerprint run_fingerprint, bool optimizer)
+      : fingerprint(std::move(run_fingerprint)),
+        with_optimizer(optimizer),
+        path(temp_path(name)) {
     net_config.layer_sizes = {10, 6, 4};
     net_config.num_classes = 3;
     net_config.seed = 5;
-    method = NclMethodConfig::replay4ncl(6);
-    method.batch_size = 4;
-    meta = make_checkpoint_meta(CheckpointKind::kSequential, method, 1, 9, 3);
-    meta.next_unit = 1;
-    path = temp_path("tiny.ckpt");
 
     const snn::SnnNetwork net(net_config);
-    ShardedReplayEngine engine(method.storage_codec, method.cl_timesteps,
-                               method.replay_budget.with_run_seed(9),
-                               method.replay_sharding);
+    ShardedReplayEngine store = engine();
     Rng fill(3);
     for (int i = 0; i < 2; ++i) {
       data::SpikeRaster r(method.cl_timesteps, 6);
       for (auto& b : r.bits) b = fill.bernoulli(0.3) ? 1 : 0;
-      engine.add(r, i);
+      store.add(r, i);
     }
+    snn::AdamOptimizer adam;
+    Tensor w(2, 3);
+    Tensor g(2, 3);
+    g.values()[0] = 0.5f;
+    adam.step("readout.w", w, g, 0.01f);
+
     Checkpoint ck;
-    ck.meta = meta;
+    ck.meta = {fingerprint, 1};
     ck.unit_rng = Rng(11).state();
     ck.replay_rng = Rng(13).state();
     SequentialTaskRow row;
@@ -300,7 +348,9 @@ struct TinyCheckpoint {
     ck.sequential.rows.push_back(row);
     ck.sequential.total_latency_ms = 1.5;
     ck.sequential.total_energy_uj = 2.5;
-    save_checkpoint(path, ck, net, nullptr, engine);
+    ck.continual.rows.push_back(ClEpochRow{.epoch = 0, .loss = 0.25});
+    ck.continual.final_acc_old = 0.5;
+    save_checkpoint(path, ck, net, with_optimizer ? &adam : nullptr, store);
   }
   ~TinyCheckpoint() {
     std::error_code ignored;
@@ -309,24 +359,37 @@ struct TinyCheckpoint {
   TinyCheckpoint(const TinyCheckpoint&) = delete;
   TinyCheckpoint& operator=(const TinyCheckpoint&) = delete;
 
+  /// A fresh engine of the saved geometry.
+  [[nodiscard]] ShardedReplayEngine engine() const {
+    return ShardedReplayEngine(method.storage_codec, method.cl_timesteps,
+                               method.replay_budget.with_run_seed(9), method.replay_sharding);
+  }
+
   /// Fresh load targets (partially mutated loads are fine to reuse — every
   /// iteration re-parses from the file).
-  [[nodiscard]] Checkpoint load(const CheckpointMeta& expected,
+  [[nodiscard]] Checkpoint load(const RunFingerprint& expected,
                                 snn::AdamOptimizer* optimizer = nullptr) const {
     snn::SnnNetwork net(net_config);
-    ShardedReplayEngine engine(method.storage_codec, method.cl_timesteps,
-                               method.replay_budget.with_run_seed(9),
-                               method.replay_sharding);
-    return load_checkpoint(path, expected, net, optimizer, engine);
+    ShardedReplayEngine store = engine();
+    return load_checkpoint(path, expected, net, optimizer, store);
   }
 };
 
+/// A sequential run's checkpoint, saved without optimizer state.
 const TinyCheckpoint& tiny() {
-  static const TinyCheckpoint t;
+  static const TinyCheckpoint t("tiny.ckpt", run_fingerprint(tiny_seq_run(), tiny_seq_tasks()),
+                                false);
   return t;
 }
 
-void expect_load_error(const CheckpointMeta& expected, const std::string& needle,
+/// A continual run's checkpoint, saved with Adam moments.
+const TinyCheckpoint& tiny_continual() {
+  static const TinyCheckpoint t("tiny_continual.ckpt",
+                                run_fingerprint(tiny_cl_run(), tiny_cl_tasks()), true);
+  return t;
+}
+
+void expect_load_error(const RunFingerprint& expected, const std::string& needle,
                        snn::AdamOptimizer* optimizer = nullptr) {
   try {
     (void)tiny().load(expected, optimizer);
@@ -337,59 +400,208 @@ void expect_load_error(const CheckpointMeta& expected, const std::string& needle
   }
 }
 
+/// Loads `ck` against `expected`, which must differ from the saved
+/// fingerprint at `key` alone.  The load must throw the pinned mismatch for
+/// `key` and leave the network, optimizer and engine it was given as they
+/// were.
+void expect_pinned(const TinyCheckpoint& ck, const RunFingerprint& expected,
+                   const std::string& key) {
+  SCOPED_TRACE(key);
+  ASSERT_EQ(expected.size(), ck.fingerprint.size());
+  std::vector<std::string> differing;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i] != ck.fingerprint[i]) differing.push_back(expected[i].first);
+  }
+  EXPECT_EQ(differing, std::vector<std::string>{key});
+
+  snn::NetworkConfig other = ck.net_config;
+  other.seed += 1;  // weights unlike the saved ones, so a load would show
+  snn::SnnNetwork net(other);
+  const snn::SnnNetwork before = net.clone();
+  snn::AdamOptimizer optimizer;
+  ShardedReplayEngine engine = ck.engine();
+  try {
+    (void)load_checkpoint(ck.path, expected, net, ck.with_optimizer ? &optimizer : nullptr,
+                          engine);
+    ADD_FAILURE() << "expected a mismatch on " << key;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint mismatch: " + key + " was '"),
+              std::string::npos)
+        << "actual message: " << e.what();
+  }
+  EXPECT_TRUE(weights_identical(net, before));
+  EXPECT_EQ(optimizer.num_states(), 0u);
+  EXPECT_EQ(engine.size(), 0u);
+}
+
+/// One change per NclMethodConfig key, each moving only that key.
+std::vector<std::pair<std::string, std::function<void(NclMethodConfig&)>>> method_changes() {
+  return {
+      {"method_name", [](NclMethodConfig& m) { m.name = "Other"; }},
+      {"cl_timesteps", [](NclMethodConfig& m) { m.cl_timesteps = 12; }},
+      {"codec_ratio", [](NclMethodConfig& m) { m.storage_codec.ratio = 2; }},
+      {"codec_strategy",
+       [](NclMethodConfig& m) { m.storage_codec.strategy = compress::CodecStrategy::kGroupOr; }},
+      {"latent_bits", [](NclMethodConfig& m) { m.storage_codec.latent_bits = 2; }},
+      // One ulp: the text form of a float must round-trip exactly.
+      {"lr_cl", [](NclMethodConfig& m) { m.lr_cl = std::nextafter(m.lr_cl, 1.0f); }},
+      {"adaptive_threshold", [](NclMethodConfig& m) { m.adaptive_threshold = false; }},
+      {"adjust_interval", [](NclMethodConfig& m) { m.adjust_interval = 7; }},
+      {"rescale", [](NclMethodConfig& m) { m.rescale = data::TimeRescaleMethod::kSubsample; }},
+      {"use_replay", [](NclMethodConfig& m) { m.use_replay = false; }},
+      {"capacity_bytes", [](NclMethodConfig& m) { m.replay_budget.capacity_bytes = 4096; }},
+      {"policy", [](NclMethodConfig& m) { m.replay_budget.policy = ReplayPolicy::kReservoir; }},
+      {"eviction_seed", [](NclMethodConfig& m) { m.replay_budget.seed += 1; }},
+      {"schedule",
+       [](NclMethodConfig& m) { m.budget_schedule = parse_budget_schedule("step:1:64"); }},
+      {"importance_feedback", [](NclMethodConfig& m) { m.importance_feedback = false; }},
+      {"replay_samples", [](NclMethodConfig& m) { m.replay_samples_per_epoch = 4; }},
+      {"shards", [](NclMethodConfig& m) { m.replay_sharding.shards = 4; }},
+      {"shard_by", [](NclMethodConfig& m) { m.replay_sharding.shard_by = ShardKey::kHash; }},
+      {"batch_size", [](NclMethodConfig& m) { m.batch_size = 8; }},
+  };
+}
+
+/// Changes one key at a time, first through the engine's own `changes`,
+/// then through method_changes(), and requires each change to be pinned
+/// (expect_pinned) against `ck`, saved from `base_run()` and `base_tasks()`.
+/// Together the changes must cover every key of the fingerprint but "kind",
+/// which only the other engine's fingerprint changes.
+template <typename Run, typename Tasks>
+void expect_every_key_pinned(
+    const TinyCheckpoint& ck, Run (*base_run)(), Tasks (*base_tasks)(),
+    std::vector<std::pair<std::string, std::function<void(Run&, Tasks&)>>> changes) {
+  for (auto& [key, change] : method_changes()) {
+    changes.emplace_back(key, [change](Run& run, Tasks&) { change(run.method); });
+  }
+  std::set<std::string> changed;
+  for (const auto& [key, change] : changes) {
+    Run run = base_run();
+    Tasks tasks = base_tasks();
+    change(run, tasks);
+    expect_pinned(ck, run_fingerprint(run, tasks), key);
+    changed.insert(key);
+  }
+  std::set<std::string> keys;
+  for (const auto& entry : ck.fingerprint) keys.insert(entry.first);
+  keys.erase("kind");
+  EXPECT_EQ(changed, keys);
+}
+
 TEST(CheckpointMismatch, RoundTripRestoresCarriedState) {
-  const Checkpoint ck = tiny().load(tiny().meta);
+  const Checkpoint ck = tiny().load(tiny().fingerprint);
+  EXPECT_EQ(ck.meta.fingerprint, tiny().fingerprint);
   EXPECT_EQ(ck.meta.next_unit, 1u);
   ASSERT_EQ(ck.sequential.rows.size(), 1u);
   EXPECT_EQ(ck.sequential.rows[0].class_id, 2);
   EXPECT_EQ(ck.sequential.rows[0].acc_base, 0.5);
   EXPECT_EQ(ck.sequential.total_latency_ms, 1.5);
   EXPECT_EQ(ck.sequential.total_energy_uj, 2.5);
-  EXPECT_EQ(ck.sequential.method_name, tiny().method.name);
   EXPECT_EQ(ck.unit_rng, Rng(11).state());
   EXPECT_EQ(ck.replay_rng, Rng(13).state());
 }
 
 TEST(CheckpointMismatch, KindPolicyAndSeedAllPinned) {
-  CheckpointMeta m = tiny().meta;
-  m.kind = CheckpointKind::kContinual;
-  expect_load_error(m, "checkpoint mismatch: kind");
-  m = tiny().meta;
-  m.policy = "reservoir";
-  expect_load_error(m, "checkpoint mismatch: policy");
-  m = tiny().meta;
-  m.seed = 10;
-  expect_load_error(m, "checkpoint mismatch: seed");
-  m = tiny().meta;
-  m.shards = 4;
-  expect_load_error(m, "checkpoint mismatch: shards");
-  m = tiny().meta;
-  m.cl_timesteps = 12;
-  expect_load_error(m, "checkpoint mismatch: cl_timesteps");
-  m = tiny().meta;
-  m.total_units = 7;
-  expect_load_error(m, "checkpoint mismatch: total_units");
+  expect_load_error(tiny_continual().fingerprint,
+                    "checkpoint mismatch: kind was 'sequential', this run expects 'continual'");
+  const auto expect_change = [](const std::string& needle, auto&& change) {
+    SequentialRunConfig run = tiny_seq_run();
+    data::SequentialTasks tasks = tiny_seq_tasks();
+    change(run, tasks);
+    expect_load_error(run_fingerprint(run, tasks), needle);
+  };
+  expect_change("checkpoint mismatch: policy was 'fifo', this run expects 'reservoir'",
+                [](auto& run, auto&) {
+                  run.method.replay_budget.policy = ReplayPolicy::kReservoir;
+                });
+  expect_change("checkpoint mismatch: seed was '9', this run expects '10'",
+                [](auto& run, auto&) { run.seed = 10; });
+  expect_change("checkpoint mismatch: shards",
+                [](auto& run, auto&) { run.method.replay_sharding.shards = 4; });
+  expect_change("checkpoint mismatch: cl_timesteps",
+                [](auto& run, auto&) { run.method.cl_timesteps = 12; });
+  expect_change("checkpoint mismatch: total_units was '3', this run expects '4'",
+                [](auto&, auto& tasks) { tasks.task_classes.push_back(5); });
+}
+
+TEST(CheckpointMismatch, EverySequentialKeyIsPinned) {
+  expect_every_key_pinned<SequentialRunConfig, data::SequentialTasks>(
+      tiny(), tiny_seq_run, tiny_seq_tasks,
+      {
+          {"total_units", [](auto&, auto& tasks) { tasks.task_classes.push_back(5); }},
+          {"insertion_layer", [](auto& run, auto&) { run.insertion_layer = 2; }},
+          {"epochs_per_task", [](auto& run, auto&) { run.epochs_per_task = 1; }},
+          {"replay_per_new_class", [](auto& run, auto&) { run.replay_per_new_class = 3; }},
+          {"seed", [](auto& run, auto&) { run.seed = 10; }},
+          {"replay_subset_samples",
+           [](auto&, auto& tasks) { tasks.replay_subset.emplace_back(); }},
+          {"pretrain_test_samples", [](auto&, auto& tasks) { tasks.pretrain_test.pop_back(); }},
+          {"task_train_samples",
+           [](auto&, auto& tasks) { tasks.task_train.back().emplace_back(); }},
+          {"task_test_samples", [](auto&, auto& tasks) { tasks.task_test.front().pop_back(); }},
+      });
+}
+
+TEST(CheckpointMismatch, EveryContinualKeyIsPinned) {
+  expect_every_key_pinned<ClRunConfig, data::ClassIncrementalTasks>(
+      tiny_continual(), tiny_cl_run, tiny_cl_tasks,
+      {
+          {"total_units", [](auto& run, auto&) { run.epochs = 1; }},
+          {"insertion_layer", [](auto& run, auto&) { run.insertion_layer = 2; }},
+          {"eval_every", [](auto& run, auto&) { run.eval_every = 2; }},
+          {"seed", [](auto& run, auto&) { run.seed = 10; }},
+          {"replay_subset_samples",
+           [](auto&, auto& tasks) { tasks.replay_subset.emplace_back(); }},
+          {"new_train_samples", [](auto&, auto& tasks) { tasks.new_train.pop_back(); }},
+          {"pretrain_test_samples",
+           [](auto&, auto& tasks) { tasks.pretrain_test.emplace_back(); }},
+          {"new_test_samples", [](auto&, auto& tasks) { tasks.new_test.pop_back(); }},
+      });
+}
+
+TEST(CheckpointMismatch, ThreadsVerboseAndRetiredFieldsStillResume) {
+  // threads=N is bit-identical to 1, verbose only logs, and replay_stream
+  // and prefetch are read by no library code: none of them pins a run.
+  const auto unpinned = [](NclMethodConfig& m) {
+    m.threads = 4;
+    m.replay_stream = true;
+    m.prefetch = true;
+  };
+  SequentialRunConfig seq = tiny_seq_run();
+  unpinned(seq.method);
+  seq.verbose = true;
+  ASSERT_EQ(run_fingerprint(seq, tiny_seq_tasks()), tiny().fingerprint);
+  EXPECT_EQ(tiny().load(run_fingerprint(seq, tiny_seq_tasks())).meta.next_unit, 1u);
+
+  ClRunConfig cl = tiny_cl_run();
+  unpinned(cl.method);
+  cl.verbose = true;
+  ASSERT_EQ(run_fingerprint(cl, tiny_cl_tasks()), tiny_continual().fingerprint);
+  snn::AdamOptimizer optimizer;
+  const Checkpoint ck = tiny_continual().load(run_fingerprint(cl, tiny_cl_tasks()), &optimizer);
+  EXPECT_EQ(optimizer.num_states(), 1u);
+  ASSERT_EQ(ck.continual.rows.size(), 1u);
+  EXPECT_EQ(ck.continual.rows[0].loss, 0.25);
+  EXPECT_EQ(ck.continual.final_acc_old, 0.5);
 }
 
 TEST(CheckpointMismatch, OlderVersionsAreRejected) {
-  // Version 1 carried a replay_stream flag in META and version 2 wall-clock
-  // seconds in PROG; this build reads 3.  The version word follows the
-  // 4-byte file tag.
+  // Versions 1–3 stored a typed META field list (version 1 with a
+  // replay_stream flag, versions 1 and 2 with wall-clock seconds in PROG);
+  // this build reads 4.  The version word follows the 4-byte file tag.
   std::vector<std::uint8_t> bytes = read_file(tiny().path);
   ASSERT_GE(bytes.size(), 8u);
   std::uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  ASSERT_EQ(version, 3u);
+  ASSERT_EQ(version, 4u);
   const std::string old = temp_path("old_version.ckpt");
-  for (const std::uint32_t older : {1u, 2u}) {
+  for (const std::uint32_t older : {1u, 2u, 3u}) {
     std::memcpy(bytes.data() + 4, &older, sizeof(older));
     write_file(old, bytes.data(), bytes.size());
     snn::SnnNetwork net(tiny().net_config);
-    ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                               tiny().method.replay_budget.with_run_seed(9),
-                               tiny().method.replay_sharding);
+    ShardedReplayEngine engine = tiny().engine();
     try {
-      (void)load_checkpoint(old, tiny().meta, net, nullptr, engine);
+      (void)load_checkpoint(old, tiny().fingerprint, net, nullptr, engine);
       ADD_FAILURE() << "expected a version error for version " << older;
     } catch (const Error& e) {
       const std::string what = e.what();
@@ -397,7 +609,7 @@ TEST(CheckpointMismatch, OlderVersionsAreRejected) {
                           old),
                 std::string::npos)
           << what;
-      EXPECT_NE(what.find("(this build reads 3)"), std::string::npos) << what;
+      EXPECT_NE(what.find("(this build reads 4)"), std::string::npos) << what;
     }
   }
   std::filesystem::remove(old);
@@ -406,18 +618,16 @@ TEST(CheckpointMismatch, OlderVersionsAreRejected) {
 TEST(CheckpointMismatch, OptimizerPresenceIsVerified) {
   // Saved without optimizer state; a resuming run that needs it must fail.
   snn::AdamOptimizer optimizer;
-  expect_load_error(tiny().meta, "optimizer state", &optimizer);
+  expect_load_error(tiny().fingerprint, "optimizer state", &optimizer);
 }
 
 TEST(CheckpointMismatch, NetworkArchitectureIsVerified) {
   snn::NetworkConfig other = tiny().net_config;
   other.layer_sizes = {10, 6, 5};
   snn::SnnNetwork net(other);
-  ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                             tiny().method.replay_budget.with_run_seed(9),
-                             tiny().method.replay_sharding);
+  ShardedReplayEngine engine = tiny().engine();
   try {
-    (void)load_checkpoint(tiny().path, tiny().meta, net, nullptr, engine);
+    (void)load_checkpoint(tiny().path, tiny().fingerprint, net, nullptr, engine);
     FAIL() << "expected architecture mismatch";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("architecture mismatch"), std::string::npos)
@@ -438,10 +648,8 @@ TEST(CheckpointCorruption, EveryTruncationRaisesPinnedError) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     write_file(mangled, bytes.data(), len);
     snn::SnnNetwork net(tiny().net_config);
-    ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                               tiny().method.replay_budget.with_run_seed(9),
-                               tiny().method.replay_sharding);
-    EXPECT_THROW((void)load_checkpoint(mangled, tiny().meta, net, nullptr, engine), Error)
+    ShardedReplayEngine engine = tiny().engine();
+    EXPECT_THROW((void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine), Error)
         << "truncation at byte " << len << " of " << bytes.size();
   }
   std::filesystem::remove(mangled);
@@ -458,14 +666,12 @@ TEST(CheckpointCorruption, NoBitFlipCrashesTheLoader) {
       copy[i] = bytes[i] ^ static_cast<std::uint8_t>(1u << bit);
       write_file(mangled, copy.data(), copy.size());
       snn::SnnNetwork net(tiny().net_config);
-      ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                                 tiny().method.replay_budget.with_run_seed(9),
-                                 tiny().method.replay_sharding);
+      ShardedReplayEngine engine = tiny().engine();
       // Contract: either the flip lands in plain data (load succeeds with
       // different values) or the loader raises the pinned Error.  Anything
       // else — a crash, a bad_alloc, an uncaught std exception — fails here.
       try {
-        (void)load_checkpoint(mangled, tiny().meta, net, nullptr, engine);
+        (void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine);
       } catch (const Error&) {
         ++pinned_errors;
       }
@@ -490,16 +696,70 @@ TEST(CheckpointCorruption, HostileRowCountDiesOnBoundsCheckNotAllocation) {
   const std::string mangled = temp_path("hugecount.ckpt");
   write_file(mangled, bytes.data(), bytes.size());
   snn::SnnNetwork net(tiny().net_config);
-  ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                             tiny().method.replay_budget.with_run_seed(9),
-                             tiny().method.replay_sharding);
+  ShardedReplayEngine engine = tiny().engine();
   try {
-    (void)load_checkpoint(mangled, tiny().meta, net, nullptr, engine);
+    (void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine);
     FAIL() << "expected the row-count bounds check to fire";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("task rows exceed the file"), std::string::npos)
         << "actual message: " << e.what();
   }
+  std::filesystem::remove(mangled);
+}
+
+TEST(CheckpointCorruption, HostileFingerprintCountDiesOnBoundsCheckNotAllocation) {
+  std::vector<std::uint8_t> bytes = read_file(tiny().path);
+  // The u64 pair count sits right after the "META" section tag.
+  const std::uint8_t meta[4] = {'M', 'E', 'T', 'A'};
+  const auto it = std::search(bytes.begin(), bytes.end(), std::begin(meta), std::end(meta));
+  ASSERT_NE(it, bytes.end());
+  const std::size_t count_at = static_cast<std::size_t>(it - bytes.begin()) + 4;
+  const std::uint64_t huge = 0x4000000000000000ULL;
+  std::memcpy(bytes.data() + count_at, &huge, sizeof(huge));
+  const std::string mangled = temp_path("hugemeta.ckpt");
+  write_file(mangled, bytes.data(), bytes.size());
+  snn::SnnNetwork net(tiny().net_config);
+  ShardedReplayEngine engine = tiny().engine();
+  try {
+    (void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine);
+    FAIL() << "expected the pair-count bounds check to fire";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint pairs exceed the file"), std::string::npos)
+        << "actual message: " << e.what();
+  }
+  std::filesystem::remove(mangled);
+}
+
+TEST(CheckpointCorruption, UnitCursorBeyondTheRunIsRejectedBeforeAnyState) {
+  std::vector<std::uint8_t> bytes = read_file(tiny().path);
+  // The u64 unit cursor ends META, right before the network's "SNET" tag.
+  const std::uint8_t snet[4] = {'S', 'N', 'E', 'T'};
+  const auto it = std::search(bytes.begin(), bytes.end(), std::begin(snet), std::end(snet));
+  ASSERT_NE(it, bytes.end());
+  const std::size_t cursor_at = static_cast<std::size_t>(it - bytes.begin()) - 8;
+  std::uint64_t cursor = 0;
+  std::memcpy(&cursor, bytes.data() + cursor_at, sizeof(cursor));
+  ASSERT_EQ(cursor, 1u);
+  const std::uint64_t beyond = 4;  // the tiny sequential run has 3 tasks
+  std::memcpy(bytes.data() + cursor_at, &beyond, sizeof(beyond));
+  const std::string mangled = temp_path("cursor.ckpt");
+  write_file(mangled, bytes.data(), bytes.size());
+
+  snn::NetworkConfig other = tiny().net_config;
+  other.seed += 1;  // weights unlike the saved ones, so a load would show
+  snn::SnnNetwork net(other);
+  const snn::SnnNetwork before = net.clone();
+  ShardedReplayEngine engine = tiny().engine();
+  try {
+    (void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine);
+    ADD_FAILURE() << "expected the unit-cursor bound to fire";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("corrupt checkpoint: next unit 4 beyond the 3-unit run"),
+              std::string::npos)
+        << "actual message: " << e.what();
+  }
+  EXPECT_TRUE(weights_identical(net, before));
+  EXPECT_EQ(engine.size(), 0u);
   std::filesystem::remove(mangled);
 }
 
@@ -509,11 +769,9 @@ TEST(CheckpointCorruption, TrailingGarbageAfterEndTagIsRejected) {
   const std::string mangled = temp_path("trailing.ckpt");
   write_file(mangled, bytes.data(), bytes.size());
   snn::SnnNetwork net(tiny().net_config);
-  ShardedReplayEngine engine(tiny().method.storage_codec, tiny().method.cl_timesteps,
-                             tiny().method.replay_budget.with_run_seed(9),
-                             tiny().method.replay_sharding);
+  ShardedReplayEngine engine = tiny().engine();
   try {
-    (void)load_checkpoint(mangled, tiny().meta, net, nullptr, engine);
+    (void)load_checkpoint(mangled, tiny().fingerprint, net, nullptr, engine);
     FAIL() << "expected the trailing-byte check to fire";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("trailing byte"), std::string::npos)

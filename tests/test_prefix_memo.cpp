@@ -35,6 +35,7 @@
 #include "core/replay_stream.hpp"
 #include "core/sequential.hpp"
 #include "core/sharded_engine.hpp"
+#include "metrics/cost_model.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -147,8 +148,8 @@ ClRunResult reference_continual(snn::SnnNetwork& net, const data::ClassIncrement
                                 const ClRunConfig& config, bool streamed) {
   const NclMethodConfig& method = config.method;
   if (method.threads > 0) set_num_threads(method.threads);
-  const metrics::EnergyModel energy_model(config.energy_params);
-  const metrics::LatencyModel latency_model(config.latency_params);
+  const metrics::EnergyModel energy_model{};
+  const metrics::LatencyModel latency_model{};
   const snn::ThresholdPolicy policy = method.policy();
   ClRunResult result;
   result.method_name = method.name;
@@ -254,8 +255,8 @@ SequentialRunResult reference_sequential(snn::SnnNetwork& net, const data::Seque
                                          const SequentialRunConfig& config, bool streamed) {
   const NclMethodConfig& method = config.method;
   if (method.threads > 0) set_num_threads(method.threads);
-  const metrics::EnergyModel energy_model(config.energy_params);
-  const metrics::LatencyModel latency_model(config.latency_params);
+  const metrics::EnergyModel energy_model{};
+  const metrics::LatencyModel latency_model{};
   const snn::ThresholdPolicy policy = method.policy();
   SequentialRunResult result;
   result.method_name = method.name;

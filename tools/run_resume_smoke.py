@@ -21,7 +21,8 @@ resume=.  Every corrupted load must either fail with the pinned error path
 examples) or, for flips landing in plain payload data, load cleanly and run
 to completion (exit 0).  Any other exit — a crash, a sanitizer abort, an
 uncaught exception — fails the smoke.  A mismatched-configuration resume
-(different eviction policy) must die with the pinned "checkpoint mismatch".
+(different eviction policy, epoch count or scale) must die with the pinned
+"checkpoint mismatch".
 
     python3 tools/run_resume_smoke.py --binary build/examples/budget_stream
     python3 tools/run_resume_smoke.py --binary ... --emit-json BENCH_resume_parity.json
@@ -158,6 +159,18 @@ def main() -> int:
             fail(f"mismatched-policy resume exited {mismatch.returncode} without "
                  f"the pinned mismatch error (stderr: {mismatch.stderr[-500:]!r})")
         print("resume smoke: mismatched-policy resume correctly rejected")
+
+        # The run fingerprint also pins the epoch count and the task-set
+        # sizes (scale= moves them): both resumes must die the same way.
+        for knob in ("epochs=1", "scale=0.5"):
+            changed = [knob if arg.split("=")[0] == knob.split("=")[0] else arg
+                       for arg in COMMON_ARGS]
+            proc = subprocess.run([str(binary)] + changed + [f"resume={ckpt}"], cwd=workdir,
+                                  capture_output=True, text=True, timeout=1200)
+            if proc.returncode != 2 or "checkpoint mismatch" not in proc.stderr:
+                fail(f"resume under {knob} exited {proc.returncode} without the pinned "
+                     f"mismatch error (stderr: {proc.stderr[-500:]!r})")
+            print(f"resume smoke: resume under {knob} correctly rejected")
 
         # Corruption sweep (sampled; the exhaustive sweep is a unit test).
         mangled = workdir / "mangled.ckpt"
