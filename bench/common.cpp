@@ -6,11 +6,9 @@ namespace r4ncl::bench {
 
 BenchContext make_context(int argc, char** argv,
                           std::initializer_list<std::string_view> extra_keys) {
-  Config cfg = Config::from_args(argc, argv);
+  const Config cfg = Config::from_args(argc, argv);
   core::validate_standard_keys(cfg, extra_keys);
-  core::MetricsOptions metrics = core::init_metrics(cfg);
-  core::PretrainedScenario scenario = core::standard_scenario(cfg);
-  return BenchContext{std::move(cfg), std::move(scenario), std::move(metrics)};
+  return BenchContext{cfg, core::ScopedMetrics(cfg), core::standard_scenario(cfg)};
 }
 
 void emit(const ResultTable& table, const std::string& name, const std::string& title) {

@@ -16,36 +16,21 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "core/experiment.hpp"
 #include "util/csv.hpp"
 
 namespace r4ncl::bench {
 
-/// Scenario + config shared by a bench binary.
+/// Scenario + config shared by a bench binary.  make_context() builds it in
+/// place (C++17 guaranteed elision; `metrics` neither copies nor moves),
+/// members in declaration order, so the registry is armed before
+/// pre-training runs; `metrics` writes the metrics_out= snapshot when the
+/// context goes out of scope.
 struct BenchContext {
   Config cfg;
+  core::ScopedMetrics metrics;
   core::PretrainedScenario scenario;
-  /// Telemetry knobs (metrics_out=, trace=) as armed by make_context().
-  core::MetricsOptions metrics;
-
-  BenchContext(Config cfg_in, core::PretrainedScenario scenario_in,
-               core::MetricsOptions metrics_in)
-      : cfg(std::move(cfg_in)), scenario(std::move(scenario_in)),
-        metrics(std::move(metrics_in)) {}
-  BenchContext(const BenchContext&) = delete;
-  BenchContext& operator=(const BenchContext&) = delete;
-  BenchContext(BenchContext&& other) noexcept
-      : cfg(std::move(other.cfg)), scenario(std::move(other.scenario)),
-        metrics(std::move(other.metrics)) {
-    // The moved-from context must not also write the snapshot at scope exit.
-    other.metrics.out_path.clear();
-  }
-  BenchContext& operator=(BenchContext&&) = delete;
-  /// End-of-bench hook: writes the metrics_out= registry snapshot, so every
-  /// bench binary exports telemetry without per-bench wiring.
-  ~BenchContext() { core::write_metrics_snapshot(metrics); }
 
   /// CL epoch count: bench default, overridable via epochs=N.
   [[nodiscard]] std::size_t epochs(std::size_t fallback) const {
@@ -54,12 +39,12 @@ struct BenchContext {
   }
 };
 
-/// Builds the context (core::standard_scenario: threads/logging init, then
-/// pre-training).  CLI keys outside the knobs every binary reads
-/// (core::validate_standard_keys) plus `extra_keys` are rejected with an
-/// Error listing the valid ones, so knob typos, and replay or checkpoint
-/// knobs that no bench of this harness applies, fail loudly instead of
-/// silently running the defaults.
+/// Builds the context (core::ScopedMetrics, then core::standard_scenario:
+/// threads/logging init, then pre-training).  CLI keys outside the knobs
+/// every binary reads (core::validate_standard_keys) plus `extra_keys` are
+/// rejected with an Error listing the valid ones, so knob typos, and replay
+/// or checkpoint knobs that no bench of this harness applies, fail loudly
+/// instead of silently running the defaults.
 BenchContext make_context(int argc, char** argv,
                           std::initializer_list<std::string_view> extra_keys = {});
 

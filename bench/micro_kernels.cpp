@@ -45,7 +45,7 @@ void BM_LifLayerForward(benchmark::State& state) {
   for (auto& v : x.values()) v = data.bernoulli(0.05) ? 1.0f : 0.0f;
   const auto policy = snn::ThresholdPolicy::fixed(1.0f);
   for (auto _ : state) {
-    Tensor out = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, nullptr);
+    Tensor out = layer.forward(x, policy, nullptr, nullptr);
     benchmark::DoNotOptimize(out.raw());
   }
   state.SetItemsProcessed(state.iterations() * T * 8);
@@ -61,7 +61,7 @@ void BM_LifLayerBackward(benchmark::State& state) {
   for (auto& v : x.values()) v = data.bernoulli(0.08) ? 1.0f : 0.0f;
   const auto policy = snn::ThresholdPolicy::fixed(1.0f);
   snn::LayerCache cache;
-  (void)layer.forward(x, snn::SpikeMode::kHard, policy, &cache, nullptr);
+  (void)layer.forward(x, policy, &cache, nullptr);
   Tensor d_out(T, 8, 100);
   d_out.fill(0.01f);
   Tensor d_in(T, 8, 200);
@@ -84,7 +84,7 @@ void BM_AdaptiveThresholdOverhead(benchmark::State& state) {
   for (auto& v : x.values()) v = data.bernoulli(0.05) ? 1.0f : 0.0f;
   const auto policy = snn::ThresholdPolicy::adaptive(40);
   for (auto _ : state) {
-    Tensor out = layer.forward(x, snn::SpikeMode::kHard, policy, nullptr, nullptr);
+    Tensor out = layer.forward(x, policy, nullptr, nullptr);
     benchmark::DoNotOptimize(out.raw());
   }
   state.SetItemsProcessed(state.iterations() * 40 * 8);

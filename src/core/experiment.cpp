@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <limits>
 
@@ -216,6 +218,16 @@ MetricsOptions init_metrics(const Config& cfg) {
   MetricsOptions options;
   options.out_path = cfg.get_string("metrics_out", "");
   options.trace = cfg.get_bool("trace", true);
+  if (!options.out_path.empty()) {
+    // An unwritable path fails here, before any pre-training, not in the
+    // snapshot write at scope exit.  The probe appends nothing and removes
+    // the file if it created it.
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(options.out_path, ec);
+    R4NCL_CHECK(std::ofstream(options.out_path, std::ios::app).good(),
+                "cannot open metrics_out path '" << options.out_path << "' for writing");
+    if (!existed) std::filesystem::remove(options.out_path, ec);
+  }
   // Arm only on explicit request: a disarmed registry keeps plain runs on
   // the pre-telemetry fast path (and bit-identical to it, pinned by tests).
   const bool arm = !options.out_path.empty() || cfg.get("trace").has_value();

@@ -87,9 +87,10 @@ struct MetricsOptions {
 ///   metrics_out=<path>  write the obs::MetricsRegistry snapshot (JSON) here
 ///   trace=<0|1>         include wall-clock trace histograms (default 1)
 /// The registry arms only when metrics_out= or trace= is given, so plain
-/// runs keep the disarmed (bit-identical, near-zero-cost) fast path.  Call
-/// it once, right after Config::from_args; pass the result to
-/// write_metrics_snapshot() when the run finishes.
+/// runs keep the disarmed (bit-identical, near-zero-cost) fast path.
+/// Throws Error ("cannot open metrics_out path …") when the path does not
+/// open for writing, before the registry is touched.  Binaries call it
+/// through ScopedMetrics, right after validating their keys.
 [[nodiscard]] MetricsOptions init_metrics(const Config& cfg);
 
 /// Writes the registry snapshot to options.out_path (no-op when empty).
@@ -97,7 +98,9 @@ void write_metrics_snapshot(const MetricsOptions& options);
 
 /// RAII wrapper over init_metrics()/write_metrics_snapshot(): arms the
 /// registry from `cfg` at construction and writes the metrics_out= snapshot
-/// at scope exit — one line in an example main covers every return path.
+/// at scope exit — one line in a main (or one member of
+/// bench::BenchContext) covers every return path.  It neither copies nor
+/// moves: build it in place.
 class ScopedMetrics {
  public:
   explicit ScopedMetrics(const Config& cfg) : options_(init_metrics(cfg)) {}

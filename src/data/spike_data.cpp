@@ -98,20 +98,17 @@ void fill_batch_column(Tensor& batch, std::size_t b, const SpikeRaster& raster) 
                   raster.channels == batch.dim(2),
               "raster " << raster.timesteps << "x" << raster.channels
                         << " does not fit batch column " << b);
+  // Any nonzero cell is one spike, as spike_count() and the codec count it.
   for (std::size_t t = 0; t < raster.timesteps; ++t) {
     for (std::size_t c = 0; c < raster.channels; ++c) {
-      batch(t, b, c) = static_cast<float>(raster.bits[t * raster.channels + c]);
+      batch(t, b, c) = raster.bits[t * raster.channels + c] != 0 ? 1.0f : 0.0f;
     }
   }
 }
 
 Tensor raster_to_batch(const SpikeRaster& raster) {
   Tensor batch(raster.timesteps, 1, raster.channels);
-  for (std::size_t t = 0; t < raster.timesteps; ++t) {
-    for (std::size_t c = 0; c < raster.channels; ++c) {
-      batch(t, 0, c) = static_cast<float>(raster.bits[t * raster.channels + c]);
-    }
-  }
+  fill_batch_column(batch, 0, raster);
   return batch;
 }
 

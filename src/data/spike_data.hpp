@@ -76,9 +76,11 @@ Dataset time_rescale(const Dataset& dataset, std::size_t new_timesteps,
 /// the given sample indices.  All selected samples must share raster shape.
 Tensor make_batch(const Dataset& dataset, std::span<const std::size_t> indices);
 
-/// Writes `raster` into column `b` of a (T × B × channels) float batch —
-/// the single-sample building block make_batch() and the streaming trainer
-/// path assemble batches from, so both produce bit-identical tensors.
+/// Writes `raster` into column `b` of a (T × B × channels) float batch, 1.0f
+/// for every nonzero cell (one spike, as spike_count() counts it) — the
+/// single-sample building block make_batch(), raster_to_batch() and the
+/// streaming trainer path assemble batches from, so all produce
+/// bit-identical 0/1 tensors.
 void fill_batch_column(Tensor& batch, std::size_t b, const SpikeRaster& raster);
 
 /// Makes `batch` a (timesteps × batch_count × channels) cube, reusing its
@@ -93,7 +95,8 @@ bool ensure_batch_shape(Tensor& batch, std::size_t timesteps, std::size_t batch_
 /// ensure_batch_shape() — the trainer's allocation-regression probe.
 std::uint64_t batch_tensor_allocations() noexcept;
 
-/// Converts a single raster to a (T × 1 × channels) batch.
+/// Converts a single raster to a (T × 1 × channels) batch (fill_batch_column
+/// into column 0).
 Tensor raster_to_batch(const SpikeRaster& raster);
 
 /// Converts one batch entry back to a binary raster (values > 0.5 → spike).

@@ -31,19 +31,14 @@ void check_cache_cube(const Tensor& t, const char* name, std::size_t T, std::siz
               "cache " << name << " is " << shape_str(t) << ", this pass is " << T << "x" << B
                        << "x" << N);
 }
-void check_input(const Tensor& x, std::size_t n_in) {
-  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
-  R4NCL_CHECK(x.dim(2) == n_in, "input feature dim " << x.dim(2) << " != " << n_in);
-}
 
 using kernels::F32x4;
 
-/// The events that drive one row's I(t): the step's input events
-/// (chan[lo, hi), weighted by `val`, or by 1 when `val` is null) and the
-/// previous step's spikes (indices rec[0, rn)).
+/// The events that drive one row's I(t): the step's input spikes
+/// (channels chan[lo, hi)) and the previous step's spikes (indices
+/// rec[0, rn)).
 struct RowEvents {
   const std::uint32_t* chan;
-  const float* val;
   std::size_t lo, hi;
   const std::uint32_t* rec;
   std::size_t rn;
@@ -51,21 +46,17 @@ struct RowEvents {
 
 /// I(t) over columns [j, j + 4·V) of one row, summed in V registers and
 /// stored once: +0, then the W_ff rows of the input events, then the W_rec
-/// rows of the spikes, each in ascending index order — forward_dense's
-/// per-element order (its kernels::matmul adds a ±0 product for every
-/// silent channel between them, an exact no-op on these sums).
+/// rows of the spikes, each in ascending index order — the dense
+/// per-timestep forward's per-element order (its X(t)·W_ff and S(t−1)·W_rec
+/// products add a ±0 product for every silent channel between them, an
+/// exact no-op on these sums).
 template <std::size_t V>
 void current_strip(const RowEvents& ev, const float* wff, const float* wrec, std::size_t N,
                    std::size_t j, float* crow) noexcept {
   F32x4 acc[V] = {};
   for (std::size_t e = ev.lo; e < ev.hi; ++e) {
     const float* w = wff + ev.chan[e] * N + j;
-    if (ev.val == nullptr) {
-      for (std::size_t v = 0; v < V; ++v) acc[v] += kernels::load4(w + 4 * v);
-    } else {
-      const F32x4 av = kernels::splat4(ev.val[e]);
-      for (std::size_t v = 0; v < V; ++v) acc[v] += av * kernels::load4(w + 4 * v);
-    }
+    for (std::size_t v = 0; v < V; ++v) acc[v] += kernels::load4(w + 4 * v);
   }
   for (std::size_t e = 0; e < ev.rn; ++e) {
     const float* w = wrec + ev.rec[e] * N + j;
@@ -83,10 +74,7 @@ void row_current(const RowEvents& ev, const float* wff, const float* wrec, std::
   for (; j + 4 <= N; j += 4) current_strip<1>(ev, wff, wrec, N, j, crow);
   for (; j < N; ++j) {
     float acc = 0.0f;
-    for (std::size_t e = ev.lo; e < ev.hi; ++e) {
-      const float w = wff[ev.chan[e] * N + j];
-      acc += ev.val == nullptr ? w : ev.val[e] * w;
-    }
+    for (std::size_t e = ev.lo; e < ev.hi; ++e) acc += wff[ev.chan[e] * N + j];
     for (std::size_t e = 0; e < ev.rn; ++e) acc += wrec[ev.rec[e] * N + j];
     crow[j] = acc;
   }
@@ -111,15 +99,12 @@ RecurrentLifLayer::RecurrentLifLayer(std::size_t n_in, std::size_t n_out, const 
   }
 }
 
-Tensor RecurrentLifLayer::forward(const Tensor& x, SpikeMode mode,
-                                  const ThresholdPolicy& policy, LayerCache* cache,
-                                  SpikeOpStats* stats) const {
-  // Hard mode goes event-driven: one scan of x builds the active-channel
-  // lists (the same traffic the dense path's per-timestep count_nonzero
-  // stats rescan used to cost), then every timestep does O(events·n_out)
-  // work.  Soft mode (gradcheck) keeps the dense kernels.
-  if (mode == SpikeMode::kSoft) return forward_dense(x, mode, policy, cache, stats);
-  check_input(x, n_in_);
+Tensor RecurrentLifLayer::forward(const Tensor& x, const ThresholdPolicy& policy,
+                                  LayerCache* cache, SpikeOpStats* stats) const {
+  // One scan of x builds the active-channel lists (and rejects any cell
+  // that is not a 0/1 spike), then every timestep does O(events·n_out) work.
+  R4NCL_CHECK(x.rank() == 3, "input must be (T × B × n_in)");
+  R4NCL_CHECK(x.dim(2) == n_in_, "input feature dim " << x.dim(2) << " != " << n_in_);
   return forward_sparse(events_from_batch(x), policy, cache, stats);
 }
 
@@ -145,8 +130,6 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
   const float* wrec = recurrent ? w_rec_.raw() : nullptr;
   const std::uint32_t* offs = events.offsets.data();
   const std::uint32_t* chan = events.channel.data();
-  const float* val = events.value.data();
-  const bool unit = events.unit_values;
   float* vmem = v.raw();
   float* cur = current.raw();
   float* outp = out.raw();
@@ -154,8 +137,8 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
   float* cspk = cache != nullptr ? cache->spikes.raw() : nullptr;
   // Output spikes double as the next step's recurrent *events*: each row
   // records its spike indices while it emits them, so the recurrent matmul
-  // is event-driven too (hard-mode spikes are exactly 1.0f, and the indices
-  // are ascending — the dense kernel's accumulation order).
+  // is event-driven too (spikes are exactly 1.0f, and the indices are
+  // ascending — the dense product's accumulation order).
   std::vector<std::uint32_t> rec_idx(recurrent ? B * N : 0);
   // counts[b·T + t] = spikes of row b at step t, one contiguous run per row
   // so that rows on different threads do not share cache lines.
@@ -167,9 +150,9 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
   // within a window the rows are independent and each batch row walks its
   // steps on one thread: one parallel dispatch per window, row state hot in
   // cache.  After the window the per-step spike counts, summed in row order,
-  // feed observe() in t order.  Per (b, t) the FP ops are forward_dense's,
-  // in its order, so outputs, caches, θ and stats are bit-identical to it at
-  // any thread count.
+  // feed observe() in t order.  Per (b, t) the FP ops are the dense
+  // per-timestep forward's, in its order, so outputs, caches, θ and stats
+  // are bit-identical to it at any thread count.
   ThresholdState th(policy);
   float theta_prev = policy.fixed_value;  // θ(t0 − 1), the reset at a window's first step
   std::size_t spike_total = 0, rec_events = 0;  // rec_events: spikes at t < T−1
@@ -190,8 +173,8 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
           for (std::size_t t = t0; t < t1; ++t) {
             // I(t) = X(t)·W_ff + S(t−1)·W_rec from the step's input events
             // and last step's recorded spike indices.
-            const RowEvents ev{chan, unit ? nullptr : val, offs[t * B + b], offs[t * B + b + 1],
-                               ridx, ridx != nullptr ? rn : 0};
+            const RowEvents ev{chan, offs[t * B + b], offs[t * B + b + 1], ridx,
+                               ridx != nullptr ? rn : 0};
             row_current(ev, wff, wrec, N, crow);
             // S(t−1) is row b of the previous output slab.
             const float* srow_prev =
@@ -250,74 +233,6 @@ Tensor RecurrentLifLayer::forward_sparse(const BatchEventList& events,
     stats->neuron_updates += static_cast<std::uint64_t>(T) * B * N;
     stats->spikes += spike_total;
     stats->timestep_slots += static_cast<std::uint64_t>(T) * B;
-  }
-  return out;
-}
-
-Tensor RecurrentLifLayer::forward_dense(const Tensor& x, SpikeMode mode,
-                                        const ThresholdPolicy& policy, LayerCache* cache,
-                                        SpikeOpStats* stats) const {
-  check_input(x, n_in_);
-  const std::size_t T = x.dim(0), B = x.dim(1);
-
-  Tensor out(T, B, n_out_);
-  Tensor v(B, n_out_);        // current membrane
-  Tensor prev_s(B, n_out_);   // S(t−1)
-  Tensor current(B, n_out_);  // I(t)
-  if (cache != nullptr) {
-    cache->membrane = Tensor(T, B, n_out_);
-    cache->spikes = Tensor(T, B, n_out_);
-    cache->theta.assign(T, policy.fixed_value);
-  }
-
-  ThresholdState th(policy);
-  float theta_prev = policy.fixed_value;  // θ used for the (empty) step −1 reset
-  const std::size_t bn = B * n_out_;
-
-  for (std::size_t t = 0; t < T; ++t) {
-    const float theta_t = th.threshold_at(static_cast<int>(t));
-
-    // I(t) = X(t)·W_ff (+ S(t−1)·W_rec)
-    kernels::matmul(x.slab(t).data(), B, n_in_, w_ff_.raw(), n_out_, current.raw(), false);
-    if (lif_.recurrent && t > 0) {
-      kernels::matmul(prev_s.raw(), B, n_out_, w_rec_.raw(), n_out_, current.raw(), true);
-    }
-
-    // V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t);  S(t) = spike(V(t) − θ(t))
-    float* vp = v.raw();
-    const float* ip = current.raw();
-    const float* sp_prev = prev_s.raw();
-    float* sp_out = out.slab(t).data();
-    std::size_t spike_count = 0;
-    for (std::size_t i = 0; i < bn; ++i) {
-      const float vt = lif_.beta * vp[i] - theta_prev * sp_prev[i] + ip[i];
-      vp[i] = vt;
-      const float u = vt - theta_t;
-      const float s = mode == SpikeMode::kHard ? hard_spike(u) : soft_spike(u, surrogate_);
-      sp_out[i] = s;
-      if (s != 0.0f) ++spike_count;
-    }
-    th.observe(static_cast<int>(t), spike_count);
-
-    if (cache != nullptr) {
-      std::copy(vp, vp + bn, cache->membrane.slab(t).data());
-      std::copy(sp_out, sp_out + bn, cache->spikes.slab(t).data());
-      cache->theta[t] = theta_t;
-    }
-    if (stats != nullptr) {
-      const std::size_t in_events = kernels::count_nonzero(x.slab(t).data(), B * n_in_);
-      stats->synops += static_cast<std::uint64_t>(in_events) * n_out_;
-      if (lif_.recurrent && t > 0) {
-        const std::size_t rec_events = kernels::count_nonzero(sp_prev, bn);
-        stats->synops += static_cast<std::uint64_t>(rec_events) * n_out_;
-      }
-      stats->neuron_updates += bn;
-      stats->spikes += spike_count;
-      stats->timestep_slots += B;
-    }
-
-    std::copy(sp_out, sp_out + bn, prev_s.raw());
-    theta_prev = theta_t;
   }
   return out;
 }
@@ -407,7 +322,7 @@ void RecurrentLifLayer::backward(const Tensor& x, const LayerCache& cache, const
   if (d_in != nullptr) {
     Tensor w_ff_t(N, n_in_);
     kernels::transpose(w_ff_.raw(), n_in_, N, w_ff_t.raw());
-    kernels::matmul(dvp, T * B, N, w_ff_t.raw(), n_in_, d_in->raw(), false);
+    kernels::matmul(dvp, T * B, N, w_ff_t.raw(), n_in_, d_in->raw());
   }
 
   if (stats != nullptr && T > 0) {

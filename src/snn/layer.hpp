@@ -4,25 +4,26 @@
 // in Fig. 6):
 //     I(t) = X(t)·W_ff + S(t−1)·W_rec
 //     V(t) = β·V(t−1) − θ(t−1)·S(t−1) + I(t)
-//     S(t) = Θ(V(t) − θ(t))                (hard mode)
-//            h(V(t) − θ(t))                (soft mode, gradcheck only)
-// with V(−1) = S(−1) = 0 and θ(t) supplied by a ThresholdPolicy (fixed or the
-// paper's adaptive controller).
+//     S(t) = Θ(V(t) − θ(t))
+// with V(−1) = S(−1) = 0, X(t) a 0/1 spike raster, and θ(t) supplied by a
+// ThresholdPolicy (fixed or the paper's adaptive controller).
 //
 // Backward: exact BPTT through the above recurrences with the fast-sigmoid
 // surrogate standing in for Θ′.  The reset path (−θ·S term) is detached by
 // default (LifParams::detach_reset), matching common SNN training practice;
 // the non-detached variant exists so finite-difference tests can validate the
-// complete gradient in soft mode.
-// Hot path (hard mode): the forward pass is event-driven — the input cube is
-// turned into per-timestep active-channel lists (snn::BatchEventList)
-// once, and I(t) is summed straight from the event lists in register tiles:
-// for each strip of 16 output columns (4 vector registers) the W_ff rows of
-// the step's input events, then the W_rec rows of the previous step's
-// spikes, in ascending index order, and each element of I(t) is stored
-// once.  That is kernels::matmul's per-element order in forward_dense (which
-// only adds ±0 products for the silent channels between), so sparse ≡ dense
-// bit-for-bit.  Fixed and adaptive θ
+// complete gradient of a soft-spike forward (h(V − θ) in place of Θ, the
+// soft mode of the dense reference forward in tests/reference_forward.hpp).
+// Forward hot path: event-driven — the input cube is turned into
+// per-timestep active-channel lists (snn::BatchEventList) once, and I(t) is
+// summed straight from the event lists in register tiles: for each strip of
+// 16 output columns (4 vector registers) the W_ff rows of the step's input
+// events, then the W_rec rows of the previous step's spikes, in ascending
+// index order, and each element of I(t) is stored once.  That is the
+// per-element order of the dense per-timestep forward (kernels::matmul for
+// X(t)·W_ff, then kernels::matmul_rows adding S(t−1)·W_rec, which only add
+// ±0 products for the silent channels between), the tests' reference, so
+// sparse ≡ dense bit-for-bit.  Fixed and adaptive θ
 // share one loop over θ windows, the runs of steps over which
 // ThresholdState holds θ constant (ThresholdState::window_end): inside a
 // window each batch row walks its steps on one thread (disjoint writes),
@@ -69,12 +70,6 @@ struct LifParams {
   bool recurrent = true;
 };
 
-/// Forward evaluation mode.
-enum class SpikeMode : std::uint8_t {
-  kHard,  // binary spikes (production)
-  kSoft,  // continuous surrogate forward (finite-difference validation)
-};
-
 /// Event and work counters accumulated by forward/backward passes; the
 /// metrics library converts these into modelled latency and energy.
 struct SpikeOpStats {
@@ -118,19 +113,13 @@ class RecurrentLifLayer {
   [[nodiscard]] const LifParams& lif() const noexcept { return lif_; }
   [[nodiscard]] const SurrogateParams& surrogate() const noexcept { return surrogate_; }
 
-  /// Runs the layer over a (T × B × n_in) spike cube; returns (T × B × n_out)
-  /// output spikes.  When `cache` is non-null the pass records everything the
-  /// backward pass needs.  `stats`, if non-null, accumulates event counts.
-  /// Hard mode runs the event-driven path (see file comment), soft mode the
-  /// dense one.
-  Tensor forward(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
-                 LayerCache* cache, SpikeOpStats* stats) const;
-
-  /// The dense kernel path: per-timestep matmul + count_nonzero stats.  It
-  /// is the soft-mode path and, in hard mode, the reference the event path
-  /// must equal bit for bit (outputs, caches and stats).
-  Tensor forward_dense(const Tensor& x, SpikeMode mode, const ThresholdPolicy& policy,
-                       LayerCache* cache, SpikeOpStats* stats) const;
+  /// Runs the layer over a (T × B × n_in) 0/1 spike cube on the event path
+  /// (see file comment); returns (T × B × n_out) output spikes.  Throws Error
+  /// naming the first input cell that is neither 0 nor 1.  When `cache` is
+  /// non-null the pass records everything the backward pass needs.  `stats`,
+  /// if non-null, accumulates event counts.
+  Tensor forward(const Tensor& x, const ThresholdPolicy& policy, LayerCache* cache,
+                 SpikeOpStats* stats) const;
 
   /// BPTT backward.  `x` must be the exact tensor passed to forward, `d_out`
   /// is ∂L/∂S (T × B × n_out).  Accumulates weight gradients internally and,
@@ -156,8 +145,7 @@ class RecurrentLifLayer {
   void load(BinaryReader& in);
 
  private:
-  /// The event-driven, row-parallel path (hard mode): one dispatch per θ
-  /// window.
+  /// The event-driven, row-parallel pass: one dispatch per θ window.
   Tensor forward_sparse(const BatchEventList& events, const ThresholdPolicy& policy,
                         LayerCache* cache, SpikeOpStats* stats) const;
 

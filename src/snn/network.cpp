@@ -56,9 +56,9 @@ Tensor SnnNetwork::run_hidden(const Tensor& x, std::size_t from, std::size_t to,
                               const ThresholdPolicy& policy, SpikeOpStats* stats) const {
   R4NCL_CHECK(from <= to && to <= num_hidden(), "bad layer range [" << from << ", " << to << ")");
   if (from == to) return x;
-  Tensor cur = hidden_[from].forward(x, SpikeMode::kHard, policy, nullptr, stats);
+  Tensor cur = hidden_[from].forward(x, policy, nullptr, stats);
   for (std::size_t i = from + 1; i < to; ++i) {
-    cur = hidden_[i].forward(cur, SpikeMode::kHard, policy, nullptr, stats);
+    cur = hidden_[i].forward(cur, policy, nullptr, stats);
   }
   return cur;
 }
@@ -91,7 +91,7 @@ StepResult SnnNetwork::train_step(const Tensor& x, std::span<const std::int32_t>
   };
   for (std::size_t k = 0; k < trained; ++k) {
     outputs.push_back(
-        hidden_[from + k].forward(input_of(k), SpikeMode::kHard, policy, &caches[k], stats));
+        hidden_[from + k].forward(input_of(k), policy, &caches[k], stats));
   }
   const Tensor& readout_in = input_of(trained);
   Tensor logits = readout_.forward(readout_in, stats);

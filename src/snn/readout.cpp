@@ -28,7 +28,7 @@ Tensor LeakyReadout::forward(const Tensor& x, SpikeOpStats* stats) const {
   // op order is the per-timestep kernel's), then the leaky integration
   // walks t per element.
   Tensor current(T, B, n_classes_);
-  kernels::matmul(x.raw(), T * B, n_in_, w_.raw(), n_classes_, current.raw(), false);
+  kernels::matmul(x.raw(), T * B, n_in_, w_.raw(), n_classes_, current.raw());
   Tensor logits(B, n_classes_);
   std::vector<float> v(bc, 0.0f);
   const float beta = beta_;
@@ -84,7 +84,7 @@ void LeakyReadout::backward(const Tensor& x, const Tensor& d_logits, Tensor* d_i
     // dX = c·Wᵀ against the transposed copy (register-tiled kernels::matmul).
     Tensor w_t(n_classes_, n_in_);
     kernels::transpose(w_.raw(), n_in_, n_classes_, w_t.raw());
-    kernels::matmul(c.raw(), T * B, n_classes_, w_t.raw(), n_in_, d_in->raw(), false);
+    kernels::matmul(c.raw(), T * B, n_classes_, w_t.raw(), n_in_, d_in->raw());
     bwd_ops *= 2;
   }
   if (stats != nullptr) stats->backward_synops += bwd_ops;

@@ -68,14 +68,14 @@ void matmul_rows(const float* a, std::size_t rows, std::size_t k, const float* b
 }
 
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
-            float* c, bool accumulate) {
+            float* c) {
   constexpr std::size_t kRows = 4;
   parallel_for(
       0, (m + kRows - 1) / kRows,
       [&](std::size_t tile_index) {
         const std::size_t i = tile_index * kRows, rows = std::min(kRows, m - i);
         float* ctile = c + i * n;
-        if (!accumulate) std::fill(ctile, ctile + rows * n, 0.0f);
+        std::fill(ctile, ctile + rows * n, 0.0f);
         matmul_rows(a + i * k, rows, k, b, n, ctile);
       },
       kRows * k * n);
@@ -128,7 +128,7 @@ void check_2d(const Tensor& t, const char* name) {
 }
 }  // namespace
 
-void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
+void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   check_2d(a, "a");
   check_2d(b, "b");
   check_2d(c, "c");
@@ -136,7 +136,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
   R4NCL_CHECK(b.rows() == k,
               "inner dims: a is " << m << "x" << k << ", b has " << b.rows() << " rows");
   R4NCL_CHECK(c.rows() == m && c.cols() == n, "c shape mismatch");
-  kernels::matmul(a.raw(), m, k, b.raw(), n, c.raw(), accumulate);
+  kernels::matmul(a.raw(), m, k, b.raw(), n, c.raw());
 }
 
 double softmax_cross_entropy(const Tensor& logits, std::span<const std::int32_t> labels,

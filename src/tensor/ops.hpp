@@ -51,17 +51,16 @@ inline F32x4 splat4(float x) noexcept { return F32x4{x, x, x, x}; }
 /// zero-skip: a zero a entry (no spike event) adds a ±0 product.  For finite
 /// b that is an exact no-op on any sum that is never −0, and every library
 /// caller meets that: its sums start at +0 (a zero-filled c; rounding to
-/// nearest, IEEE addition yields −0 only from −0 + −0), or, in
-/// forward_dense, the recurrent product accumulates onto X(t)·W_ff, itself
-/// such a sum.  So the result equals the zero-skipping k-ascending loop bit
-/// for bit.  The tile body of matmul.
+/// nearest, IEEE addition yields −0 only from −0 + −0).  So the result
+/// equals the zero-skipping k-ascending loop bit for bit.  The tile body of
+/// matmul; the BPTT recurrence calls it directly for dV(t)·W_recᵀ.
 void matmul_rows(const float* a, std::size_t rows, std::size_t k, const float* b,
                  std::size_t n, float* c) noexcept;
 
-/// c[m×n] = a[m×k] · b[k×n]; accumulates when `accumulate`, otherwise c is
-/// zero-filled first.  One parallel_for index per 4-row tile (matmul_rows).
+/// c[m×n] = a[m×k] · b[k×n]: c is zero-filled, then summed by matmul_rows.
+/// One parallel_for index per 4-row tile.
 void matmul(const float* a, std::size_t m, std::size_t k, const float* b, std::size_t n,
-            float* c, bool accumulate);
+            float* c);
 
 /// Weight-gradient kernel: c[k×n] += Σ_blk a_blkᵀ · b_blk over `blocks`
 /// consecutive blocks of m rows (a_blk is m×k, b_blk is m×n).  Every output
@@ -81,8 +80,8 @@ std::size_t count_nonzero(const float* v, std::size_t n) noexcept;
 
 }  // namespace kernels
 
-/// C = A·B (A: m×k, B: k×n, C: m×n).  When accumulate is true, C += A·B.
-void matmul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
+/// C = A·B (A: m×k, B: k×n, C: m×n).
+void matmul(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// Row-wise softmax + cross-entropy against integer labels.
 /// logits: (batch × classes); labels: one per row.

@@ -1,8 +1,9 @@
 // Finite-difference validation of the manual BPTT implementation.
 //
 // The hard spike function is non-differentiable, so these tests run the
-// layer in SpikeMode::kSoft, where the forward pass uses the continuous
-// soft_spike whose analytic derivative equals the fast-sigmoid surrogate.
+// layer's weights through the dense reference forward in SpikeMode::kSoft
+// (reference_forward.hpp), which uses the continuous soft_spike whose
+// analytic derivative equals the fast-sigmoid surrogate.
 // With detach_reset = false the backward pass then computes the exact
 // gradient of the (smooth) forward function, and central finite differences
 // must agree to first order.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_forward.hpp"
 #include "snn/layer.hpp"
 #include "snn/readout.hpp"
 #include "tensor/ops.hpp"
@@ -54,8 +56,8 @@ struct LayerLossFixture {
   }
 
   double loss() {
-    const Tensor out =
-        layer.forward(x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.6f), nullptr, nullptr);
+    const Tensor out = reference_forward(layer, x, SpikeMode::kSoft,
+                                         ThresholdPolicy::fixed(0.6f), nullptr, nullptr);
     double acc = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) acc += out(i) * coeff(i);
     return acc;
@@ -64,7 +66,8 @@ struct LayerLossFixture {
   /// Analytic gradients via the BPTT backward pass.
   void analytic(Tensor& d_in) {
     LayerCache cache;
-    (void)layer.forward(x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.6f), &cache, nullptr);
+    (void)reference_forward(layer, x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.6f), &cache,
+                            nullptr);
     layer.zero_grad();
     layer.backward(x, cache, coeff, &d_in, nullptr);
   }
@@ -156,10 +159,10 @@ TEST(BpttGradcheck, DetachedResetDropsResetPath) {
   d_out.fill(1.0f);
 
   LayerCache cache_full, cache_detached;
-  (void)layer_full.forward(x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.5f), &cache_full,
-                           nullptr);
-  (void)layer_detached.forward(x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.5f),
-                               &cache_detached, nullptr);
+  (void)reference_forward(layer_full, x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.5f),
+                          &cache_full, nullptr);
+  (void)reference_forward(layer_detached, x, SpikeMode::kSoft, ThresholdPolicy::fixed(0.5f),
+                          &cache_detached, nullptr);
   layer_full.zero_grad();
   layer_detached.zero_grad();
   layer_full.backward(x, cache_full, d_out, nullptr, nullptr);
@@ -185,14 +188,15 @@ TEST(BpttGradcheck, ThroughReadoutAndLoss) {
   const ThresholdPolicy policy = ThresholdPolicy::fixed(0.6f);
 
   auto loss_fn = [&]() {
-    const Tensor spikes = layer.forward(x, SpikeMode::kSoft, policy, nullptr, nullptr);
+    const Tensor spikes =
+        reference_forward(layer, x, SpikeMode::kSoft, policy, nullptr, nullptr);
     const Tensor logits = readout.forward(spikes, nullptr);
     return softmax_cross_entropy(logits, labels, nullptr);
   };
 
   // Analytic gradients.
   LayerCache cache;
-  const Tensor spikes = layer.forward(x, SpikeMode::kSoft, policy, &cache, nullptr);
+  const Tensor spikes = reference_forward(layer, x, SpikeMode::kSoft, policy, &cache, nullptr);
   const Tensor logits = readout.forward(spikes, nullptr);
   Tensor d_logits(logits.rows(), logits.cols());
   (void)softmax_cross_entropy(logits, labels, &d_logits);

@@ -5,8 +5,10 @@
 // accessors): RecurrentLifLayer::backward, LeakyReadout::forward/backward and
 // the two kernels they called.  Every output element of the hoisted code must
 // equal them bit for bit — weight gradients, ∂L/∂X, logits and SpikeOpStats —
-// over recurrent × detach_reset × fixed/adaptive θ × hard/soft mode × d_in
-// null/set × threads 1/4; the layer also over B ∈ {1, 5, 6, 9} × N ∈ {48, 50}
+// over recurrent × detach_reset × fixed/adaptive θ × hard/soft forward (the
+// layer's forward on 0/1 spikes, or the soft dense reference of
+// reference_forward.hpp on a graded cube) × d_in null/set × threads 1/4; the
+// layer also over B ∈ {1, 5, 6, 9} × N ∈ {48, 50}
 // (B = 1 is fewer rows than threads; B = 5 and 9 leave a one-row tile after
 // the recurrence's 4-row tiles; N = 50, ncl_stream's learning layer, leaves
 // scalar columns after matmul_rows' 8-wide strips) and the readout over
@@ -16,6 +18,7 @@
 #include <array>
 #include <cstring>
 
+#include "reference_forward.hpp"
 #include "snn/layer.hpp"
 #include "snn/readout.hpp"
 #include "tensor/ops.hpp"
@@ -145,7 +148,7 @@ Tensor reference_readout_forward(const LeakyReadout& ro, const Tensor& x, SpikeO
   Tensor current(B, n_classes_);
   const std::size_t bc = B * n_classes_;
   for (std::size_t t = 0; t < T; ++t) {
-    kernels::matmul(x.slab(t).data(), B, n_in_, w_.raw(), n_classes_, current.raw(), false);
+    kernels::matmul(x.slab(t).data(), B, n_in_, w_.raw(), n_classes_, current.raw());
     float* vp = v.raw();
     const float* ip = current.raw();
     float* lp = logits.raw();
@@ -199,7 +202,7 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 /// Binary spikes at `density`, with graded values mixed in when `graded`
-/// (soft-mode activations and latent insertions are not always 0/1).
+/// (the soft-mode reference forward takes and emits values other than 0/1).
 Tensor random_cube(std::size_t T, std::size_t B, std::size_t C, double density, bool graded,
                    std::uint64_t seed) {
   Tensor x(T, B, C);
@@ -259,7 +262,11 @@ TEST(BpttReference, LayerBackwardMatchesPerTimestepKernels) {
     const Tensor d_out = random_grad(kT, B, N, 101 + B);
     LayerCache cache;
     set_num_threads(1);
-    (void)ref.forward(x, mode, policy, &cache, nullptr);
+    if (mode == SpikeMode::kSoft) {
+      (void)reference_forward(ref, x, mode, policy, &cache, nullptr);
+    } else {
+      (void)ref.forward(x, policy, &cache, nullptr);
+    }
     if (adaptive) {
       ASSERT_NE(cache.theta.front(), cache.theta.back()) << "θ must move";
     }

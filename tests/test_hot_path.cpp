@@ -1,16 +1,21 @@
 // Hot-path bit-identity contracts: the event-driven forward must reproduce
-// the dense kernel bit for bit (outputs, caches AND SpikeOpStats), the
-// batch-parallel loops must make threads=N ≡ threads=1, and the trainer/eval
-// batch scratch must stay allocation-free after the first minibatch.
+// the dense per-timestep reference (reference_forward.hpp) bit for bit
+// (outputs, caches AND SpikeOpStats) and reject any input that is not 0/1
+// spikes, the batch-parallel loops must make threads=N ≡ threads=1, and the
+// trainer/eval batch scratch must stay allocation-free after the first
+// minibatch.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/pretrain.hpp"
 #include "core/sequential.hpp"
 #include "data/spike_data.hpp"
+#include "reference_forward.hpp"
 #include "snn/layer.hpp"
 #include "snn/network.hpp"
 #include "snn/trainer.hpp"
@@ -61,16 +66,15 @@ bool same_weights(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Runs the hard-mode forward (event path) and the dense reference and
-/// asserts bitwise-identical outputs, caches and stats.
+/// Runs the layer's forward (event path) and the hard-mode dense reference
+/// and asserts bitwise-identical outputs, caches and stats.
 void expect_sparse_matches_dense(const snn::RecurrentLifLayer& layer, const Tensor& x,
                                  const snn::ThresholdPolicy& policy) {
   snn::LayerCache dense_cache, sparse_cache;
   snn::SpikeOpStats dense_stats, sparse_stats;
-  const Tensor dense =
-      layer.forward_dense(x, snn::SpikeMode::kHard, policy, &dense_cache, &dense_stats);
-  const Tensor sparse =
-      layer.forward(x, snn::SpikeMode::kHard, policy, &sparse_cache, &sparse_stats);
+  const Tensor dense = snn::reference_forward(layer, x, snn::SpikeMode::kHard, policy,
+                                              &dense_cache, &dense_stats);
+  const Tensor sparse = layer.forward(x, policy, &sparse_cache, &sparse_stats);
   EXPECT_TRUE(same_bits(dense, sparse));
   EXPECT_TRUE(same_bits(dense_cache.membrane, sparse_cache.membrane));
   EXPECT_TRUE(same_bits(dense_cache.spikes, sparse_cache.spikes));
@@ -140,43 +144,49 @@ TEST(SparseForward, MatchesDenseUnderAdaptivePolicy) {
   // adjusts (0), one-step windows (1), a partial last window (5, 7), exactly
   // one window (12) and a window longer than T (15).
   for (const Shape shape : {Shape{4, 32}, Shape{5, 50}, Shape{5, 7}}) {
-    Tensor binary = random_cube(T, shape.B, C, 0.15, 77);
-    Tensor graded(T, shape.B, C);
-    Rng rng(78);
-    for (auto& v : graded.values()) {
-      if (rng.bernoulli(0.2)) v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
-    }
+    const Tensor x = random_cube(T, shape.B, C, 0.15, 77);
     for (const bool recurrent : {true, false}) {
       const auto layer = make_layer(C, shape.N, recurrent, 9);
       for (const int interval : {0, 1, 5, 7, 12, 15}) {
-        const auto policy =
-            snn::ThresholdPolicy::adaptive(static_cast<int>(T), 1.0f, interval);
-        for (const Tensor* x : {&binary, &graded}) {
-          SCOPED_TRACE(testing::Message()
-                       << "B=" << shape.B << " N=" << shape.N << " recurrent=" << recurrent
-                       << " interval=" << interval << " graded=" << (x == &graded));
-          expect_sparse_matches_dense(layer, *x, policy);
-        }
+        SCOPED_TRACE(testing::Message() << "B=" << shape.B << " N=" << shape.N
+                                        << " recurrent=" << recurrent
+                                        << " interval=" << interval);
+        expect_sparse_matches_dense(
+            layer, x, snn::ThresholdPolicy::adaptive(static_cast<int>(T), 1.0f, interval));
       }
     }
   }
 }
 
-TEST(SparseForward, MatchesDenseOnNonBinaryValues) {
-  const std::size_t T = 6, C = 32;
-  for (const Shape shape : {Shape{3, 20}, Shape{5, 50}, Shape{5, 7}}) {
-    Tensor x(T, shape.B, C);
-    Rng rng(13);
-    // Graded activations (latent insertions are not always 0/1): the event
-    // list records values, and the value-weighted accumulation must follow
-    // the dense kernel's exact multiply-add order.
-    for (auto& v : x.values()) {
-      if (!rng.bernoulli(0.2)) continue;
-      v = rng.bernoulli(0.5) ? 0.5f : -0.25f;
-    }
-    SCOPED_TRACE(testing::Message() << "B=" << shape.B << " N=" << shape.N);
-    expect_sparse_matches_dense(make_layer(C, shape.N, true, 10), x,
-                                snn::ThresholdPolicy::fixed(1.0f));
+TEST(SparseForward, RejectsNonSpikeInput) {
+  // Layer inputs are 0/1 spikes: a graded cell is an error naming its
+  // position and value, through the layer, the frozen prefix and training.
+  snn::NetworkConfig ncfg;
+  ncfg.layer_sizes = {16, 12, 8};
+  ncfg.num_classes = 3;
+  ncfg.seed = 17;
+  snn::SnnNetwork net(ncfg);
+  const auto policy = snn::ThresholdPolicy::fixed(1.0f);
+  const std::int32_t labels[] = {0, 1};
+  const std::pair<float, std::string> cells[] = {{0.5f, "0.5"}, {-0.25f, "-0.25"}};
+  for (const auto& [value, text] : cells) {
+    Tensor x = random_cube(4, 2, 16, 0.3, 31);
+    x(2, 1, 5) = value;
+    SCOPED_TRACE(testing::Message() << "value=" << text);
+    const auto expect_rejected = [&](const auto& run) {
+      try {
+        run();
+        ADD_FAILURE() << "a cube holding " << text << " must throw";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("must be 0/1 spikes"), std::string::npos) << what;
+        EXPECT_NE(what.find("(t=2, b=1, c=5) holds " + text), std::string::npos) << what;
+      }
+    };
+    expect_rejected([&] { (void)net.hidden(0).forward(x, policy, nullptr, nullptr); });
+    expect_rejected([&] { (void)net.run_hidden(x, 0, 1, policy); });
+    snn::AdamOptimizer opt;
+    expect_rejected([&] { (void)net.train_step(x, labels, 0, policy, opt, 1e-3f); });
   }
 }
 
@@ -196,9 +206,9 @@ TEST(ThreadIdentity, ForwardBitIdentical) {
     snn::LayerCache cache1, cache4;
     snn::SpikeOpStats stats1, stats4;
     set_num_threads(1);
-    const Tensor one = layer.forward(x, snn::SpikeMode::kHard, policy, &cache1, &stats1);
+    const Tensor one = layer.forward(x, policy, &cache1, &stats1);
     set_num_threads(4);
-    const Tensor four = layer.forward(x, snn::SpikeMode::kHard, policy, &cache4, &stats4);
+    const Tensor four = layer.forward(x, policy, &cache4, &stats4);
     EXPECT_TRUE(same_bits(one, four));
     EXPECT_TRUE(same_bits(cache1.membrane, cache4.membrane));
     EXPECT_TRUE(same_bits(cache1.spikes, cache4.spikes));
@@ -222,7 +232,7 @@ TEST(ThreadIdentity, BackwardGradsBitIdentical) {
     auto layer = make_layer(C, N, true, 16);
     snn::LayerCache cache;
     snn::SpikeOpStats stats;
-    (void)layer.forward(x, snn::SpikeMode::kHard, policy, &cache, &stats);
+    (void)layer.forward(x, policy, &cache, &stats);
     layer.backward(x, cache, d_out, d_in, &stats);
     return std::make_pair(layer.grad_w_ff(), layer.grad_w_rec());
   };

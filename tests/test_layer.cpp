@@ -34,8 +34,8 @@ Tensor constant_input(std::size_t T, float v = 1.0f) {
 TEST(LifLayer, IntegratesUntilThreshold) {
   // w = 0.4, β = 0.5, θ = 1: V = 0.4, 0.6, 0.7, 0.75... never reaches 1.
   ScalarLayer s(0.4f);
-  const Tensor out = s.layer->forward(constant_input(10), SpikeMode::kHard,
-                                      ThresholdPolicy::fixed(1.0f), nullptr, nullptr);
+  const Tensor out =
+      s.layer->forward(constant_input(10), ThresholdPolicy::fixed(1.0f), nullptr, nullptr);
   for (std::size_t t = 0; t < 10; ++t) EXPECT_EQ(out(t, 0, 0), 0.0f) << "t=" << t;
 }
 
@@ -43,8 +43,8 @@ TEST(LifLayer, SpikesWhenThresholdCrossed) {
   // w = 0.8, β = 0.5: V(0)=0.8, V(1)=1.2 → spike at t=1.
   ScalarLayer s(0.8f);
   LayerCache cache;
-  const Tensor out = s.layer->forward(constant_input(3), SpikeMode::kHard,
-                                      ThresholdPolicy::fixed(1.0f), &cache, nullptr);
+  const Tensor out =
+      s.layer->forward(constant_input(3), ThresholdPolicy::fixed(1.0f), &cache, nullptr);
   EXPECT_EQ(out(0, 0, 0), 0.0f);
   EXPECT_EQ(out(1, 0, 0), 1.0f);
   EXPECT_NEAR(cache.membrane(1, 0, 0), 1.2f, 1e-6);
@@ -54,8 +54,7 @@ TEST(LifLayer, SoftResetSubtractsTheta) {
   // After the spike at t=1 (V=1.2): V(2) = 0.5·1.2 − 1.0 + 0.8 = 0.4.
   ScalarLayer s(0.8f);
   LayerCache cache;
-  (void)s.layer->forward(constant_input(3), SpikeMode::kHard, ThresholdPolicy::fixed(1.0f),
-                         &cache, nullptr);
+  (void)s.layer->forward(constant_input(3), ThresholdPolicy::fixed(1.0f), &cache, nullptr);
   EXPECT_NEAR(cache.membrane(2, 0, 0), 0.4f, 1e-6);
 }
 
@@ -64,7 +63,7 @@ TEST(LifLayer, MembraneDecaysWithoutInput) {
   Tensor x(4, 1, 1);
   x(0, 0, 0) = 1.0f;  // single pulse
   LayerCache cache;
-  (void)s.layer->forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(10.0f), &cache, nullptr);
+  (void)s.layer->forward(x, ThresholdPolicy::fixed(10.0f), &cache, nullptr);
   EXPECT_NEAR(cache.membrane(0, 0, 0), 1.5f, 1e-6);
   EXPECT_NEAR(cache.membrane(1, 0, 0), 0.75f, 1e-6);
   EXPECT_NEAR(cache.membrane(2, 0, 0), 0.375f, 1e-6);
@@ -78,8 +77,8 @@ TEST(LifLayer, LowerThresholdFiresMore) {
   Rng data(5);
   for (auto& v : x.values()) v = data.bernoulli(0.3) ? 1.0f : 0.0f;
   SpikeOpStats high_stats, low_stats;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.5f), nullptr, &high_stats);
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(0.4f), nullptr, &low_stats);
+  (void)layer.forward(x, ThresholdPolicy::fixed(1.5f), nullptr, &high_stats);
+  (void)layer.forward(x, ThresholdPolicy::fixed(0.4f), nullptr, &low_stats);
   EXPECT_GT(low_stats.spikes, high_stats.spikes);
 }
 
@@ -98,8 +97,8 @@ TEST(LifLayer, RecurrentFeedbackChangesDynamics) {
   Rng data(6);
   for (auto& v : x.values()) v = data.bernoulli(0.4) ? 1.0f : 0.0f;
   SpikeOpStats sa, sb;
-  (void)a.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), nullptr, &sa);
-  (void)b.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), nullptr, &sb);
+  (void)a.forward(x, ThresholdPolicy::fixed(1.0f), nullptr, &sa);
+  (void)b.forward(x, ThresholdPolicy::fixed(1.0f), nullptr, &sb);
   EXPECT_GT(sa.spikes, sb.spikes) << "excitatory recurrence must add spikes";
 }
 
@@ -108,7 +107,7 @@ TEST(LifLayer, StatsCountsNeuronUpdatesExactly) {
   RecurrentLifLayer layer(4, 3, LifParams{}, SurrogateParams{}, rng);
   Tensor x(5, 2, 4);
   SpikeOpStats stats;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), nullptr, &stats);
+  (void)layer.forward(x, ThresholdPolicy::fixed(1.0f), nullptr, &stats);
   EXPECT_EQ(stats.neuron_updates, 5u * 2u * 3u);
   EXPECT_EQ(stats.timestep_slots, 5u * 2u);
   EXPECT_EQ(stats.synops, 0u) << "no input events → no synops";
@@ -123,7 +122,7 @@ TEST(LifLayer, StatsSynopsScaleWithEvents) {
   x(0, 0, 1) = 1.0f;
   x(1, 0, 2) = 1.0f;
   SpikeOpStats stats;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(100.0f), nullptr, &stats);
+  (void)layer.forward(x, ThresholdPolicy::fixed(100.0f), nullptr, &stats);
   // 3 input events × fanout 3, no output spikes (θ huge) → no recurrent events.
   EXPECT_EQ(stats.synops, 9u);
 }
@@ -133,7 +132,7 @@ TEST(LifLayer, AdaptiveThresholdRecordedInCache) {
   RecurrentLifLayer layer(3, 3, LifParams{}, SurrogateParams{}, rng);
   Tensor x(12, 1, 3);  // silence → decay rule engages
   LayerCache cache;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::adaptive(12), &cache, nullptr);
+  (void)layer.forward(x, ThresholdPolicy::adaptive(12), &cache, nullptr);
   ASSERT_EQ(cache.theta.size(), 12u);
   // Silent input: after the first boundary the threshold follows the decay
   // curve (≈0.5), well below the base 1.0.
@@ -144,9 +143,7 @@ TEST(LifLayer, RejectsWrongInputWidth) {
   Rng rng(10);
   RecurrentLifLayer layer(4, 2, LifParams{}, SurrogateParams{}, rng);
   Tensor x(3, 1, 5);
-  EXPECT_THROW(
-      (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), nullptr, nullptr),
-      Error);
+  EXPECT_THROW((void)layer.forward(x, ThresholdPolicy::fixed(1.0f), nullptr, nullptr), Error);
 }
 
 /// A backward pass fed a cache or input from another batch size or width
@@ -162,7 +159,7 @@ class BackwardShapeChecks : public ::testing::Test {
         d_out(kT, kB, kOut) {
     x.fill(1.0f);
     d_out.fill(0.5f);
-    (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(1.0f), &cache, nullptr);
+    (void)layer.forward(x, ThresholdPolicy::fixed(1.0f), &cache, nullptr);
   }
 
   /// Runs backward and returns the thrown message ("" if nothing threw).
@@ -251,8 +248,7 @@ TEST(LifLayer, HardSpikesAreBinary) {
   Tensor x(10, 3, 8);
   Rng data(13);
   for (auto& v : x.values()) v = data.bernoulli(0.5) ? 1.0f : 0.0f;
-  const Tensor out =
-      layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(0.5f), nullptr, nullptr);
+  const Tensor out = layer.forward(x, ThresholdPolicy::fixed(0.5f), nullptr, nullptr);
   for (float v : out.values()) EXPECT_TRUE(v == 0.0f || v == 1.0f);
 }
 

@@ -45,8 +45,7 @@ class LifSweep
 TEST_P(LifSweep, HardSpikesAreBinary) {
   const RecurrentLifLayer layer = make_layer();
   const Tensor x = make_input(0.3);
-  const Tensor out =
-      layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), nullptr, nullptr);
+  const Tensor out = layer.forward(x, ThresholdPolicy::fixed(theta()), nullptr, nullptr);
   for (float v : out.values()) EXPECT_TRUE(v == 0.0f || v == 1.0f);
 }
 
@@ -54,8 +53,8 @@ TEST_P(LifSweep, ForwardIsDeterministic) {
   const RecurrentLifLayer layer = make_layer();
   const Tensor x = make_input(0.4);
   const ThresholdPolicy p = ThresholdPolicy::fixed(theta());
-  const Tensor a = layer.forward(x, SpikeMode::kHard, p, nullptr, nullptr);
-  const Tensor b = layer.forward(x, SpikeMode::kHard, p, nullptr, nullptr);
+  const Tensor a = layer.forward(x, p, nullptr, nullptr);
+  const Tensor b = layer.forward(x, p, nullptr, nullptr);
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a(i), b(i));
 }
 
@@ -63,8 +62,7 @@ TEST_P(LifSweep, StatsExactClosedFormCounts) {
   const RecurrentLifLayer layer = make_layer();
   const Tensor x = make_input(0.25);
   SpikeOpStats stats;
-  const Tensor out =
-      layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), nullptr, &stats);
+  const Tensor out = layer.forward(x, ThresholdPolicy::fixed(theta()), nullptr, &stats);
   EXPECT_EQ(stats.neuron_updates, 14u * 3u * 9u);
   EXPECT_EQ(stats.timestep_slots, 14u * 3u);
   std::size_t spikes = 0;
@@ -76,7 +74,7 @@ TEST_P(LifSweep, SilenceInSilenceOut) {
   const RecurrentLifLayer layer = make_layer();
   Tensor x(10, 2, 12);  // all zeros
   SpikeOpStats stats;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), nullptr, &stats);
+  (void)layer.forward(x, ThresholdPolicy::fixed(theta()), nullptr, &stats);
   EXPECT_EQ(stats.spikes, 0u);
   EXPECT_EQ(stats.synops, 0u);
 }
@@ -85,8 +83,7 @@ TEST_P(LifSweep, CacheMatchesReturnedSpikes) {
   const RecurrentLifLayer layer = make_layer();
   const Tensor x = make_input(0.35);
   LayerCache cache;
-  const Tensor out =
-      layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), &cache, nullptr);
+  const Tensor out = layer.forward(x, ThresholdPolicy::fixed(theta()), &cache, nullptr);
   ASSERT_TRUE(cache.spikes.same_shape(out));
   for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(cache.spikes(i), out(i));
   ASSERT_EQ(cache.theta.size(), 14u);
@@ -97,9 +94,8 @@ TEST_P(LifSweep, LowerThresholdNeverFiresLess) {
   const RecurrentLifLayer layer = make_layer();
   const Tensor x = make_input(0.3);
   SpikeOpStats lo, hi;
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta()), nullptr, &hi);
-  (void)layer.forward(x, SpikeMode::kHard, ThresholdPolicy::fixed(theta() * 0.5f), nullptr,
-                      &lo);
+  (void)layer.forward(x, ThresholdPolicy::fixed(theta()), nullptr, &hi);
+  (void)layer.forward(x, ThresholdPolicy::fixed(theta() * 0.5f), nullptr, &lo);
   if (!std::get<2>(GetParam())) {
     // Without recurrence the per-neuron trajectories are independent and a
     // lower threshold can only add spike times, never remove them.

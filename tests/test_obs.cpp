@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -481,6 +482,27 @@ TEST(ObsCliKnobs, InitMetricsArmsOnlyOnExplicitRequest) {
     EXPECT_TRUE(metrics().armed());
     EXPECT_FALSE(metrics().trace_armed());
   }
+}
+
+TEST(ObsCliKnobs, InitMetricsRejectsUnwritablePath) {
+  // An unwritable metrics_out= fails at init, before any run, and leaves
+  // the registry disarmed; a writable path is probed without a trace.
+  GlobalRegistryGuard guard;
+  Config bad;
+  bad.set("metrics_out", ::testing::TempDir() + "no_such_dir/snapshot.json");
+  try {
+    (void)core::init_metrics(bad);
+    ADD_FAILURE() << "an unwritable metrics_out= must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot open metrics_out path"), std::string::npos);
+  }
+  EXPECT_FALSE(metrics().armed());
+  const std::string path = ::testing::TempDir() + "init_metrics_probe.json";
+  std::remove(path.c_str());
+  Config good;
+  good.set("metrics_out", path);
+  (void)core::init_metrics(good);
+  EXPECT_FALSE(std::filesystem::exists(path)) << "the probe must not leave a file";
 }
 
 }  // namespace

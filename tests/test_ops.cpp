@@ -65,6 +65,8 @@ TEST_P(MatmulSweep, MatchesNaiveReference) {
   EXPECT_TRUE(same_bits(c, naive_matmul(a, b)));
 }
 
+/// matmul_rows, the kernel that sums onto a live c, starts every element
+/// from its c value.
 TEST_P(MatmulSweep, AccumulateAddsOnTop) {
   const auto [m, k, n, sparsity] = GetParam();
   Rng rng(m + k + n + 7);
@@ -72,7 +74,7 @@ TEST_P(MatmulSweep, AccumulateAddsOnTop) {
   const Tensor b = random_tensor(k, n, rng);
   Tensor c = random_tensor(m, n, rng);
   const Tensor expected = naive_matmul(a, b, &c);
-  matmul(a, b, c, /*accumulate=*/true);
+  kernels::matmul_rows(a.raw(), m, k, b.raw(), n, c.raw());
   EXPECT_TRUE(same_bits(c, expected));
 }
 
@@ -170,7 +172,7 @@ TEST(Ops, ProductsRoundBeforeTheSum) {
   const float x = 1.0f + std::ldexp(1.0f, -12);
   const std::vector<float> a(m, x), b(n, x);
   std::vector<float> c(m * n, -(1.0f + std::ldexp(1.0f, -11)));
-  kernels::matmul(a.data(), m, 1, b.data(), n, c.data(), /*accumulate=*/true);
+  kernels::matmul_rows(a.data(), m, 1, b.data(), n, c.data());
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 0.0f) << "element " << i;
 }
 

@@ -127,6 +127,19 @@ TEST(Batching, RasterToBatchSingle) {
   EXPECT_EQ(batch(0, 0, 0), 0.0f);
 }
 
+TEST(Batching, NonzeroCellsBecomeOneSpike) {
+  // A raster cell holding 2 or 255 is one spike (as spike_count() and the
+  // codec count it), so it drives W_ff once, like a cell holding 1.
+  SpikeRaster r(3, 1);
+  r.bits = {2, 255, 1};
+  Dataset ds;
+  ds.push_back({r, 0});
+  const std::size_t idx_arr[] = {0};
+  for (const Tensor& batch : {make_batch(ds, idx_arr), raster_to_batch(r)}) {
+    for (std::size_t t = 0; t < 3; ++t) EXPECT_EQ(batch(t, 0, 0), 1.0f) << "t=" << t;
+  }
+}
+
 TEST(Batching, MixedShapesRejected) {
   Dataset ds;
   ds.push_back({SpikeRaster(4, 3), 0});
